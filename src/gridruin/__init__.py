@@ -26,11 +26,6 @@ from .constants import (
 )
 from .estimators import (
     Estimate,
-    RuinEvent,
-    detect_classical,
-    detect_cumulative,
-    detect_parisian,
-    detect_reflected,
     estimate,
     ruin_time_distribution,
     weighted_ks,
@@ -38,11 +33,9 @@ from .estimators import (
 from .model import (
     Grid,
     ModelParams,
-    PathSample,
     VariantParams,
     default_horizon,
     make_rng,
-    simulate_path,
 )
 
 __version__ = "0.1.0"
@@ -51,9 +44,7 @@ __all__ = [
     "Grid",
     "ModelParams",
     "VariantParams",
-    "PathSample",
     "make_rng",
-    "simulate_path",
     "default_horizon",
     "psi_inf",
     "crossing_after",
@@ -70,11 +61,6 @@ __all__ = [
     "berman",
     "constant_for_model",
     "Estimate",
-    "RuinEvent",
-    "detect_classical",
-    "detect_reflected",
-    "detect_parisian",
-    "detect_cumulative",
     "estimate",
     "ruin_time_distribution",
     "weighted_ks",

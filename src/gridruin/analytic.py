@@ -20,7 +20,6 @@ __all__ = [
     "norm_cdf",
     "norm_sf",
     "norm_pdf",
-    "mills_bound",
     "psi_inf",
     "crossing_after",
     "ruin_time_cdf_approx",
@@ -46,14 +45,6 @@ def norm_sf(x):
 def norm_pdf(x):
     x = np.asarray(x, dtype=float)
     return _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-
-def mills_bound(x):
-    """Upper bound phi(x)/x on the Gaussian tail, valid for x > 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("mills_bound requires x > 0")
-    return norm_pdf(x) / x
 
 
 def psi_inf(params: ModelParams) -> float:

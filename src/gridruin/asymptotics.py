@@ -95,6 +95,8 @@ def validate_ratio(
     it negligible against the ratio tolerances.
     """
     u_values = list(u_values)
+    if not u_values:
+        raise ValueError("at least one u value is required")
     if any(b <= a for a, b in zip(u_values, u_values[1:])):
         raise ValueError("u values must be strictly increasing")
     constant = constant_for_model(
@@ -109,6 +111,9 @@ def validate_ratio(
     rows = []
     for i, u in enumerate(u_values):
         params = ModelParams(c=c, u=u)
+        ap = approx(variant, params, grid, variant_params, constant=constant)
+        if ap.value == 0.0:
+            raise RuntimeError(f"the approximation is 0 at u={u}; the ratio is undefined")
         if mc_estimates is not None:
             mc = mc_estimates[i]
         else:
@@ -122,7 +127,6 @@ def validate_ratio(
                 seed=seed,
                 window_mult=window_mult,
             )
-        ap = approx(variant, params, grid, variant_params, constant=constant)
         ratio = mc.value / ap.value
         if mc.value > 0:
             rel = math.hypot(mc.std_error / mc.value, ap.std_error / ap.value)

@@ -27,21 +27,17 @@ def _checksum(payload: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _key_tuple(key: "ConstantKey"):
-    return tuple(getattr(key, f) for f in _KEY_FIELDS)
-
-
 class ConstantCache:
     """Single-writer, many-reader line cache keyed by the full ConstantKey."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._records: dict[tuple, "ConstantValue"] = {}
+        self._records: dict["ConstantKey", "ConstantValue"] = {}
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        from .constants import ConstantValue
+        from .constants import ConstantKey, ConstantValue
 
         for lineno, line in enumerate(self.path.read_text().splitlines(), start=1):
             line = line.strip()
@@ -49,28 +45,31 @@ class ConstantCache:
                 continue
             try:
                 rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
                 stored = rec.pop("checksum")
                 if stored != _checksum(rec):
                     raise ValueError("checksum mismatch")
-            except (ValueError, KeyError) as exc:
+                key = ConstantKey(**{f: rec[f] for f in _KEY_FIELDS})
+                value = ConstantValue(
+                    estimate=rec["estimate"],
+                    std_error=rec["std_error"],
+                    boundary_fraction=rec["boundary_fraction"],
+                    n=rec["n_samples"],
+                )
+            except (ValueError, KeyError, TypeError) as exc:
                 warnings.warn(
                     f"{self.path}:{lineno}: skipping corrupt cache line ({exc})",
                     stacklevel=2,
                 )
                 continue
-            key = tuple(rec[f] for f in _KEY_FIELDS)
-            self._records[key] = ConstantValue(
-                estimate=rec["estimate"],
-                std_error=rec["std_error"],
-                boundary_fraction=rec["boundary_fraction"],
-                n=rec["n_samples"],
-            )
+            self._records[key] = value
 
     def lookup(self, key: "ConstantKey"):
-        return self._records.get(_key_tuple(key))
+        return self._records.get(key)
 
     def append(self, key: "ConstantKey", value: "ConstantValue") -> None:
-        rec = dict(zip(_KEY_FIELDS, _key_tuple(key)))
+        rec = {f: getattr(key, f) for f in _KEY_FIELDS}
         rec.update(
             estimate=value.estimate,
             std_error=value.std_error,
@@ -80,7 +79,7 @@ class ConstantCache:
         rec["checksum"] = _checksum(rec)
         with self.path.open("a") as fh:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._records[_key_tuple(key)] = value
+        self._records[key] = value
 
     def __len__(self) -> int:
         return len(self._records)

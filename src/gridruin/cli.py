@@ -18,13 +18,14 @@ import numpy as np
 from . import asymptotics, constants, estimators
 from .analytic import norm_cdf
 from .cache import ConstantCache
-from .model import Grid, ModelParams, VariantParams, default_horizon
+from .model import Grid, ModelParams, VariantParams, _variant_value, default_horizon
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 _QUANTILE_POINTS = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+_RUINTIME_FIELDS = ("row_type", "s", "emp_cdf", "normal_cdf", "delta", "value")
 
 
 def _fmt(x) -> str:
@@ -33,27 +34,16 @@ def _fmt(x) -> str:
     return "" if x is None else str(x)
 
 
-def _emit(record: dict, fmt: str, out_path: str | None) -> None:
+def _emit(data: dict | list[dict], fmt: str, out_path: str | None) -> None:
+    """Write one record (a dict) or a table (a list of dicts) to ``out_path`` or stdout."""
     if fmt == "json":
-        text = json.dumps(record, indent=2) + "\n"
+        text = json.dumps(data, indent=2) + "\n"
     else:
-        keys = list(record)
-        text = ",".join(keys) + "\n" + ",".join(_fmt(record[k]) for k in keys) + "\n"
-    _write(text, out_path)
-
-
-def _emit_table(rows: list[dict], fmt: str, out_path: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(rows, indent=2) + "\n"
-    else:
+        rows = data if isinstance(data, list) else [data]
         keys = list(rows[0])
         lines = [",".join(keys)]
         lines += [",".join(_fmt(r[k]) for k in keys) for r in rows]
         text = "\n".join(lines) + "\n"
-    _write(text, out_path)
-
-
-def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -77,11 +67,14 @@ def _load_config(path: str) -> dict:
 
 
 def _variant_params(args) -> VariantParams:
-    return VariantParams(
-        gamma=getattr(args, "gamma", None),
-        parisian_T=getattr(args, "T", None),
-        cumulative_k=getattr(args, "k", None),
-    )
+    return VariantParams(gamma=args.gamma, parisian_T=args.T, cumulative_k=args.k)
+
+
+def _add_variant(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--variant", choices=estimators.VARIANTS, default="classical")
+    p.add_argument("--gamma", type=float, default=None)
+    p.add_argument("--T", type=float, default=None)
+    p.add_argument("--k", type=int, default=None)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -98,13 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pe = sub.add_parser("estimate", help="Monte Carlo ruin probability estimate")
-    pe.add_argument("--variant", choices=estimators.VARIANTS, default="classical")
+    _add_variant(pe)
     pe.add_argument("--c", type=float, required=True)
     pe.add_argument("--u", type=float, required=True)
     pe.add_argument("--delta", type=float, required=True)
-    pe.add_argument("--gamma", type=float, default=None)
-    pe.add_argument("--T", type=float, default=None)
-    pe.add_argument("--k", type=int, default=None)
     pe.add_argument("--method", choices=("crude", "tilted"), default="tilted")
     pe.add_argument("--n", type=int, default=None, help="default: crude 10^6, tilted 10^5")
     pe.add_argument("--horizon-mult", type=float, default=1.0)
@@ -121,27 +111,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pc)
 
     pv = sub.add_parser("validate", help="MC vs approximation ratio table over u")
-    pv.add_argument("--variant", choices=estimators.VARIANTS, default="classical")
+    _add_variant(pv)
     pv.add_argument("--c", type=float, required=True)
     pv.add_argument("--u", required=True, help="comma-separated increasing list, e.g. 4,6,8,10")
     pv.add_argument("--delta", type=float, required=True)
-    pv.add_argument("--gamma", type=float, default=None)
-    pv.add_argument("--T", type=float, default=None)
-    pv.add_argument("--k", type=int, default=None)
     pv.add_argument("--method", choices=("crude", "tilted"), default="tilted")
     pv.add_argument("--n", type=int, default=200_000)
     pv.add_argument("--constant-n", type=int, default=200_000)
     _add_common(pv)
 
     pr = sub.add_parser("ruin-time", help="conditional ruin-time CLT check")
-    pr.add_argument("--variant", choices=estimators.VARIANTS, default="classical")
+    _add_variant(pr)
     pr.add_argument("--c", type=float, required=True)
     pr.add_argument("--u", type=float, required=True)
     pr.add_argument("--delta", type=float, required=True)
     pr.add_argument("--delta2", type=float, default=None, help="second grid step (default delta/2)")
-    pr.add_argument("--gamma", type=float, default=None)
-    pr.add_argument("--T", type=float, default=None)
-    pr.add_argument("--k", type=int, default=None)
     pr.add_argument("--n", type=int, default=100_000)
     _add_common(pr)
 
@@ -189,12 +173,10 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_constant(args) -> int:
-    defaults = {"berman": 40.0, "piterbarg": 30.0}
-    trunc = args.trunc if args.trunc is not None else defaults.get(args.kind, 20.0)
     key = constants.ConstantKey(
         kind=args.kind,
         eta=args.eta,
-        trunc=trunc,
+        trunc=args.trunc,
         n_samples=args.n,
         seed=args.seed,
         a=args.a,
@@ -247,9 +229,7 @@ def cmd_validate(args) -> int:
         constant_n=args.constant_n,
         cache=cache,
     )
-    extra = vp.gamma if vp.gamma is not None else vp.parisian_T
-    if extra is None:
-        extra = vp.cumulative_k
+    extra = _variant_value(args.variant, vp)
     table = [
         {
             "variant": args.variant,
@@ -266,7 +246,7 @@ def cmd_validate(args) -> int:
         }
         for r in rows
     ]
-    _emit_table(table, args.format, args.out)
+    _emit(table, args.format, args.out)
     return EXIT_OK
 
 
@@ -289,45 +269,15 @@ def cmd_ruintime(args) -> int:
     cum /= cum[-1]
     s_sorted = s1[order]
     rows = [
-        {
-            "row_type": "ks",
-            "s": None,
-            "emp_cdf": None,
-            "normal_cdf": None,
-            "delta": args.delta,
-            "value": ks1,
-        },
-        {
-            "row_type": "ks",
-            "s": None,
-            "emp_cdf": None,
-            "normal_cdf": None,
-            "delta": delta2,
-            "value": ks2,
-        },
-        {
-            "row_type": "ks_diff",
-            "s": None,
-            "emp_cdf": None,
-            "normal_cdf": None,
-            "delta": None,
-            "value": abs(ks1 - ks2),
-        },
+        ("ks", None, None, None, args.delta, ks1),
+        ("ks", None, None, None, delta2, ks2),
+        ("ks_diff", None, None, None, None, abs(ks1 - ks2)),
     ]
     for q in _QUANTILE_POINTS:
         i = int(np.searchsorted(s_sorted, q, side="right"))
         emp = float(cum[i - 1]) if i > 0 else 0.0
-        rows.append(
-            {
-                "row_type": "quantile",
-                "s": q,
-                "emp_cdf": emp,
-                "normal_cdf": float(norm_cdf(q)),
-                "delta": args.delta,
-                "value": None,
-            }
-        )
-    _emit_table(rows, args.format, args.out)
+        rows.append(("quantile", q, emp, float(norm_cdf(q)), args.delta, None))
+    _emit([dict(zip(_RUINTIME_FIELDS, row)) for row in rows], args.format, args.out)
     return EXIT_OK
 
 
@@ -340,33 +290,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-
-    # Pre-scan for --config so file values become defaults that flags override.
-    if "--config" in argv:
-        try:
-            cfg_path = argv[argv.index("--config") + 1]
-        except IndexError:
-            parser.error("--config requires a path")
+    # Config values go in as flags right after the command, so that the
+    # command line's own flags, parsed later, win.
+    pre = argparse.ArgumentParser(prog="gridruin", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    cfg_path = pre.parse_known_args(argv)[0].config
+    if cfg_path is not None and argv[:1] and argv[0] in _COMMANDS:
         try:
             cfg = _load_config(cfg_path)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
-        for action in parser._subparsers._group_actions[0].choices.values():  # type: ignore[union-attr]
-            known = {a.dest for a in action._actions}
-            typed = {a.dest: a.type for a in action._actions}
-            overrides = {}
-            for k, v in cfg.items():
-                if k in known:
-                    overrides[k] = typed[k](v) if typed.get(k) else v
-            action.set_defaults(**overrides)
-            for a in action._actions:
-                if a.dest in overrides and a.required:
-                    a.required = False
+        argv[1:1] = [f"--{key.replace('_', '-')}={value}" for key, value in cfg.items()]
 
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         status = _COMMANDS[args.command](args)

@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import ConstantCache
-from .model import Grid, ModelParams, VariantParams, make_rng
+from .model import Grid, ModelParams, VariantParams, _mean_se, _run_blocks, _variant_value
 
 __all__ = [
     "ConstantKey",
@@ -38,7 +39,6 @@ __all__ = [
     "piterbarg_values",
     "parisian_window_values",
     "berman_values",
-    "berman_order",
     "berman_integral_quadrature",
     "berman_count_values",
     "pickands_dy",
@@ -50,19 +50,30 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_KINDS = ("pickands_dy", "pickands_diff", "piterbarg", "parisian", "berman")
+
+
+def _normalise(x: float | None) -> float | None:
+    """``x`` rounded to 12 significant digits, so keys built by different routes compare equal."""
+    return None if x is None else float(f"{x:.12g}")
+
+
+def _snap(trunc: float, eta: float) -> float:
+    """The nearest positive integer multiple of ``eta``."""
+    return max(round(trunc / eta), 1) * eta
 
 
 @dataclass(frozen=True)
 class ConstantKey:
     """Identity of a limiting-constant estimate.
 
-    ``trunc`` is the truncation radius of the simulated grid window.
+    ``trunc`` is the truncation radius of the simulated grid window; None
+    picks the kind's default, snapped to a multiple of ``eta``.  ``eta``,
+    ``trunc``, ``a`` and ``T`` are rounded to 12 significant digits.
     """
 
     kind: str
     eta: float
-    trunc: float
+    trunc: float | None
     n_samples: int
     seed: int = 0
     a: float | None = None
@@ -70,16 +81,20 @@ class ConstantKey:
     k: int | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown constant kind {self.kind!r}")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
-        if (self.a is not None) != (self.kind == "piterbarg"):
-            raise ValueError("field a is required exactly for kind='piterbarg'")
-        if (self.T is not None) != (self.kind == "parisian"):
-            raise ValueError("field T is required exactly for kind='parisian'")
-        if (self.k is not None) != (self.kind == "berman"):
-            raise ValueError("field k is required exactly for kind='berman'")
+        for field in ("a", "T", "k"):
+            if (getattr(self, field) is not None) != (field == spec.param):
+                raise ValueError(
+                    f"field {field} is {'required' if field == spec.param else 'not used'} "
+                    f"for kind={self.kind!r}"
+                )
+        trunc = _snap(spec.trunc, self.eta) if self.trunc is None else self.trunc
+        for field, value in (("eta", self.eta), ("trunc", trunc), ("a", self.a), ("T", self.T)):
+            object.__setattr__(self, field, _normalise(value))
 
 
 @dataclass(frozen=True)
@@ -97,11 +112,6 @@ class ConstantValue:
 
 # ---------------------------------------------------------------------------
 # Field samplers
-
-
-def grid_levels_two_sided(eta: float, trunc: float) -> np.ndarray:
-    n_side = _side_points(eta, trunc)
-    return np.concatenate([-eta * np.arange(n_side, 0, -1), eta * np.arange(n_side + 1)])
 
 
 def _side_points(eta: float, trunc: float) -> int:
@@ -181,17 +191,6 @@ def parisian_window_values(field: np.ndarray, eta: float, T: float) -> np.ndarra
     return np.exp(win_min).max(axis=1) / (eta * e.sum(axis=1))
 
 
-def berman_order(eta: float, k: int) -> int:
-    """Smallest integer m with eta*m > k; handles exact divisibility of k/eta."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    ratio = k / eta
-    m = math.floor(ratio + 1e-9) + 1
-    # floor(ratio)+1 is right in both the divisible and non-divisible case,
-    # the epsilon only guards against 9.999... representations.
-    return m
-
-
 def berman_values(field: np.ndarray, m: int) -> np.ndarray:
     """Per-path value exp(M_m) with M_m the m-th largest field value.
 
@@ -248,38 +247,90 @@ def berman_count_values(field: np.ndarray, eta: float, k: int) -> np.ndarray:
 # Monte Carlo drivers
 
 
-def _run_blocks(n, seed, block_fn, block_size=8192):
-    total = 0.0
-    total_sq = 0.0
-    boundary = 0
-    done = 0
-    block = 0
-    while done < n:
-        m = min(block_size, n - done)
-        vals, near_edge = block_fn(make_rng(seed, block), m)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        boundary += int(near_edge.sum())
-        done += m
-        block += 1
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
-    return mean, se, boundary / n
+@dataclass(frozen=True)
+class _Kind:
+    """How one constant kind is estimated; ``p`` is its parameter a, T or k, or None.
+
+    The field is one-sided on [0, trunc] with slope ``slope(p)`` when
+    ``slope`` is set, else two-sided.  A sample is near the edge when its
+    maximum lies in the outer 10% of the window, or, with ``positive_edge``,
+    when it is positive anywhere there.
+    """
+
+    trunc: float  # default truncation radius
+    min_trunc: float  # plus the window p for a windowed kind
+    param: str | None  # the ConstantKey field holding p
+    driver: str  # the public function that estimates the kind
+    values: Callable  # (field, eta, p) -> per-sample values
+    slope: Callable | None = None
+    windowed: bool = False
+    positive_edge: bool = False
 
 
-def _check_trunc(eta, trunc, minimum=5.0, allow_small=False):
-    if trunc < minimum and not allow_small:
+# The lambdas and driver names are looked up when called.
+_KINDS = {
+    "pickands_dy": _Kind(
+        20.0, 5.0, None, "pickands_dy", lambda f, eta, _: pickands_ratio_values(f, eta)
+    ),
+    "pickands_diff": _Kind(
+        20.0, 5.0, None, "pickands_diff", lambda f, eta, _: pickands_diff_values(f, eta),
+        slope=lambda _: 1.0,
+    ),
+    "piterbarg": _Kind(
+        30.0, 5.0, "a", "piterbarg", lambda f, eta, _: piterbarg_values(f),
+        slope=lambda a: 1.0 + a,
+    ),
+    "parisian": _Kind(
+        20.0, 5.0, "T", "parisian_constant",
+        lambda f, eta, T: parisian_window_values(f, eta, T), windowed=True,
+    ),
+    "berman": _Kind(
+        40.0, 10.0, "k", "berman", lambda f, eta, k: berman_count_values(f, eta, k),
+        positive_edge=True,
+    ),
+}
+
+
+def _estimate(key: ConstantKey, block_size: int, allow_small_trunc: bool = False):
+    """Shared body of the drivers: the mean of the kind's functional over sampled fields.
+
+    Unbiased for the truncated expectation; the boundary fraction is the
+    share of samples near the edge of the window.
+    """
+    spec = _KINDS[key.kind]
+    eta, trunc, n = key.eta, key.trunc, key.n_samples
+    p = None if spec.param is None else getattr(key, spec.param)
+    minimum = spec.min_trunc + (p if spec.windowed else 0.0)
+    if trunc < minimum and not allow_small_trunc:
+        rule = f"{spec.min_trunc:g} + {spec.param} = {minimum:g}" if spec.windowed else minimum
         raise ValueError(
-            f"trunc={trunc} is below the minimum {minimum}; the tail-mass "
-            "bound is too weak for a trustworthy estimate"
+            f"trunc={trunc} is below the minimum {rule}; the tail-mass bound is too "
+            "weak for a trustworthy estimate"
         )
-    _side_points(eta, trunc)
+    n_side = _side_points(eta, trunc)
+    levels = eta * np.arange(-n_side if spec.slope is None else 0, n_side + 1)
+    outer = np.abs(levels) > 0.9 * trunc
+
+    def worker(m, rng):
+        if spec.slope is None:
+            field = sample_field_two_sided(eta, trunc, m, rng)
+        else:
+            field = sample_field_one_sided(eta, trunc, m, rng, slope=spec.slope(p))
+        vals = spec.values(field, eta, p)
+        if spec.positive_edge:
+            near_edge = (field[:, outer] > 0.0).any(axis=1)
+        else:
+            near_edge = outer[field.argmax(axis=1)]
+        return float(vals.sum()), float((vals * vals).sum()), int(near_edge.sum())
+
+    parts = _run_blocks(n, key.seed, block_size, worker)
+    mean, se = _mean_se(parts, n)
+    return ConstantValue(mean, se, sum(part[2] for part in parts) / n, n)
 
 
 def pickands_dy(
     eta: float,
-    trunc: float = 20.0,
+    trunc: float | None = None,
     n: int = 200_000,
     seed: int = 0,
     block_size: int = 8192,
@@ -287,49 +338,24 @@ def pickands_dy(
 ) -> ConstantValue:
     """Ratio-representation estimator of the grid constant H_eta.
 
-    Simulates the two-sided field on [-trunc, trunc]; unbiased for the
-    truncated expectation.
+    Simulates the two-sided field on [-trunc, trunc].  In every driver
+    ``trunc=None`` picks the kind's default window.
     """
-    _check_trunc(eta, trunc, allow_small=_allow_small_trunc)
-    edge = 0.9 * trunc
-    levels = grid_levels_two_sided(eta, trunc)
-
-    def block_fn(rng, m):
-        field = sample_field_two_sided(eta, trunc, m, rng)
-        vals = pickands_ratio_values(field, eta)
-        near_edge = np.abs(levels[field.argmax(axis=1)]) > edge
-        return vals, near_edge
-
-    mean, se, bf = _run_blocks(n, seed, block_fn, block_size)
-    return ConstantValue(mean, se, bf, n)
+    key = ConstantKey("pickands_dy", eta, trunc, n, seed)
+    return _estimate(key, block_size, _allow_small_trunc)
 
 
 def pickands_diff(
-    eta: float,
-    trunc: float = 20.0,
-    n: int = 200_000,
-    seed: int = 0,
-    block_size: int = 8192,
+    eta: float, trunc: float | None = None, n: int = 200_000, seed: int = 0, block_size: int = 8192
 ) -> ConstantValue:
     """Difference-of-maxima estimator of H_eta; one-sided grid [0, trunc]."""
-    _check_trunc(eta, trunc)
-    edge = 0.9 * trunc
-    levels = eta * np.arange(_side_points(eta, trunc) + 1)
-
-    def block_fn(rng, m):
-        field = sample_field_one_sided(eta, trunc, m, rng)
-        vals = pickands_diff_values(field, eta)
-        near_edge = levels[field.argmax(axis=1)] > edge
-        return vals, near_edge
-
-    mean, se, bf = _run_blocks(n, seed, block_fn, block_size)
-    return ConstantValue(mean, se, bf, n)
+    return _estimate(ConstantKey("pickands_diff", eta, trunc, n, seed), block_size)
 
 
 def piterbarg(
     eta: float,
     a: float,
-    trunc: float = 30.0,
+    trunc: float | None = None,
     n: int = 200_000,
     seed: int = 0,
     block_size: int = 8192,
@@ -342,28 +368,16 @@ def piterbarg(
             f"a={a} is very small; truncation bias and variance grow as a -> 0",
             stacklevel=2,
         )
-    _check_trunc(eta, trunc)
-    edge = 0.9 * trunc
-    levels = eta * np.arange(_side_points(eta, trunc) + 1)
-
-    def block_fn(rng, m):
-        field = sample_field_one_sided(eta, trunc, m, rng, slope=1.0 + a)
-        vals = piterbarg_values(field)
-        near_edge = levels[field.argmax(axis=1)] > edge
-        return vals, near_edge
-
-    mean, se, bf = _run_blocks(n, seed, block_fn, block_size)
-    return ConstantValue(mean, se, bf, n)
+    return _estimate(ConstantKey("piterbarg", eta, trunc, n, seed, a=a), block_size)
 
 
 def parisian_constant(
     eta: float,
     T: float,
-    trunc: float = 20.0,
+    trunc: float | None = None,
     n: int = 200_000,
     seed: int = 0,
     block_size: int = 8192,
-    _allow_small_trunc: bool = False,
 ) -> ConstantValue:
     """Windowed-infimum constant of Parisian ruin on the grid.
 
@@ -373,32 +387,16 @@ def parisian_constant(
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
-    if trunc < 5.0 + T and not _allow_small_trunc:
-        raise ValueError(f"trunc={trunc} must be at least 5 + T = {5.0 + T}")
-    _check_trunc(eta, trunc, allow_small=_allow_small_trunc)
-    if T > 0:
-        _side_points(eta, T)  # T must be a multiple of eta
-    edge = 0.9 * trunc
-    levels = grid_levels_two_sided(eta, trunc)
-
-    def block_fn(rng, m):
-        field = sample_field_two_sided(eta, trunc, m, rng)
-        vals = parisian_window_values(field, eta, T)
-        near_edge = np.abs(levels[field.argmax(axis=1)]) > edge
-        return vals, near_edge
-
-    mean, se, bf = _run_blocks(n, seed, block_fn, block_size)
-    return ConstantValue(mean, se, bf, n)
+    return _estimate(ConstantKey("parisian", eta, trunc, n, seed, T=T), block_size)
 
 
 def berman(
     eta: float,
     k: int,
-    trunc: float = 40.0,
+    trunc: float | None = None,
     n: int = 200_000,
     seed: int = 0,
     block_size: int = 8192,
-    _allow_small_trunc: bool = False,
 ) -> ConstantValue:
     """Exceedance-count constant via the exactly-k-positives representation.
 
@@ -408,39 +406,23 @@ def berman(
     for eta >= 0.1.  The boundary diagnostic counts samples with a positive
     point in the outer 10% of the window.
     """
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    _check_trunc(eta, trunc, minimum=10.0, allow_small=_allow_small_trunc)
-    edge = 0.9 * trunc
-    levels = grid_levels_two_sided(eta, trunc)
-    outer = np.abs(levels) > edge
-
-    def block_fn(rng, m):
-        field = sample_field_two_sided(eta, trunc, m, rng)
-        vals = berman_count_values(field, eta, k)
-        near_edge = (field[:, outer] > 0.0).any(axis=1)
-        return vals, near_edge
-
-    mean, se, bf = _run_blocks(n, seed, block_fn, block_size)
-    return ConstantValue(mean, se, bf, n)
+    return _estimate(ConstantKey("berman", eta, trunc, n, seed, k=k), block_size)
 
 
 # ---------------------------------------------------------------------------
 # Model coupling
 
-
-def _estimate_for_key(key: ConstantKey) -> ConstantValue:
-    if key.kind == "pickands_dy":
-        return pickands_dy(key.eta, key.trunc, key.n_samples, key.seed)
-    if key.kind == "pickands_diff":
-        return pickands_diff(key.eta, key.trunc, key.n_samples, key.seed)
-    if key.kind == "piterbarg":
-        return piterbarg(key.eta, key.a, key.trunc, key.n_samples, key.seed)
-    if key.kind == "parisian":
-        return parisian_constant(key.eta, key.T, key.trunc, key.n_samples, key.seed)
-    if key.kind == "berman":
-        return berman(key.eta, key.k, key.trunc, key.n_samples, key.seed)
-    raise ValueError(f"unknown kind {key.kind!r}")
+# variant -> (c, delta, p) -> [(kind, eta, extra key fields)], with p the
+# variant's parameter and eta = 2 c^2 delta the grid step of the limit field.
+_MODEL_KEYS = {
+    "classical": lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})],
+    "reflected": lambda c, delta, g: [
+        ("piterbarg", 2.0 * c * c * (1.0 - g) ** 2 * delta, {"a": g / (1.0 - g)}),
+        ("pickands_dy", 2.0 * c * c * delta, {}),
+    ],
+    "parisian": lambda c, delta, T: [("parisian", 2.0 * c * c * delta, {"T": 2.0 * c * c * T})],
+    "cumulative": lambda c, delta, k: [("berman", 2.0 * c * c * delta, {"k": k})],
+}
 
 
 def resolve_constant(key: ConstantKey, cache: ConstantCache | None = None):
@@ -449,7 +431,9 @@ def resolve_constant(key: ConstantKey, cache: ConstantCache | None = None):
         hit = cache.lookup(key)
         if hit is not None:
             return hit, True
-    value = _estimate_for_key(key)
+    spec = _KINDS[key.kind]
+    param = () if spec.param is None else (getattr(key, spec.param),)
+    value = globals()[spec.driver](key.eta, *param, key.trunc, key.n_samples, key.seed)
     if cache is not None:
         cache.append(key, value)
     return value, False
@@ -465,36 +449,16 @@ def constant_keys_for_model(
     seed: int = 0,
     trunc: float | None = None,
 ) -> list[ConstantKey]:
-    """Theorem parameter coupling: model (c, delta, variant) -> constant keys."""
-    c, delta = params.c, grid.delta
-    eta = 2.0 * c * c * delta
-    vp = variant_params or VariantParams()
+    """Theorem parameter coupling: model (c, delta, variant) -> constant keys.
 
-    def _fit(t: float, e: float) -> float:
-        # snap the window to a multiple of the grid step
-        return max(round(t / e), 1) * e
-
-    if variant == "classical":
-        return [ConstantKey("pickands_dy", eta, _fit(trunc or 20.0, eta), n, seed)]
-    if variant == "reflected":
-        if vp.gamma is None:
-            raise ValueError("reflected variant requires gamma")
-        g = vp.gamma
-        eta_p = 2.0 * c * c * (1.0 - g) ** 2 * delta
-        return [
-            ConstantKey("piterbarg", eta_p, _fit(trunc or 30.0, eta_p), n, seed, a=g / (1.0 - g)),
-            ConstantKey("pickands_dy", eta, _fit(trunc or 20.0, eta), n, seed),
-        ]
-    if variant == "parisian":
-        if vp.parisian_T is None:
-            raise ValueError("parisian variant requires parisian_T")
-        T_eta = 2.0 * c * c * vp.parisian_T
-        return [ConstantKey("parisian", eta, _fit(trunc or 20.0, eta), n, seed, T=T_eta)]
-    if variant == "cumulative":
-        if vp.cumulative_k is None:
-            raise ValueError("cumulative variant requires cumulative_k")
-        return [ConstantKey("berman", eta, _fit(trunc or 40.0, eta), n, seed, k=vp.cumulative_k)]
-    raise ValueError(f"unknown variant {variant!r}")
+    ``trunc`` (each kind's default when None) is snapped to a multiple of the
+    key's eta.
+    """
+    p = _variant_value(variant, variant_params)
+    return [
+        ConstantKey(kind, eta, None if trunc is None else _snap(trunc, eta), n, seed, **extra)
+        for kind, eta, extra in _MODEL_KEYS[variant](params.c, grid.delta, p)
+    ]
 
 
 def constant_for_model(
@@ -517,9 +481,7 @@ def constant_for_model(
         variant, params, grid, variant_params, n=n, seed=seed, trunc=trunc
     )
     values = [resolve_constant(key, cache)[0] for key in keys]
-    prod = 1.0
-    for v in values:
-        prod *= v.estimate
+    prod = math.prod(v.estimate for v in values)
     rel_var = sum((v.std_error / v.estimate) ** 2 for v in values)
     se = prod * math.sqrt(rel_var)
     bf = max(v.boundary_fraction for v in values)

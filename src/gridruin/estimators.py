@@ -12,21 +12,24 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import crossing_after
-from .model import Grid, ModelParams, VariantParams, default_horizon, make_rng, path_block
+from .model import (
+    Grid,
+    ModelParams,
+    VariantParams,
+    _mean_se,
+    _run_blocks,
+    _variant_value,
+    default_horizon,
+    path_block,
+)
 
 __all__ = [
     "Estimate",
-    "RuinEvent",
-    "detect_classical",
-    "detect_reflected",
-    "detect_parisian",
-    "detect_cumulative",
     "detect_classical_matrix",
     "detect_reflected_matrix",
     "detect_parisian_matrix",
@@ -35,8 +38,6 @@ __all__ = [
     "ruin_time_distribution",
     "weighted_ks",
 ]
-
-VARIANTS = ("classical", "reflected", "parisian", "cumulative")
 
 
 @dataclass(frozen=True)
@@ -50,13 +51,6 @@ class Estimate:
     def ci95(self) -> tuple[float, float]:
         half = 1.959963984540054 * self.std_error
         return (self.value - half, self.value + half)
-
-
-@dataclass(frozen=True)
-class RuinEvent:
-    occurred: bool
-    time: float | None
-    weight: float = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -102,94 +96,28 @@ def detect_cumulative_matrix(paths: np.ndarray, u: float, k: int):
     return qualifies.any(axis=1), qualifies.argmax(axis=1)
 
 
-def _scalar_event(paths, occurred, idx, delta):
-    if occurred[0]:
-        return RuinEvent(True, float(idx[0] * delta))
-    return RuinEvent(False, None)
+# variant -> (detector(paths, u, p), windowed), p the variant's parameter.  A
+# windowed variant's p is its window in grid points, T/delta + 1, and its paths
+# run window - 1 steps past the horizon so that a run starting there can end.
+_DETECTORS = {
+    "classical": (lambda paths, u, _: detect_classical_matrix(paths, u), False),
+    "reflected": (lambda paths, u, gamma: detect_reflected_matrix(paths, u, gamma), False),
+    "parisian": (lambda paths, u, window: detect_parisian_matrix(paths, u, window), True),
+    "cumulative": (lambda paths, u, k: detect_cumulative_matrix(paths, u, k), False),
+}
+VARIANTS = tuple(_DETECTORS)
 
 
-def detect_classical(path: np.ndarray, u: float, delta: float = 1.0) -> RuinEvent:
-    """First grid exceedance of the level u (strict inequality)."""
-    paths = np.atleast_2d(np.asarray(path, dtype=float))
-    return _scalar_event(paths, *detect_classical_matrix(paths, u), delta)
-
-
-def detect_reflected(path: np.ndarray, u: float, gamma: float, delta: float = 1.0) -> RuinEvent:
-    paths = np.atleast_2d(np.asarray(path, dtype=float))
-    return _scalar_event(paths, *detect_reflected_matrix(paths, u, gamma), delta)
-
-
-def detect_parisian(path: np.ndarray, u: float, T: float, delta: float) -> RuinEvent:
-    window_pts = _window_points(T, delta)
-    paths = np.atleast_2d(np.asarray(path, dtype=float))
-    return _scalar_event(paths, *detect_parisian_matrix(paths, u, window_pts), delta)
-
-
-def detect_cumulative(path: np.ndarray, u: float, k: int, delta: float = 1.0) -> RuinEvent:
-    paths = np.atleast_2d(np.asarray(path, dtype=float))
-    return _scalar_event(paths, *detect_cumulative_matrix(paths, u, k), delta)
-
-
-def _window_points(T: float, delta: float) -> int:
-    ratio = T / delta
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(f"T={T} must be an integer multiple of delta={delta}")
-    return int(round(ratio)) + 1
-
-
-def _detect(paths, variant, params, vp):
-    if variant == "classical":
-        return detect_classical_matrix(paths, params.u)
-    if variant == "reflected":
-        return detect_reflected_matrix(paths, params.u, vp.gamma)
-    if variant == "parisian":
-        return detect_parisian_matrix(paths, params.u, _window_points(vp.parisian_T, vp.delta))
-    if variant == "cumulative":
-        return detect_cumulative_matrix(paths, params.u, vp.cumulative_k)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-@dataclass
-class _ResolvedVariant:
-    gamma: float | None
-    parisian_T: float | None
-    cumulative_k: int | None
-    delta: float
-
-
-def _resolve_variant(variant, params, grid, variant_params):
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    vp = variant_params or VariantParams()
-    vp.validate_against(grid)
-    if variant == "reflected" and vp.gamma is None:
-        raise ValueError("reflected variant requires gamma")
-    if variant == "parisian" and vp.parisian_T is None:
-        raise ValueError("parisian variant requires parisian_T")
-    if variant == "cumulative" and vp.cumulative_k is None:
-        raise ValueError("cumulative variant requires cumulative_k")
-    return _ResolvedVariant(vp.gamma, vp.parisian_T, vp.cumulative_k, grid.delta)
-
-
-def _run_blocks(n, seed, block_size, threads, worker):
-    """Run `worker(m, rng)` over fixed-size replicate blocks.
-
-    Block b always covers replicates [b * block_size, ...) and owns the
-    stream (seed, b); partial results are combined in block order regardless
-    of the worker count, so the aggregate is bit-identical for any
-    ``threads``.
-    """
-    sizes = []
-    done = 0
-    while done < n:
-        m = min(block_size, n - done)
-        sizes.append(m)
-        done += m
-    jobs = [(m, make_rng(seed, b)) for b, m in enumerate(sizes)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda j: worker(*j), jobs))
-    return [worker(m, rng) for m, rng in jobs]
+def _setup(variant, params, grid, variant_params, horizon):
+    """The variant's detector bound to its parameter, and the path length in steps."""
+    p = _variant_value(variant, variant_params)
+    (variant_params or VariantParams()).validate_against(grid)
+    detector, windowed = _DETECTORS[variant]
+    n_steps = grid.n_steps_for(horizon)
+    if windowed:
+        p = round(p / grid.delta) + 1
+        n_steps += p - 1
+    return (lambda paths: detector(paths, params.u, p)), n_steps
 
 
 def estimate(
@@ -214,11 +142,8 @@ def estimate(
     infinite-horizon probability is underestimated) and bounded by
     ``horizon_bias_bound``.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if method not in ("crude", "tilted"):
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
-    rv = _resolve_variant(variant, params, grid, variant_params)
     if horizon is None:
         horizon = default_horizon(params, window_mult)
     elif horizon < default_horizon(params) - 1e-9:
@@ -227,15 +152,13 @@ def estimate(
             f"{default_horizon(params):.3g}",
             stacklevel=2,
         )
-    n_steps = grid.n_steps_for(horizon)
-    if variant == "parisian":
-        n_steps += _window_points(rv.parisian_T, grid.delta) - 1
+    detect, n_steps = _setup(variant, params, grid, variant_params, horizon)
     drift = params.c if method == "tilted" else -params.c
     two_c = 2.0 * params.c
 
     def worker(m, rng):
         paths = path_block(grid, drift, n_steps, m, rng)
-        occurred, idx = _detect(paths, variant, params, rv)
+        occurred, idx = detect(paths)
         if method == "crude":
             s = float(occurred.sum())
             return s, s
@@ -244,14 +167,10 @@ def estimate(
         assert np.isfinite(w).all()
         return float(w.sum()), float((w * w).sum())
 
-    parts = _run_blocks(n, seed, block_size, threads, worker)
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    value = total / n
-    var = max(total_sq / n - value * value, 0.0)
+    value, std_error = _mean_se(_run_blocks(n, seed, block_size, worker, threads), n)
     return Estimate(
         value=value,
-        std_error=math.sqrt(var / n),
+        std_error=std_error,
         n=n,
         method=method,
         horizon_bias_bound=crossing_after(horizon, params),
@@ -282,31 +201,23 @@ def ruin_time_distribution(
             "only meaningful for large u",
             stacklevel=2,
         )
-    rv = _resolve_variant(variant, params, grid, variant_params)
     if horizon is None:
         horizon = default_horizon(params, window_mult)
-    n_steps = grid.n_steps_for(horizon)
-    if variant == "parisian":
-        n_steps += _window_points(rv.parisian_T, grid.delta) - 1
+    detect, n_steps = _setup(variant, params, grid, variant_params, horizon)
     c = params.c
     scale = c**1.5 / math.sqrt(params.u)
     center = params.u / c
 
-    s_parts, w_parts = [], []
-    done = 0
-    block = 0
-    while done < n:
-        m = min(block_size, n - done)
-        paths = path_block(grid, c, n_steps, m, make_rng(seed, block))
-        occurred, idx = _detect(paths, variant, params, rv)
+    def worker(m, rng):
+        paths = path_block(grid, c, n_steps, m, rng)
+        occurred, idx = detect(paths)
         rows = np.flatnonzero(occurred)
         tau = idx[rows] * grid.delta
-        s_parts.append(scale * (tau - center))
-        w_parts.append(np.exp(-2.0 * c * paths[rows, idx[rows]]))
-        done += m
-        block += 1
-    s = np.concatenate(s_parts)
-    w = np.concatenate(w_parts)
+        return scale * (tau - center), np.exp(-2.0 * c * paths[rows, idx[rows]])
+
+    parts = _run_blocks(n, seed, block_size, worker)
+    s = np.concatenate([p[0] for p in parts])
+    w = np.concatenate([p[1] for p in parts])
     if s.size == 0:
         raise RuntimeError("no ruin detected in any tilted replicate")
     return s, w

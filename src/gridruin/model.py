@@ -10,6 +10,7 @@ concurrently or in which order streams are consumed.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,7 @@ __all__ = [
     "Grid",
     "ModelParams",
     "VariantParams",
-    "PathSample",
     "make_rng",
-    "simulate_path",
     "path_block",
     "default_horizon",
 ]
@@ -42,12 +41,6 @@ class Grid:
     def __post_init__(self):
         if not (self.delta > 0 and math.isfinite(self.delta)):
             raise ValueError(f"delta must be positive and finite, got {self.delta}")
-
-    def time(self, i: int) -> float:
-        return i * self.delta
-
-    def times(self, n_steps: int) -> np.ndarray:
-        return np.arange(n_steps + 1) * self.delta
 
     def n_steps_for(self, horizon: float) -> int:
         """Smallest step count whose grid covers ``[0, horizon]``."""
@@ -102,14 +95,24 @@ class VariantParams:
             )
 
 
-@dataclass
-class PathSample:
-    """A simulated net-loss path on the grid, ``values[i] = S_i`` with S_0 = 0."""
+# The VariantParams field each ruin variant reads; classical reads none.
+_VARIANT_FIELDS = {
+    "classical": None,
+    "reflected": "gamma",
+    "parisian": "parisian_T",
+    "cumulative": "cumulative_k",
+}
 
-    steps: int
-    values: np.ndarray
-    drift_used: float
-    replicate_id: int
+
+def _variant_value(variant: str, variant_params: VariantParams | None):
+    """The parameter ``variant`` reads from ``variant_params`` (None for classical)."""
+    if variant not in _VARIANT_FIELDS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(_VARIANT_FIELDS)}")
+    field = _VARIANT_FIELDS[variant]
+    value = None if field is None else getattr(variant_params or VariantParams(), field)
+    if field is not None and value is None:
+        raise ValueError(f"{variant} variant requires {field}")
+    return value
 
 
 def make_rng(seed: int, replicate_id: int) -> np.random.Generator:
@@ -124,20 +127,6 @@ def make_rng(seed: int, replicate_id: int) -> np.random.Generator:
         raise ValueError(f"replicate_id must be nonnegative, got {replicate_id}")
     key = np.array([seed & _MASK64, replicate_id & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def simulate_path(grid: Grid, drift: float, n_steps: int, rng: np.random.Generator) -> PathSample:
-    """Simulate S on grid points 0..n_steps with N(drift*delta, delta) increments."""
-    if not math.isfinite(drift):
-        raise ValueError(f"drift must be finite, got {drift}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
-    values = np.empty(n_steps + 1)
-    values[0] = 0.0
-    if n_steps:
-        increments = drift * grid.delta + math.sqrt(grid.delta) * rng.standard_normal(n_steps)
-        np.cumsum(increments, out=values[1:])
-    return PathSample(steps=n_steps, values=values, drift_used=drift, replicate_id=-1)
 
 
 def path_block(
@@ -158,6 +147,31 @@ def path_block(
         z += drift * grid.delta
         np.cumsum(z, axis=1, out=paths[:, 1:])
     return paths
+
+
+def _run_blocks(n: int, seed: int, block_size: int, worker, threads: int = 1) -> list:
+    """Run ``worker(m, rng)`` over fixed-size replicate blocks; results in block order.
+
+    Block b covers replicates [b * block_size, ...) and owns the stream
+    ``make_rng(seed, b)``, so the results are the same for any ``threads``.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    jobs = [
+        (min(block_size, n - start), make_rng(seed, b))
+        for b, start in enumerate(range(0, n, block_size))
+    ]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda job: worker(*job), jobs))
+    return [worker(m, rng) for m, rng in jobs]
+
+
+def _mean_se(parts, n: int) -> tuple[float, float]:
+    """Mean and standard error from per-block (sum x, sum x^2), summed in block order."""
+    mean = math.fsum(p[0] for p in parts) / n
+    var = max(math.fsum(p[1] for p in parts) / n - mean * mean, 0.0)
+    return mean, math.sqrt(var / n)
 
 
 def default_horizon(params: ModelParams, window_mult: float = 1.0) -> float:

@@ -8,7 +8,6 @@ from gridruin.analytic import (
     QuadratureMassError,
     crossing_after,
     dp_classical_ruin,
-    mills_bound,
     norm_cdf,
     norm_pdf,
     norm_sf,
@@ -27,14 +26,6 @@ class TestNormalTools:
     def test_sf_accurate_in_far_tail(self):
         # naive 1 - ndtr(x) dies around x ~ 8.3; the erfc route keeps going
         assert norm_sf(20.0) == pytest.approx(2.7536241186062337e-89, rel=1e-12)
-
-    def test_mills_bound_dominates_tail(self):
-        x = np.linspace(0.5, 10, 50)
-        assert np.all(norm_sf(x) <= mills_bound(x))
-
-    def test_mills_bound_requires_positive(self):
-        with pytest.raises(ValueError):
-            mills_bound(0.0)
 
 
 class TestPsiInf:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gridruin import cli
+import gridruin
+from gridruin import cli, constants
+from gridruin.model import Grid, ModelParams
 
 
 def run(capsys, *argv):
@@ -155,6 +161,22 @@ class TestConstantCommand:
         # cached value identical to the freshly estimated one
         assert out1.splitlines()[1].rsplit(",", 1)[0] == out2.splitlines()[1].rsplit(",", 1)[0]
 
+    def test_default_trunc_key_matches_the_model_key(self, capsys, monkeypatch):
+        # eta = 2 * 0.7^2 * 0.1 is 0.09799999999999999 in floating point
+        keys = []
+
+        def record(key, cache=None):
+            keys.append(key)
+            return constants.ConstantValue(1.0, 0.0, 0.0, 1), False
+
+        monkeypatch.setattr(cli.constants, "resolve_constant", record)
+        status, _, _ = run(capsys, "constant", "--kind", "pickands_dy", "--eta", "0.098")
+        assert status == 0
+        model_key = constants.constant_keys_for_model(
+            "classical", ModelParams(0.7, 10), Grid(0.1)
+        )[0]
+        assert keys == [model_key]
+
     def test_parisian_T_zero_matches_pickands(self, capsys):
         _, out_p, _ = run(
             capsys,
@@ -247,3 +269,36 @@ class TestRuinTimeCommand:
         zero_row = [line for line in lines if line.startswith("quantile,0,")]
         assert len(zero_row) == 1
         assert zero_row[0].split(",")[3] == "0.5"
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "0"], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "-5"], None),
+        (["validate", "--c", "1", "--u", ",", "--delta", "0.1"], None),
+        (
+            ["validate", "--c", "1", "--u", "400,401", "--delta", "0.5", "--n", "100",
+             "--constant-n", "1000"],
+            None,
+        ),
+        (["estimate"], "c = 1\nu = 1\ndelta = 0.1\nn = abc\n"),
+    ],
+    ids=["zero-n", "negative-n", "empty-u-list", "underflowing-approx", "mistyped-config-value"],
+)
+def test_bad_input_exits_cleanly(argv, config, tmp_path):
+    """Bad input ends in exit 2 or 3 with a message, never in a traceback."""
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    src = str(Path(gridruin.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gridruin.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=120,
+    )
+    assert proc.returncode in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), proc.stderr
+    assert "Traceback" not in proc.stderr

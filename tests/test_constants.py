@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,14 +6,13 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from gridruin.cache import ConstantCache
+from gridruin.cache import ConstantCache, _checksum
 from gridruin.constants import (
     ConstantKey,
     ConstantValue,
     berman,
     berman_count_values,
     berman_integral_quadrature,
-    berman_order,
     berman_values,
     constant_for_model,
     constant_keys_for_model,
@@ -174,17 +174,6 @@ class TestParisianConstant:
 
 
 class TestBerman:
-    def test_order_rule(self):
-        # smallest m with eta*m > k, including exact-divisibility edges
-        assert berman_order(0.5, 0) == 1
-        assert berman_order(0.5, 1) == 3
-        assert berman_order(0.4, 1) == 3
-        assert berman_order(0.3, 1) == 4
-        assert berman_order(1.0, 2) == 3
-        assert berman_order(0.5, 2) == 5
-        with pytest.raises(ValueError):
-            berman_order(0.5, -1)
-
     def test_closed_form_matches_quadrature(self):
         field = sample_field_one_sided(0.5, 10.0, 100, make_rng(10, 0))
         for m in (1, 2, 4):
@@ -324,6 +313,23 @@ class TestCache:
         with pytest.warns(UserWarning, match="corrupt"):
             tampered = ConstantCache(path)
         assert tampered.lookup(key) is None
+
+    def test_non_object_line_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert len(ConstantCache(path)) == 0
+
+    def test_line_missing_a_key_field_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = ConstantKey("berman", 0.5, 40.0, 2000, seed=3, k=1)
+        ConstantCache(path).append(key, ConstantValue(0.3, 0.01, 0.0, 2000))
+        rec = json.loads(path.read_text())
+        del rec["k"], rec["checksum"]
+        rec["checksum"] = _checksum(rec)  # a valid checksum over the short record
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.warns(UserWarning, match="corrupt"):
+            assert len(ConstantCache(path)) == 0
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = ConstantCache(tmp_path / "cache.jsonl")

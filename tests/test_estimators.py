@@ -7,13 +7,9 @@ from scipy.special import ndtr
 from gridruin.analytic import dp_classical_ruin
 from gridruin.estimators import (
     Estimate,
-    detect_classical,
     detect_classical_matrix,
-    detect_cumulative,
     detect_cumulative_matrix,
-    detect_parisian,
     detect_parisian_matrix,
-    detect_reflected,
     detect_reflected_matrix,
     estimate,
     ruin_time_distribution,
@@ -22,27 +18,30 @@ from gridruin.estimators import (
 from gridruin.model import Grid, ModelParams, VariantParams, default_horizon, make_rng, path_block
 
 
+def one_row(*values):
+    return np.array([values], dtype=float)
+
+
 class TestDetectClassical:
     def test_immediate_ruin_at_negative_level(self):
-        ev = detect_classical(np.array([0.0, -1.0]), u=-1.0, delta=0.1)
-        assert ev.occurred and ev.time == 0.0
+        occurred, idx = detect_classical_matrix(one_row(0.0, -1.0), u=-1.0)
+        assert occurred[0] and idx[0] == 0
 
     def test_first_crossing_time(self):
-        ev = detect_classical(np.array([0.0, 0.5, 1.2]), u=1.0, delta=0.1)
-        assert ev.occurred
-        assert ev.time == pytest.approx(0.2)
+        occurred, idx = detect_classical_matrix(one_row(0.0, 0.5, 1.2), u=1.0)
+        assert occurred[0] and idx[0] == 2
 
     def test_strict_inequality(self):
-        ev = detect_classical(np.array([0.0, 1.0, 0.5]), u=1.0)
-        assert not ev.occurred and ev.time is None
+        occurred, _ = detect_classical_matrix(one_row(0.0, 1.0, 0.5), u=1.0)
+        assert not occurred[0]
 
 
 class TestDetectReflected:
     def test_hand_computed_stub(self):
         # path [0, -2, 1]: reflected value at step 2 is 1 + 2*gamma
-        path = np.array([0.0, -2.0, 1.0])
-        assert detect_reflected(path, u=2.0, gamma=0.6).occurred
-        assert not detect_reflected(path, u=2.0, gamma=0.4).occurred
+        path = one_row(0.0, -2.0, 1.0)
+        assert detect_reflected_matrix(path, u=2.0, gamma=0.6)[0][0]
+        assert not detect_reflected_matrix(path, u=2.0, gamma=0.4)[0][0]
 
     def test_dominates_classical_on_coupled_paths(self):
         paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(1, 0))
@@ -66,19 +65,19 @@ class TestDetectParisian:
         np.testing.assert_array_equal(cls_idx, par_idx)
 
     def test_run_length_requirement(self):
-        # three consecutive exceedances support a window of 2 steps, not 3
-        path = np.array([0.0, 2.0, 2.0, 2.0, 0.0])
-        assert detect_parisian(path, u=1.0, T=0.2, delta=0.1).occurred
-        assert not detect_parisian(path, u=1.0, T=0.3, delta=0.1).occurred
+        # three consecutive exceedances support a window of 3 points, not 4
+        path = one_row(0.0, 2.0, 2.0, 2.0, 0.0)
+        assert detect_parisian_matrix(path, u=1.0, window_pts=3)[0][0]
+        assert not detect_parisian_matrix(path, u=1.0, window_pts=4)[0][0]
 
     def test_time_is_end_of_first_window(self):
-        path = np.array([0.0, 2.0, 2.0, 0.0])
-        ev = detect_parisian(path, u=1.0, T=0.1, delta=0.1)
-        assert ev.time == pytest.approx(0.2)
+        _, idx = detect_parisian_matrix(one_row(0.0, 2.0, 2.0, 0.0), u=1.0, window_pts=2)
+        assert idx[0] == 2
 
     def test_misaligned_window_rejected(self):
+        p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
         with pytest.raises(ValueError, match="multiple"):
-            detect_parisian(np.zeros(5), u=1.0, T=0.35, delta=0.1)
+            estimate("parisian", p, g, VariantParams(parisian_T=0.35), n=1)
 
     def test_dominated_by_classical(self):
         paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(3, 0))
@@ -96,14 +95,14 @@ class TestDetectCumulative:
         np.testing.assert_array_equal(cls_idx, cum_idx)
 
     def test_exceedance_counting_stub(self):
-        path = np.array([0.0, 2.0, 0.5, 2.0, 0.0])  # exactly two exceedances
-        assert detect_cumulative(path, u=1.0, k=0).occurred
-        assert detect_cumulative(path, u=1.0, k=1).occurred
-        assert not detect_cumulative(path, u=1.0, k=2).occurred
+        path = one_row(0.0, 2.0, 0.5, 2.0, 0.0)  # exactly two exceedances
+        assert detect_cumulative_matrix(path, u=1.0, k=0)[0][0]
+        assert detect_cumulative_matrix(path, u=1.0, k=1)[0][0]
+        assert not detect_cumulative_matrix(path, u=1.0, k=2)[0][0]
 
     def test_time_is_k_plus_first_exceedance(self):
-        path = np.array([0.0, 2.0, 0.5, 2.0, 0.0])
-        assert detect_cumulative(path, u=1.0, k=1, delta=0.1).time == pytest.approx(0.3)
+        _, idx = detect_cumulative_matrix(one_row(0.0, 2.0, 0.5, 2.0, 0.0), u=1.0, k=1)
+        assert idx[0] == 3
 
     def test_nonincreasing_in_k(self):
         paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(5, 0))
@@ -116,7 +115,7 @@ class TestDetectCumulative:
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
-            detect_cumulative(np.zeros(3), u=1.0, k=-1)
+            detect_cumulative_matrix(np.zeros((1, 3)), u=1.0, k=-1)
 
 
 class TestEstimate:

@@ -10,20 +10,10 @@ from gridruin.model import (
     default_horizon,
     make_rng,
     path_block,
-    simulate_path,
 )
 
 
 class TestGrid:
-    def test_time_is_single_multiplication(self):
-        g = Grid(delta=0.1)
-        for i in (1, 7, 1000, 2**20, 2**40):
-            assert g.time(i) == i * 0.1
-
-    def test_times_array(self):
-        g = Grid(delta=0.5)
-        np.testing.assert_array_equal(g.times(4), [0.0, 0.5, 1.0, 1.5, 2.0])
-
     def test_n_steps_for(self):
         g = Grid(delta=0.1)
         assert g.n_steps_for(1.0) == 10
@@ -86,18 +76,20 @@ class TestRng:
 
 
 class TestSimulatePath:
+    """Single-path edge cases, on one-row blocks."""
+
     def test_zero_steps(self):
-        p = simulate_path(Grid(0.1), -1.0, 0, make_rng(0, 0))
-        np.testing.assert_array_equal(p.values, [0.0])
+        p = path_block(Grid(0.1), -1.0, 0, 1, make_rng(0, 0))
+        np.testing.assert_array_equal(p, [[0.0]])
 
     def test_starts_at_zero(self):
-        p = simulate_path(Grid(0.1), -1.0, 50, make_rng(0, 1))
-        assert p.values[0] == 0.0 and p.steps == 50
+        p = path_block(Grid(0.1), -1.0, 50, 1, make_rng(0, 1))
+        assert p[0, 0] == 0.0 and p.shape == (1, 51)
 
     @pytest.mark.parametrize("drift", [math.inf, math.nan])
     def test_rejects_nonfinite_drift(self, drift):
         with pytest.raises(ValueError):
-            simulate_path(Grid(0.1), drift, 10, make_rng(0, 0))
+            path_block(Grid(0.1), drift, 10, 1, make_rng(0, 0))
 
     def test_terminal_mean_and_variance(self):
         # S_100 ~ N(100*drift*delta, 100*delta); 4-sigma band on both moments
