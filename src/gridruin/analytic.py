@@ -82,19 +82,15 @@ def ruin_time_cdf_approx(t: float, params: ModelParams) -> float:
     return float(ndtr(z))
 
 
+# Largest |total probability - 1| the DP oracle accepts.
+_MASS_TOLERANCE = 1e-7
+
+
 @dataclass(frozen=True)
 class DpOracleConfig:
-    """Quadrature configuration for the DP oracle.
-
-    ``state_lo`` is the lower truncation of the walk state; mass leaking
-    below it is counted as survival, which biases the ruin probability down
-    by at most exp(-2c(u - state_lo)).  ``None`` picks a default far enough
-    below the drifted mean that the bias is negligible.
-    """
+    """Quadrature configuration for the DP oracle: nodes of the state grid."""
 
     state_points: int = 2048
-    state_lo: float | None = None
-    mass_tolerance: float = 1e-7
 
     def __post_init__(self):
         if self.state_points < 64:
@@ -106,6 +102,12 @@ class QuadratureMassError(RuntimeError):
 
 
 def _default_state_lo(params: ModelParams, horizon: float) -> float:
+    """Lower truncation of the walk state, always below the barrier u.
+
+    Mass leaking below it is counted as survival, which biases the ruin
+    probability down by at most exp(-2c(u - state_lo)); the floor sits far
+    enough below the drifted mean that the bias is negligible.
+    """
     drift_low = -params.c * horizon - 8.0 * math.sqrt(horizon)
     tilt_low = params.u - 25.0 / params.c - 5.0
     return min(drift_low, tilt_low)
@@ -123,7 +125,7 @@ def dp_classical_ruin(
     step at a time through the Gaussian increment kernel on a uniform state
     grid with trapezoid weights.  Mass crossing the barrier accumulates into
     the ruin probability; mass leaving through the floor is tracked and the
-    total balance is checked against ``cfg.mass_tolerance``.
+    total balance is checked against ``_MASS_TOLERANCE``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -140,9 +142,7 @@ def dp_classical_ruin(
         return 0.0
 
     sigma = math.sqrt(delta)
-    lo = cfg.state_lo if cfg.state_lo is not None else _default_state_lo(params, horizon)
-    if lo >= u:
-        raise ValueError(f"state_lo={lo} must lie below the barrier u={u}")
+    lo = _default_state_lo(params, horizon)
     # Composite Simpson weights (odd node count).  Trapezoid weights leave an
     # O(h^2) error from the positive density at the barrier endpoint, too
     # coarse for the 1e-6 self-convergence contract at feasible node counts.
@@ -170,9 +170,8 @@ def dp_classical_ruin(
 
     survived = float(w @ f)
     balance = ruin + below + survived
-    if abs(balance - 1.0) > cfg.mass_tolerance:
+    if abs(balance - 1.0) > _MASS_TOLERANCE:
         raise QuadratureMassError(
-            f"probability mass balance off by {balance - 1.0:.3e}; "
-            "increase state_points or widen state_lo"
+            f"probability mass balance off by {balance - 1.0:.3e}; increase state_points"
         )
     return ruin

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from .analytic import psi_inf
 from .cache import ConstantCache
 from .constants import ConstantValue, constant_for_model
-from .estimators import Estimate, estimate
-from .model import Grid, ModelParams, VariantParams
+from .estimators import estimate
+from .model import Grid, ModelParams, VariantParams, default_horizon
 
 __all__ = ["Approximation", "RatioRow", "approx", "validate_ratio"]
 
@@ -80,19 +80,16 @@ def validate_ratio(
     n: int = 200_000,
     seed: int = 0,
     constant_n: int = 200_000,
-    window_mult: float = 2.0,
     cache: ConstantCache | None = None,
-    mc_estimates: list[Estimate] | None = None,
 ) -> list[RatioRow]:
     """MC estimate vs asymptotic approximation over increasing u.
 
     No pass/fail decision is made here; ratios are reported with a combined
     first-order standard error so callers can apply their own thresholds.
-    ``mc_estimates`` allows injecting precomputed (or stubbed) estimates.
-    The horizon multiplier defaults to 2 (not the estimator's 1): at the
-    default the truncation bias can reach a few percent of exp(-2cu), which
-    would contaminate the asymptotic comparison; doubling the window makes
-    it negligible against the ratio tolerances.
+    The MC horizon is ``default_horizon(params, 2.0)``, not the estimator's
+    default multiplier 1: at 1 the truncation bias can reach a few percent
+    of exp(-2cu), which would contaminate the asymptotic comparison;
+    doubling the window makes it negligible against the ratio tolerances.
     """
     u_values = list(u_values)
     if not u_values:
@@ -109,24 +106,21 @@ def validate_ratio(
         cache=cache,
     )
     rows = []
-    for i, u in enumerate(u_values):
+    for u in u_values:
         params = ModelParams(c=c, u=u)
         ap = approx(variant, params, grid, variant_params, constant=constant)
         if ap.value == 0.0:
             raise RuntimeError(f"the approximation is 0 at u={u}; the ratio is undefined")
-        if mc_estimates is not None:
-            mc = mc_estimates[i]
-        else:
-            mc = estimate(
-                variant,
-                params,
-                grid,
-                variant_params,
-                method=method,
-                n=n,
-                seed=seed,
-                window_mult=window_mult,
-            )
+        mc = estimate(
+            variant,
+            params,
+            grid,
+            variant_params,
+            method=method,
+            horizon=default_horizon(params, 2.0),
+            n=n,
+            seed=seed,
+        )
         ratio = mc.value / ap.value
         if mc.value > 0:
             rel = math.hypot(mc.std_error / mc.value, ap.std_error / ap.value)

@@ -79,11 +79,9 @@ def _add_variant(p: argparse.ArgumentParser) -> None:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None, help="write the record here instead of stdout")
     p.add_argument("--config", default=None, help="key-value config file; flags win")
-    p.add_argument("--cache", default=None, help="constant cache file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--method", choices=("crude", "tilted"), default="tilted")
     pe.add_argument("--n", type=int, default=None, help="default: crude 10^6, tilted 10^5")
     pe.add_argument("--horizon-mult", type=float, default=1.0)
+    pe.add_argument("--threads", type=int, default=1)
     _add_common(pe)
 
     pc = sub.add_parser("constant", help="estimate a limiting constant")
@@ -108,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--k", type=int, default=None)
     pc.add_argument("--trunc", type=float, default=None, help="truncation radius of the simulated window")
     pc.add_argument("--n", type=int, default=200_000)
+    pc.add_argument("--cache", default=None, help="constant cache file path")
     _add_common(pc)
 
     pv = sub.add_parser("validate", help="MC vs approximation ratio table over u")
@@ -118,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--method", choices=("crude", "tilted"), default="tilted")
     pv.add_argument("--n", type=int, default=200_000)
     pv.add_argument("--constant-n", type=int, default=200_000)
+    pv.add_argument("--cache", default=None, help="constant cache file path")
     _add_common(pv)
 
     pr = sub.add_parser("ruin-time", help="conditional ruin-time CLT check")

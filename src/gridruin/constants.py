@@ -38,8 +38,6 @@ __all__ = [
     "pickands_diff_values",
     "piterbarg_values",
     "parisian_window_values",
-    "berman_values",
-    "berman_integral_quadrature",
     "berman_count_values",
     "pickands_dy",
     "pickands_diff",
@@ -68,7 +66,8 @@ class ConstantKey:
 
     ``trunc`` is the truncation radius of the simulated grid window; None
     picks the kind's default, snapped to a multiple of ``eta``.  ``eta``,
-    ``trunc``, ``a`` and ``T`` are rounded to 12 significant digits.
+    ``trunc``, ``a`` and ``T`` must be finite and are rounded to 12
+    significant digits.
     """
 
     kind: str
@@ -94,6 +93,8 @@ class ConstantKey:
                 )
         trunc = _snap(spec.trunc, self.eta) if self.trunc is None else self.trunc
         for field, value in (("eta", self.eta), ("trunc", trunc), ("a", self.a), ("T", self.T)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value}")
             object.__setattr__(self, field, _normalise(value))
 
 
@@ -191,41 +192,6 @@ def parisian_window_values(field: np.ndarray, eta: float, T: float) -> np.ndarra
     return np.exp(win_min).max(axis=1) / (eta * e.sum(axis=1))
 
 
-def berman_values(field: np.ndarray, m: int) -> np.ndarray:
-    """Per-path value exp(M_m) with M_m the m-th largest field value.
-
-    Reduction of the windowed z-integral: the exceedance count reaches m
-    exactly when z > -M_m, and the e^{-z} integral over that half-line is
-    exp(M_m).  Cross-checked against :func:`berman_integral_quadrature`.
-    """
-    n_pts = field.shape[1]
-    if n_pts < m:
-        raise ValueError(f"grid has {n_pts} points but the count condition needs {m}")
-    mth_largest = np.partition(field, n_pts - m, axis=1)[:, n_pts - m]
-    return np.exp(mth_largest)
-
-
-def berman_integral_quadrature(path: np.ndarray, m: int, n_nodes: int = 200) -> float:
-    """z-integral of P(at least m points above -z) weighted by e^{-z}, one path.
-
-    Independent oracle for :func:`berman_values`: enumerates the exceedance
-    count on each interval between consecutive order statistics of the path
-    and integrates e^{-z} exactly on every piece where the count reaches m.
-    The node budget is a guard against pathologically long paths.
-    """
-    w = np.sort(np.asarray(path, dtype=float))[::-1]
-    if len(w) + 1 > n_nodes:
-        raise ValueError(f"path has too many breakpoints for {n_nodes} nodes")
-    total = 0.0
-    # On z in (-w[i-1], -w[i]) exactly i points satisfy value + z > 0.
-    for i in range(1, len(w)):
-        if i >= m:
-            total += math.exp(w[i - 1]) - math.exp(w[i])
-    if len(w) >= m:
-        total += math.exp(w[-1])  # z > -w[-1]: all points exceed
-    return total
-
-
 def berman_count_values(field: np.ndarray, eta: float, k: int) -> np.ndarray:
     """Per-path indicator estimator of the exceedance-count constant.
 
@@ -291,7 +257,7 @@ _KINDS = {
 }
 
 
-def _estimate(key: ConstantKey, block_size: int, allow_small_trunc: bool = False):
+def _estimate(key: ConstantKey):
     """Shared body of the drivers: the mean of the kind's functional over sampled fields.
 
     Unbiased for the truncated expectation; the boundary fraction is the
@@ -301,7 +267,7 @@ def _estimate(key: ConstantKey, block_size: int, allow_small_trunc: bool = False
     eta, trunc, n = key.eta, key.trunc, key.n_samples
     p = None if spec.param is None else getattr(key, spec.param)
     minimum = spec.min_trunc + (p if spec.windowed else 0.0)
-    if trunc < minimum and not allow_small_trunc:
+    if trunc < minimum:
         rule = f"{spec.min_trunc:g} + {spec.param} = {minimum:g}" if spec.windowed else minimum
         raise ValueError(
             f"trunc={trunc} is below the minimum {rule}; the tail-mass bound is too "
@@ -323,33 +289,27 @@ def _estimate(key: ConstantKey, block_size: int, allow_small_trunc: bool = False
             near_edge = outer[field.argmax(axis=1)]
         return float(vals.sum()), float((vals * vals).sum()), int(near_edge.sum())
 
-    parts = _run_blocks(n, key.seed, block_size, worker)
+    parts = _run_blocks(n, key.seed, worker)
     mean, se = _mean_se(parts, n)
     return ConstantValue(mean, se, sum(part[2] for part in parts) / n, n)
 
 
 def pickands_dy(
-    eta: float,
-    trunc: float | None = None,
-    n: int = 200_000,
-    seed: int = 0,
-    block_size: int = 8192,
-    _allow_small_trunc: bool = False,
+    eta: float, trunc: float | None = None, n: int = 200_000, seed: int = 0
 ) -> ConstantValue:
     """Ratio-representation estimator of the grid constant H_eta.
 
     Simulates the two-sided field on [-trunc, trunc].  In every driver
     ``trunc=None`` picks the kind's default window.
     """
-    key = ConstantKey("pickands_dy", eta, trunc, n, seed)
-    return _estimate(key, block_size, _allow_small_trunc)
+    return _estimate(ConstantKey("pickands_dy", eta, trunc, n, seed))
 
 
 def pickands_diff(
-    eta: float, trunc: float | None = None, n: int = 200_000, seed: int = 0, block_size: int = 8192
+    eta: float, trunc: float | None = None, n: int = 200_000, seed: int = 0
 ) -> ConstantValue:
     """Difference-of-maxima estimator of H_eta; one-sided grid [0, trunc]."""
-    return _estimate(ConstantKey("pickands_diff", eta, trunc, n, seed), block_size)
+    return _estimate(ConstantKey("pickands_diff", eta, trunc, n, seed))
 
 
 def piterbarg(
@@ -358,7 +318,6 @@ def piterbarg(
     trunc: float | None = None,
     n: int = 200_000,
     seed: int = 0,
-    block_size: int = 8192,
 ) -> ConstantValue:
     """E sup exp(sqrt(2) B(t) - t(1+a)) over the one-sided grid [0, trunc]."""
     if a <= 0:
@@ -368,7 +327,7 @@ def piterbarg(
             f"a={a} is very small; truncation bias and variance grow as a -> 0",
             stacklevel=2,
         )
-    return _estimate(ConstantKey("piterbarg", eta, trunc, n, seed, a=a), block_size)
+    return _estimate(ConstantKey("piterbarg", eta, trunc, n, seed, a=a))
 
 
 def parisian_constant(
@@ -377,17 +336,16 @@ def parisian_constant(
     trunc: float | None = None,
     n: int = 200_000,
     seed: int = 0,
-    block_size: int = 8192,
 ) -> ConstantValue:
     """Windowed-infimum constant of Parisian ruin on the grid.
 
     Shares the sampling scheme of :func:`pickands_dy`, so estimates with the
-    same (eta, trunc, n, seed, block_size) are coupled pathwise and the
+    same (eta, trunc, n, seed) are coupled pathwise and the
     dominance parisian <= pickands holds sample by sample.
     """
     if T < 0:
         raise ValueError(f"T must be nonnegative, got {T}")
-    return _estimate(ConstantKey("parisian", eta, trunc, n, seed, T=T), block_size)
+    return _estimate(ConstantKey("parisian", eta, trunc, n, seed, T=T))
 
 
 def berman(
@@ -396,7 +354,6 @@ def berman(
     trunc: float | None = None,
     n: int = 200_000,
     seed: int = 0,
-    block_size: int = 8192,
 ) -> ConstantValue:
     """Exceedance-count constant via the exactly-k-positives representation.
 
@@ -406,7 +363,7 @@ def berman(
     for eta >= 0.1.  The boundary diagnostic counts samples with a positive
     point in the outer 10% of the window.
     """
-    return _estimate(ConstantKey("berman", eta, trunc, n, seed, k=k), block_size)
+    return _estimate(ConstantKey("berman", eta, trunc, n, seed, k=k))
 
 
 # ---------------------------------------------------------------------------
@@ -447,16 +404,14 @@ def constant_keys_for_model(
     *,
     n: int = 200_000,
     seed: int = 0,
-    trunc: float | None = None,
 ) -> list[ConstantKey]:
     """Theorem parameter coupling: model (c, delta, variant) -> constant keys.
 
-    ``trunc`` (each kind's default when None) is snapped to a multiple of the
-    key's eta.
+    Each key takes its kind's default window, snapped to a multiple of its eta.
     """
     p = _variant_value(variant, variant_params)
     return [
-        ConstantKey(kind, eta, None if trunc is None else _snap(trunc, eta), n, seed, **extra)
+        ConstantKey(kind, eta, None, n, seed, **extra)
         for kind, eta, extra in _MODEL_KEYS[variant](params.c, grid.delta, p)
     ]
 
@@ -469,7 +424,6 @@ def constant_for_model(
     *,
     n: int = 200_000,
     seed: int = 0,
-    trunc: float | None = None,
     cache: ConstantCache | None = None,
 ) -> ConstantValue:
     """Full asymptotic prefactor of the variant (product over required keys).
@@ -477,9 +431,7 @@ def constant_for_model(
     Standard errors of the factors are combined to first order; the cache,
     when given, is consulted per key and appended to on miss.
     """
-    keys = constant_keys_for_model(
-        variant, params, grid, variant_params, n=n, seed=seed, trunc=trunc
-    )
+    keys = constant_keys_for_model(variant, params, grid, variant_params, n=n, seed=seed)
     values = [resolve_constant(key, cache)[0] for key in keys]
     prod = math.prod(v.estimate for v in values)
     rel_var = sum((v.std_error / v.estimate) ** 2 for v in values)

@@ -128,10 +128,8 @@ def estimate(
     *,
     method: str = "tilted",
     horizon: float | None = None,
-    window_mult: float = 1.0,
     n: int = 100_000,
     seed: int = 0,
-    block_size: int = 8192,
     threads: int = 1,
 ) -> Estimate:
     """Unbiased Monte Carlo estimate of the ruin-by-horizon probability.
@@ -145,7 +143,7 @@ def estimate(
     if method not in ("crude", "tilted"):
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     if horizon is None:
-        horizon = default_horizon(params, window_mult)
+        horizon = default_horizon(params)
     elif horizon < default_horizon(params) - 1e-9:
         warnings.warn(
             f"horizon {horizon:.3g} is below the recommended "
@@ -167,7 +165,7 @@ def estimate(
         assert np.isfinite(w).all()
         return float(w.sum()), float((w * w).sum())
 
-    value, std_error = _mean_se(_run_blocks(n, seed, block_size, worker, threads), n)
+    value, std_error = _mean_se(_run_blocks(n, seed, worker, threads), n)
     return Estimate(
         value=value,
         std_error=std_error,
@@ -185,25 +183,23 @@ def ruin_time_distribution(
     *,
     n: int = 100_000,
     seed: int = 0,
-    horizon: float | None = None,
-    window_mult: float = 1.5,
-    block_size: int = 8192,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted sample of normalized conditional ruin times, tilted sampling.
 
     Returns ``(s, w)`` with s = c^(3/2) (tau - u/c) / sqrt(u) for each
     detected replicate and w its likelihood-ratio weight; the weighted
-    empirical CDF estimates P(normalized ruin time <= s | ruin).
+    empirical CDF estimates P(normalized ruin time <= s | ruin).  Paths run
+    to ``default_horizon(params, 1.5)``.
     """
+    if params.u <= 0:
+        raise ValueError("ruin_time_distribution requires u > 0")
     if params.u < 10:
         warnings.warn(
             f"u={params.u} is small; the normal approximation window is "
             "only meaningful for large u",
             stacklevel=2,
         )
-    if horizon is None:
-        horizon = default_horizon(params, window_mult)
-    detect, n_steps = _setup(variant, params, grid, variant_params, horizon)
+    detect, n_steps = _setup(variant, params, grid, variant_params, default_horizon(params, 1.5))
     c = params.c
     scale = c**1.5 / math.sqrt(params.u)
     center = params.u / c
@@ -215,7 +211,7 @@ def ruin_time_distribution(
         tau = idx[rows] * grid.delta
         return scale * (tau - center), np.exp(-2.0 * c * paths[rows, idx[rows]])
 
-    parts = _run_blocks(n, seed, block_size, worker)
+    parts = _run_blocks(n, seed, worker)
     s = np.concatenate([p[0] for p in parts])
     w = np.concatenate([p[1] for p in parts])
     if s.size == 0:

@@ -26,6 +26,11 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# Replicates per block of the stream layout: block b holds replicates
+# [b * BLOCK_SIZE, ...) on make_rng(seed, b).  Every Monte Carlo output is a
+# function of this layout, so changing it changes every printed number.
+BLOCK_SIZE = 8192
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -83,8 +88,8 @@ class VariantParams:
             raise ValueError("at most one variant parameter may be set")
         if self.gamma is not None and not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.parisian_T is not None and self.parisian_T < 0:
-            raise ValueError(f"parisian_T must be nonnegative, got {self.parisian_T}")
+        if self.parisian_T is not None and not (0.0 <= self.parisian_T < math.inf):
+            raise ValueError(f"parisian_T must be nonnegative and finite, got {self.parisian_T}")
         if self.cumulative_k is not None and self.cumulative_k < 0:
             raise ValueError(f"cumulative_k must be nonnegative, got {self.cumulative_k}")
 
@@ -149,17 +154,19 @@ def path_block(
     return paths
 
 
-def _run_blocks(n: int, seed: int, block_size: int, worker, threads: int = 1) -> list:
-    """Run ``worker(m, rng)`` over fixed-size replicate blocks; results in block order.
+def _run_blocks(n: int, seed: int, worker, threads: int = 1) -> list:
+    """Run ``worker(m, rng)`` over the replicate blocks; results in block order.
 
-    Block b covers replicates [b * block_size, ...) and owns the stream
+    Block b covers replicates [b * BLOCK_SIZE, ...) and owns the stream
     ``make_rng(seed, b)``, so the results are the same for any ``threads``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     jobs = [
-        (min(block_size, n - start), make_rng(seed, b))
-        for b, start in enumerate(range(0, n, block_size))
+        (min(BLOCK_SIZE, n - start), make_rng(seed, b))
+        for b, start in enumerate(range(0, n, BLOCK_SIZE))
     ]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -183,7 +190,7 @@ def default_horizon(params: ModelParams, window_mult: float = 1.0) -> float:
     meaningful (the band formula degenerates for u <= 1, hence the max(u, e)
     guard).
     """
-    if window_mult <= 0:
-        raise ValueError(f"window_mult must be positive, got {window_mult}")
+    if not (0.0 < window_mult < math.inf):
+        raise ValueError(f"window_mult must be positive and finite, got {window_mult}")
     ug = max(params.u, math.e)
     return max(params.u / params.c + window_mult * math.sqrt(ug) * math.log(ug), 10.0 / params.c)

@@ -15,13 +15,10 @@ from gridruin.analytic import dp_classical_ruin, psi_inf
 from gridruin.asymptotics import validate_ratio
 from gridruin.constants import (
     berman,
-    berman_integral_quadrature,
-    berman_values,
     parisian_window_values,
     pickands_diff,
     pickands_dy,
     pickands_ratio_values,
-    sample_field_one_sided,
     sample_field_two_sided,
 )
 from gridruin.estimators import (
@@ -143,17 +140,6 @@ def test_07_cumulative_reductions():
     z = abs(b0.estimate - h.estimate) / math.hypot(b0.std_error, h.std_error)
     ok = decisions_equal and z < 3.0
     report(7, ok, f"k=0 decisions identical; B(0)={b0.estimate:.4f} vs H={h.estimate:.4f}, |z|={z:.2f} (<3)")
-
-
-def test_08_berman_closed_form_equals_quadrature():
-    field = sample_field_one_sided(0.5, 10.0, 100, make_rng(505, 0))
-    worst = 0.0
-    for m in (1, 2, 3, 5):
-        closed = berman_values(field, m)
-        quad = np.array([berman_integral_quadrature(path, m, n_nodes=200) for path in field])
-        worst = max(worst, float(np.max(np.abs(closed - quad))))
-    ok = worst <= 1e-10
-    report(8, ok, f"m-th-largest vs z-quadrature on 100 fixed paths: max |diff|={worst:.2e} (<=1e-10)")
 
 
 def test_09_classical_asymptotic_ratio():

@@ -135,12 +135,6 @@ class TestDpOracle:
         with pytest.raises(QuadratureMassError):
             dp_classical_ruin(p, g, n, DpOracleConfig(state_points=64))
 
-    def test_state_lo_must_lie_below_barrier(self):
-        with pytest.raises(ValueError):
-            dp_classical_ruin(
-                ModelParams(c=1.0, u=1.0), Grid(0.1), 100, DpOracleConfig(state_lo=2.0)
-            )
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DpOracleConfig(state_points=32)

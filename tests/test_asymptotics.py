@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gridruin import asymptotics
 from gridruin.analytic import psi_inf
 from gridruin.asymptotics import Approximation, approx, validate_ratio
 from gridruin.constants import ConstantValue
@@ -9,6 +10,11 @@ from gridruin.estimators import Estimate
 from gridruin.model import Grid, ModelParams, VariantParams
 
 UNIT_CONSTANT = ConstantValue(estimate=1.0, std_error=0.0, boundary_fraction=0.0, n=1)
+
+
+def stub_estimate(monkeypatch, by_u):
+    """Make validate_ratio's MC step return ``by_u[u]`` instead of simulating."""
+    monkeypatch.setattr(asymptotics, "estimate", lambda variant, params, *a, **kw: by_u[params.u])
 
 
 class TestApprox:
@@ -62,7 +68,7 @@ class TestApprox:
 
 
 class TestValidateRatio:
-    def test_stubbed_mc_gives_unit_ratios(self):
+    def test_stubbed_mc_gives_unit_ratios(self, monkeypatch):
         g = Grid(0.1)
         u_values = [2.0, 4.0]
         const = ConstantValue(0.7, 0.0, 0.0, 1000)
@@ -70,30 +76,20 @@ class TestValidateRatio:
             Estimate(0.7 * psi_inf(ModelParams(c=1.0, u=u)), 0.0, 1, "tilted", 0.0)
             for u in u_values
         ]
+        stub_estimate(monkeypatch, dict(zip(u_values, stubs)))
         # constant_n tiny: the real constant is estimated but then unused
-        rows = validate_ratio(
-            "classical", u_values, 1.0, g, constant_n=2000, mc_estimates=stubs
-        )
+        rows = validate_ratio("classical", u_values, 1.0, g, constant_n=2000)
         # ratios track mc/approx; rebuild them against the stub constant
         for row, stub in zip(rows, stubs):
             assert row.mc == stub.value
             assert row.ratio == pytest.approx(row.mc / row.approx)
 
-    def test_exact_unit_ratio_with_matched_stub(self):
+    def test_exact_unit_ratio_with_matched_stub(self, monkeypatch):
         g = Grid(0.1)
-        row = validate_ratio(
-            "classical",
-            [3.0],
-            1.0,
-            g,
-            constant_n=2000,
-            seed=9,
-            mc_estimates=[Estimate(float("nan"), 0.0, 1, "tilted", 0.0)],
-        )[0]
-        matched = Estimate(row.approx, 0.0, 1, "tilted", 0.0)
-        row2 = validate_ratio(
-            "classical", [3.0], 1.0, g, constant_n=2000, seed=9, mc_estimates=[matched]
-        )[0]
+        stub_estimate(monkeypatch, {3.0: Estimate(float("nan"), 0.0, 1, "tilted", 0.0)})
+        row = validate_ratio("classical", [3.0], 1.0, g, constant_n=2000, seed=9)[0]
+        stub_estimate(monkeypatch, {3.0: Estimate(row.approx, 0.0, 1, "tilted", 0.0)})
+        row2 = validate_ratio("classical", [3.0], 1.0, g, constant_n=2000, seed=9)[0]
         assert row2.ratio == 1.0
         # only the constant's uncertainty is left in the combined SE
         assert row2.ratio_se == pytest.approx(row2.approx_se / row2.approx)
@@ -102,14 +98,8 @@ class TestValidateRatio:
         with pytest.raises(ValueError, match="increasing"):
             validate_ratio("classical", [4.0, 2.0], 1.0, Grid(0.1), constant_n=2000)
 
-    def test_zero_mc_value_yields_infinite_se(self):
-        rows = validate_ratio(
-            "classical",
-            [2.0],
-            1.0,
-            Grid(0.1),
-            constant_n=2000,
-            mc_estimates=[Estimate(0.0, 0.0, 1, "crude", 0.0)],
-        )
+    def test_zero_mc_value_yields_infinite_se(self, monkeypatch):
+        stub_estimate(monkeypatch, {2.0: Estimate(0.0, 0.0, 1, "crude", 0.0)})
+        rows = validate_ratio("classical", [2.0], 1.0, Grid(0.1), constant_n=2000)
         assert rows[0].ratio == 0.0
         assert math.isinf(rows[0].ratio_se)

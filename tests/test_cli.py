@@ -271,6 +271,9 @@ class TestRuinTimeCommand:
         assert zero_row[0].split(",")[3] == "0.5"
 
 
+ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "100")
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -283,8 +286,38 @@ class TestRuinTimeCommand:
             None,
         ),
         (["estimate"], "c = 1\nu = 1\ndelta = 0.1\nn = abc\n"),
+        ([*ESTIMATE_HEAD, "--horizon-mult", "inf"], None),
+        ([*ESTIMATE_HEAD, "--variant", "parisian", "--T", "inf"], None),
+        ([*ESTIMATE_HEAD, "--variant", "parisian", "--T", "nan"], None),
+        ([*ESTIMATE_HEAD, "--variant", "parisian", "--T", "0.35"], None),
+        (["estimate", "--c", "nan", "--u", "1", "--delta", "0.1", "--n", "100"], None),
+        ([*ESTIMATE_HEAD, "--threads", "0"], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "inf", "--n", "100"], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--trunc", "inf", "--n", "100"], None),
+        (["constant", "--kind", "piterbarg", "--eta", "0.5", "--a", "nan", "--n", "100"], None),
+        (["ruin-time", "--c", "1", "--u", "0", "--delta", "0.1", "--n", "100"], None),
+        (["ruin-time", "--c", "1", "--u", "15", "--delta", "0.1", "--n", "100", "--cache", "x.jsonl"], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "100", "--threads", "2"], None),
     ],
-    ids=["zero-n", "negative-n", "empty-u-list", "underflowing-approx", "mistyped-config-value"],
+    ids=[
+        "zero-n",
+        "negative-n",
+        "empty-u-list",
+        "underflowing-approx",
+        "mistyped-config-value",
+        "infinite-horizon-mult",
+        "infinite-parisian-T",
+        "nan-parisian-T",
+        "misaligned-parisian-T",
+        "nan-c",
+        "zero-threads",
+        "infinite-eta",
+        "infinite-trunc",
+        "nan-a",
+        "ruin-time-zero-u",
+        "ruin-time-cache-flag",
+        "constant-threads-flag",
+    ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):
     """Bad input ends in exit 2 or 3 with a message, never in a traceback."""

@@ -141,7 +141,7 @@ class TestEstimate:
 
     def test_thread_count_does_not_change_bits(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
-        kw = dict(method="tilted", n=30_000, seed=4, block_size=4096)
+        kw = dict(method="tilted", n=30_000, seed=4)
         serial = estimate("classical", p, g, **kw, threads=1)
         parallel = estimate("classical", p, g, **kw, threads=8)
         assert serial == parallel
