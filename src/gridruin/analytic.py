@@ -8,13 +8,12 @@ independent deterministic cross-check for the Monte Carlo estimators.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, log_ndtr, ndtr
 
-from .model import Grid, ModelParams, default_horizon
+from .model import Grid, ModelParams, _check_horizon
 
 __all__ = [
     "norm_cdf",
@@ -76,10 +75,16 @@ def ruin_time_cdf_approx(t: float, params: ModelParams) -> float:
     with scale sqrt(u)/c^(3/2); the 3/2 power comes from the curvature c^3 of
     the variance profile at its maximiser.
     """
+    return float(ndtr(_ruin_time_scale(params)(t)))
+
+
+def _ruin_time_scale(params: ModelParams):
+    """The map tau -> c^(3/2) (tau - u/c) / sqrt(u) onto the scale of the normal limit."""
     if params.u <= 0:
-        raise ValueError("ruin_time_cdf_approx requires u > 0")
-    z = params.c**1.5 * (t - params.u / params.c) / math.sqrt(params.u)
-    return float(ndtr(z))
+        raise ValueError(f"the ruin-time scale requires u > 0, got u={params.u}")
+    scale = params.c**1.5 / math.sqrt(params.u)
+    center = params.u / params.c
+    return lambda tau: scale * (tau - center)
 
 
 # Largest |total probability - 1| the DP oracle accepts.
@@ -123,21 +128,15 @@ def dp_classical_ruin(
 
     The sub-density of S_n restricted to (state_lo, u] is pushed forward one
     step at a time through the Gaussian increment kernel on a uniform state
-    grid with trapezoid weights.  Mass crossing the barrier accumulates into
-    the ruin probability; mass leaving through the floor is tracked and the
-    total balance is checked against ``_MASS_TOLERANCE``.
+    grid with composite Simpson weights.  Mass crossing the barrier
+    accumulates into the ruin probability; mass leaving through the floor is
+    tracked and the total balance is checked against ``_MASS_TOLERANCE``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     u, c, delta = params.u, params.c, grid.delta
     horizon = n_steps * delta
-    if horizon < default_horizon(params) - 1e-9:
-        warnings.warn(
-            f"horizon {horizon:.3g} is below the recommended "
-            f"{default_horizon(params):.3g}; the result understates the "
-            "infinite-horizon probability",
-            stacklevel=2,
-        )
+    _check_horizon(params, horizon)
     if n_steps == 0:
         return 0.0
 

@@ -202,7 +202,8 @@ def cmd_constant(args) -> int:
     }
     if value.warn:
         print(
-            f"warning: boundary_fraction={value.boundary_fraction:.3g} > 0.01; "
+            f"warning: boundary_fraction={value.boundary_fraction:.3g} > "
+            f"{constants._BOUNDARY_WARN_FRACTION}; "
             "truncation may bias the estimate",
             file=sys.stderr,
         )
@@ -256,19 +257,13 @@ def cmd_ruintime(args) -> int:
     vp = _variant_params(args)
     delta2 = args.delta2 if args.delta2 is not None else args.delta / 2.0
 
-    def ks_for(delta):
-        s, w = estimators.ruin_time_distribution(
+    def sample(delta):
+        return estimators.ruin_time_distribution(
             args.variant, params, Grid(delta=delta), vp, n=args.n, seed=args.seed
         )
-        return s, w, estimators.weighted_ks(s, w, norm_cdf)
 
-    s1, w1, ks1 = ks_for(args.delta)
-    _, _, ks2 = ks_for(delta2)
-
-    order = np.argsort(s1, kind="stable")
-    cum = np.cumsum(w1[order])
-    cum /= cum[-1]
-    s_sorted = s1[order]
+    s_sorted, cum, ks1 = estimators._cdf_and_ks(*sample(args.delta), norm_cdf)
+    ks2 = estimators.weighted_ks(*sample(delta2), norm_cdf)
     rows = [
         ("ks", None, None, None, args.delta, ks1),
         ("ks", None, None, None, delta2, ks2),
@@ -309,7 +304,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         status = _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:  # MemoryError: an oversized request
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, FloatingPointError) as exc:

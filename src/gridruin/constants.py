@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# Boundary fraction above which an estimate warns (ConstantValue.warn and the CLI).
+_BOUNDARY_WARN_FRACTION = 0.01
 
 
 def _normalise(x: float | None) -> float | None:
@@ -67,7 +69,8 @@ class ConstantKey:
     ``trunc`` is the truncation radius of the simulated grid window; None
     picks the kind's default, snapped to a multiple of ``eta``.  ``eta``,
     ``trunc``, ``a`` and ``T`` must be finite and are rounded to 12
-    significant digits.
+    significant digits.  A key that cannot be estimated (a <= 0, T or k < 0,
+    trunc below the kind's minimum, plus T if windowed) is rejected.
     """
 
     kind: str
@@ -96,6 +99,18 @@ class ConstantKey:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{field} must be finite, got {value}")
             object.__setattr__(self, field, _normalise(value))
+        p = None if spec.param is None else getattr(self, spec.param)
+        if spec.param == "a" and not p > 0:
+            raise ValueError(f"a must be positive, got {p}")
+        if spec.param in ("T", "k") and not p >= 0:
+            raise ValueError(f"{spec.param} must be nonnegative, got {p}")
+        minimum = spec.min_trunc + (p if spec.windowed else 0.0)
+        if self.trunc < minimum:
+            rule = f"{spec.min_trunc:g} + {spec.param} = {minimum:g}" if spec.windowed else minimum
+            raise ValueError(
+                f"trunc={self.trunc} is below the minimum {rule}; the tail-mass bound is too "
+                "weak for a trustworthy estimate"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,18 +123,20 @@ class ConstantValue:
     @property
     def warn(self) -> bool:
         """True when too many extremal points hug the truncation boundary."""
-        return self.boundary_fraction > 0.01
+        return self.boundary_fraction > _BOUNDARY_WARN_FRACTION
 
 
 # ---------------------------------------------------------------------------
 # Field samplers
 
 
-def _side_points(eta: float, trunc: float) -> int:
-    n_side = round(trunc / eta)
-    if abs(n_side * eta - trunc) > 1e-9 * max(1.0, trunc):
-        raise ValueError(f"trunc={trunc} must be an integer multiple of eta={eta}")
-    return n_side
+def _walk(out: np.ndarray, eta: float, slope: float, rng: np.random.Generator) -> None:
+    """Fill ``out`` (m, n) with sqrt(2) B(t) - slope*t at t = eta, 2 eta, ..., n eta."""
+    z = rng.standard_normal(out.shape)
+    z *= math.sqrt(eta)
+    np.cumsum(z, axis=1, out=out)
+    out *= _SQRT2
+    out -= slope * (eta * np.arange(1, out.shape[1] + 1))
 
 
 def sample_field_two_sided(
@@ -131,15 +148,11 @@ def sample_field_two_sided(
     The two half-axes use independent Brownian motions (right half drawn
     first), which is exact since B has independent increments from 0.
     """
-    n_side = _side_points(eta, trunc)
-    step = math.sqrt(eta)
-    right = np.cumsum(step * rng.standard_normal((m, n_side)), axis=1)
-    left = np.cumsum(step * rng.standard_normal((m, n_side)), axis=1)
-    t_half = eta * np.arange(1, n_side + 1)
+    n_side = Grid(eta).points(trunc)
     out = np.empty((m, 2 * n_side + 1))
     out[:, n_side] = 0.0
-    out[:, n_side + 1 :] = _SQRT2 * right - t_half
-    out[:, n_side - 1 :: -1] = _SQRT2 * left - t_half
+    _walk(out[:, n_side + 1 :], eta, 1.0, rng)
+    _walk(out[:, :n_side][:, ::-1], eta, 1.0, rng)
     return out
 
 
@@ -147,13 +160,9 @@ def sample_field_one_sided(
     eta: float, length: float, m: int, rng: np.random.Generator, slope: float = 1.0
 ) -> np.ndarray:
     """m samples of sqrt(2) B(t) - slope*t on the grid [0, length]."""
-    n_pts = _side_points(eta, length)
-    step = math.sqrt(eta)
-    b = np.cumsum(step * rng.standard_normal((m, n_pts)), axis=1)
-    t = eta * np.arange(1, n_pts + 1)
-    out = np.empty((m, n_pts + 1))
+    out = np.empty((m, Grid(eta).points(length) + 1))
     out[:, 0] = 0.0
-    out[:, 1:] = _SQRT2 * b - slope * t
+    _walk(out[:, 1:], eta, slope, rng)
     return out
 
 
@@ -184,7 +193,7 @@ def parisian_window_values(field: np.ndarray, eta: float, T: float) -> np.ndarra
     grid enter the supremum; the denominator sums over the whole grid.
     With T = 0 this is exactly :func:`pickands_ratio_values`.
     """
-    w_pts = _side_points(eta, T) + 1 if T > 0 else 1
+    w_pts = Grid(eta).points(T) + 1
     if w_pts > field.shape[1]:
         raise ValueError("window longer than the simulated grid")
     win_min = sliding_window_view(field, w_pts, axis=1).min(axis=2)
@@ -266,14 +275,7 @@ def _estimate(key: ConstantKey):
     spec = _KINDS[key.kind]
     eta, trunc, n = key.eta, key.trunc, key.n_samples
     p = None if spec.param is None else getattr(key, spec.param)
-    minimum = spec.min_trunc + (p if spec.windowed else 0.0)
-    if trunc < minimum:
-        rule = f"{spec.min_trunc:g} + {spec.param} = {minimum:g}" if spec.windowed else minimum
-        raise ValueError(
-            f"trunc={trunc} is below the minimum {rule}; the tail-mass bound is too "
-            "weak for a trustworthy estimate"
-        )
-    n_side = _side_points(eta, trunc)
+    n_side = Grid(eta).points(trunc)
     levels = eta * np.arange(-n_side if spec.slope is None else 0, n_side + 1)
     outer = np.abs(levels) > 0.9 * trunc
 
@@ -320,14 +322,13 @@ def piterbarg(
     seed: int = 0,
 ) -> ConstantValue:
     """E sup exp(sqrt(2) B(t) - t(1+a)) over the one-sided grid [0, trunc]."""
-    if a <= 0:
-        raise ValueError(f"a must be positive, got {a}")
+    key = ConstantKey("piterbarg", eta, trunc, n, seed, a=a)
     if a < 0.05:
         warnings.warn(
             f"a={a} is very small; truncation bias and variance grow as a -> 0",
             stacklevel=2,
         )
-    return _estimate(ConstantKey("piterbarg", eta, trunc, n, seed, a=a))
+    return _estimate(key)
 
 
 def parisian_constant(
@@ -343,8 +344,6 @@ def parisian_constant(
     same (eta, trunc, n, seed) are coupled pathwise and the
     dominance parisian <= pickands holds sample by sample.
     """
-    if T < 0:
-        raise ValueError(f"T must be nonnegative, got {T}")
     return _estimate(ConstantKey("parisian", eta, trunc, n, seed, T=T))
 
 

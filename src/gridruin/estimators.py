@@ -10,17 +10,17 @@ estimator stays exactly unbiased for the ruin-by-horizon probability.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import crossing_after
+from .analytic import _ruin_time_scale, crossing_after
 from .model import (
     Grid,
     ModelParams,
     VariantParams,
+    _check_horizon,
     _mean_se,
     _run_blocks,
     _variant_value,
@@ -111,13 +111,21 @@ VARIANTS = tuple(_DETECTORS)
 def _setup(variant, params, grid, variant_params, horizon):
     """The variant's detector bound to its parameter, and the path length in steps."""
     p = _variant_value(variant, variant_params)
-    (variant_params or VariantParams()).validate_against(grid)
     detector, windowed = _DETECTORS[variant]
     n_steps = grid.n_steps_for(horizon)
     if windowed:
-        p = round(p / grid.delta) + 1
+        p = grid.points(p) + 1
         n_steps += p - 1
     return (lambda paths: detector(paths, params.u, p)), n_steps
+
+
+def _tilted_block(detect, grid, c, n_steps, m, rng):
+    """(occurred, idx, w) of a block under drift +c; w = exp(-2c S_tau) if ruined, else 0."""
+    paths = path_block(grid, c, n_steps, m, rng)
+    occurred, idx = detect(paths)
+    w = np.where(occurred, np.exp(-2.0 * c * paths[np.arange(m), idx]), 0.0)
+    assert np.isfinite(w).all()
+    return occurred, idx, w
 
 
 def estimate(
@@ -142,27 +150,15 @@ def estimate(
     """
     if method not in ("crude", "tilted"):
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
-    if horizon is None:
-        horizon = default_horizon(params)
-    elif horizon < default_horizon(params) - 1e-9:
-        warnings.warn(
-            f"horizon {horizon:.3g} is below the recommended "
-            f"{default_horizon(params):.3g}",
-            stacklevel=2,
-        )
+    horizon = default_horizon(params) if horizon is None else horizon
+    _check_horizon(params, horizon)
     detect, n_steps = _setup(variant, params, grid, variant_params, horizon)
-    drift = params.c if method == "tilted" else -params.c
-    two_c = 2.0 * params.c
 
     def worker(m, rng):
-        paths = path_block(grid, drift, n_steps, m, rng)
-        occurred, idx = detect(paths)
         if method == "crude":
-            s = float(occurred.sum())
+            s = float(detect(path_block(grid, -params.c, n_steps, m, rng))[0].sum())
             return s, s
-        s_tau = paths[np.arange(m), idx]
-        w = np.where(occurred, np.exp(-two_c * s_tau), 0.0)
-        assert np.isfinite(w).all()
+        _, _, w = _tilted_block(detect, grid, params.c, n_steps, m, rng)
         return float(w.sum()), float((w * w).sum())
 
     value, std_error = _mean_se(_run_blocks(n, seed, worker, threads), n)
@@ -191,8 +187,7 @@ def ruin_time_distribution(
     empirical CDF estimates P(normalized ruin time <= s | ruin).  Paths run
     to ``default_horizon(params, 1.5)``.
     """
-    if params.u <= 0:
-        raise ValueError("ruin_time_distribution requires u > 0")
+    to_s = _ruin_time_scale(params)
     if params.u < 10:
         warnings.warn(
             f"u={params.u} is small; the normal approximation window is "
@@ -200,20 +195,13 @@ def ruin_time_distribution(
             stacklevel=2,
         )
     detect, n_steps = _setup(variant, params, grid, variant_params, default_horizon(params, 1.5))
-    c = params.c
-    scale = c**1.5 / math.sqrt(params.u)
-    center = params.u / c
 
     def worker(m, rng):
-        paths = path_block(grid, c, n_steps, m, rng)
-        occurred, idx = detect(paths)
+        occurred, idx, w = _tilted_block(detect, grid, params.c, n_steps, m, rng)
         rows = np.flatnonzero(occurred)
-        tau = idx[rows] * grid.delta
-        return scale * (tau - center), np.exp(-2.0 * c * paths[rows, idx[rows]])
+        return to_s(idx[rows] * grid.delta), w[rows]
 
-    parts = _run_blocks(n, seed, worker)
-    s = np.concatenate([p[0] for p in parts])
-    w = np.concatenate([p[1] for p in parts])
+    s, w = (np.concatenate(half) for half in zip(*_run_blocks(n, seed, worker)))
     if s.size == 0:
         raise RuntimeError("no ruin detected in any tilted replicate")
     return s, w
@@ -221,6 +209,11 @@ def ruin_time_distribution(
 
 def weighted_ks(s: np.ndarray, w: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance of a weighted empirical CDF to ``cdf``."""
+    return _cdf_and_ks(s, w, cdf)[2]
+
+
+def _cdf_and_ks(s: np.ndarray, w: np.ndarray, cdf):
+    """The sorted sample, its weighted empirical CDF there, and that CDF's KS distance to ``cdf``."""
     order = np.argsort(s, kind="stable")
     s_sorted = s[order]
     cum = np.cumsum(w[order])
@@ -228,4 +221,4 @@ def weighted_ks(s: np.ndarray, w: np.ndarray, cdf) -> float:
     target = cdf(s_sorted)
     upper = np.abs(cum - target)
     lower = np.abs(np.concatenate(([0.0], cum[:-1])) - target)
-    return float(max(upper.max(), lower.max()))
+    return s_sorted, cum, float(max(upper.max(), lower.max()))

@@ -10,6 +10,7 @@ concurrently or in which order streams are consumed.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,9 +52,14 @@ class Grid:
         """Smallest step count whose grid covers ``[0, horizon]``."""
         return int(math.ceil(horizon / self.delta - 1e-9))
 
-    def is_multiple(self, t: float) -> bool:
-        ratio = t / self.delta
-        return abs(ratio - round(ratio)) < 1e-9
+    def points(self, length: float) -> int:
+        """Steps in ``length``, a nonnegative multiple of delta to 1e-9 * max(1, length, delta)."""
+        n = round(length / self.delta) if 0.0 <= length < math.inf else -1
+        if n < 0 or abs(n * self.delta - length) > 1e-9 * max(1.0, length, self.delta):
+            raise ValueError(
+                f"{length} must be a nonnegative integer multiple of the grid step {self.delta}"
+            )
+        return n
 
 
 @dataclass(frozen=True)
@@ -92,12 +98,6 @@ class VariantParams:
             raise ValueError(f"parisian_T must be nonnegative and finite, got {self.parisian_T}")
         if self.cumulative_k is not None and self.cumulative_k < 0:
             raise ValueError(f"cumulative_k must be nonnegative, got {self.cumulative_k}")
-
-    def validate_against(self, grid: Grid) -> None:
-        if self.parisian_T is not None and not grid.is_multiple(self.parisian_T):
-            raise ValueError(
-                f"parisian_T={self.parisian_T} must be an integer multiple of delta={grid.delta}"
-            )
 
 
 # The VariantParams field each ruin variant reads; classical reads none.
@@ -194,3 +194,15 @@ def default_horizon(params: ModelParams, window_mult: float = 1.0) -> float:
         raise ValueError(f"window_mult must be positive and finite, got {window_mult}")
     ug = max(params.u, math.e)
     return max(params.u / params.c + window_mult * math.sqrt(ug) * math.log(ug), 10.0 / params.c)
+
+
+def _check_horizon(params: ModelParams, horizon: float) -> None:
+    """Reject a negative or non-finite horizon; warn when it is below ``default_horizon``."""
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
+    if horizon < default_horizon(params) - 1e-9:
+        warnings.warn(
+            f"horizon {horizon:.3g} is below the recommended {default_horizon(params):.3g}; "
+            "the result understates the infinite-horizon probability",
+            stacklevel=3,
+        )

@@ -8,6 +8,8 @@ import pytest
 
 import gridruin
 from gridruin import cli, constants
+from gridruin.analytic import norm_cdf
+from gridruin.estimators import ruin_time_distribution, weighted_ks
 from gridruin.model import Grid, ModelParams
 
 
@@ -269,6 +271,9 @@ class TestRuinTimeCommand:
         zero_row = [line for line in lines if line.startswith("quantile,0,")]
         assert len(zero_row) == 1
         assert zero_row[0].split(",")[3] == "0.5"
+        # the first ks row is weighted_ks of the library sample on the first grid
+        s, w = ruin_time_distribution("classical", ModelParams(c=1.0, u=15.0), Grid(0.1), n=20000)
+        assert lines[1].split(",")[-1] == f"{weighted_ks(s, w, norm_cdf):.12g}"
 
 
 ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "100")
@@ -298,6 +303,9 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         (["ruin-time", "--c", "1", "--u", "0", "--delta", "0.1", "--n", "100"], None),
         (["ruin-time", "--c", "1", "--u", "15", "--delta", "0.1", "--n", "100", "--cache", "x.jsonl"], None),
         (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "100", "--threads", "2"], None),
+        # 100 rows of 10^12 steps, 728 TiB: more than the address space, so the
+        # allocation fails at once
+        (["estimate", "--c", "1", "--u", "1e9", "--delta", "1e-3", "--n", "100"], None),
     ],
     ids=[
         "zero-n",
@@ -317,6 +325,7 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "ruin-time-zero-u",
         "ruin-time-cache-flag",
         "constant-threads-flag",
+        "oversized-request",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):

@@ -49,6 +49,14 @@ class TestKeyAndValue:
             ConstantKey("nope", 0.5, 20.0, 1000)
         with pytest.raises(ValueError):
             ConstantKey("pickands_dy", -0.5, 20.0, 1000)
+        # keys that cannot be estimated fail on construction
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match="a must be positive"):
+                ConstantKey("piterbarg", 0.5, 30.0, 1000, a=bad)
+        with pytest.raises(ValueError, match="T must be nonnegative"):
+            ConstantKey("parisian", 0.5, 20.0, 1000, T=-1.0)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            ConstantKey("berman", 0.5, 40.0, 1000, k=-1)
 
     def test_warn_flag(self):
         assert ConstantValue(1.0, 0.01, 0.02, 100).warn

@@ -164,6 +164,9 @@ class TestEstimate:
             estimate("classical", p, g, method="magic", n=10)
         with pytest.raises(ValueError):
             estimate("upside-down", p, g, n=10)
+        for horizon in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="horizon"):
+                estimate("classical", p, g, horizon=horizon, n=10)
         for variant in ("reflected", "parisian", "cumulative"):
             with pytest.raises(ValueError, match="requires"):
                 estimate(variant, p, g, n=10)

@@ -23,8 +23,11 @@ class TestGrid:
 
     def test_is_multiple(self):
         g = Grid(delta=0.1)
-        assert g.is_multiple(0.3)
-        assert not g.is_multiple(0.35)
+        assert g.points(0.3) == 3
+        assert g.points(0.0) == 0
+        for bad in (0.35, -0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="integer multiple"):
+                g.points(bad)
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_delta(self, delta):
@@ -53,10 +56,10 @@ class TestParams:
                 VariantParams(gamma=bad)
 
     def test_parisian_T_must_align_with_grid(self):
-        vp = VariantParams(parisian_T=0.35)
+        g = Grid(delta=0.1)
         with pytest.raises(ValueError):
-            vp.validate_against(Grid(delta=0.1))
-        VariantParams(parisian_T=0.3).validate_against(Grid(delta=0.1))
+            g.points(VariantParams(parisian_T=0.35).parisian_T)
+        assert g.points(VariantParams(parisian_T=0.3).parisian_T) == 3
 
 
 class TestRng:
