@@ -1,16 +1,18 @@
 """Append-only on-disk cache of limiting-constant estimates.
 
-One JSON record per line; each line carries a sha256-prefix checksum of its
-own payload so that truncated or hand-edited lines are detected and skipped
-with a warning instead of silently poisoning later runs.
+One JSON record per line: the ConstantKey's fields, ``estimate``,
+``std_error``, ``boundary_fraction`` and a sha256-prefix ``checksum`` of the
+other fields, so that truncated or hand-edited lines are detected and skipped
+with a warning instead of silently poisoning later runs.  A line with extra
+fields still loads; its checksum covers them too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -18,8 +20,6 @@ if TYPE_CHECKING:
     from .constants import ConstantKey, ConstantValue
 
 __all__ = ["ConstantCache"]
-
-_KEY_FIELDS = ("kind", "eta", "trunc", "n_samples", "seed", "a", "T", "k")
 
 
 def _checksum(payload: dict) -> str:
@@ -50,7 +50,7 @@ class ConstantCache:
                 stored = rec.pop("checksum")
                 if stored != _checksum(rec):
                     raise ValueError("checksum mismatch")
-                key = ConstantKey(**{f: rec[f] for f in _KEY_FIELDS})
+                key = ConstantKey(**{f.name: rec[f.name] for f in fields(ConstantKey)})
                 value = ConstantValue(
                     estimate=rec["estimate"],
                     std_error=rec["std_error"],
@@ -69,12 +69,11 @@ class ConstantCache:
         return self._records.get(key)
 
     def append(self, key: "ConstantKey", value: "ConstantValue") -> None:
-        rec = {f: getattr(key, f) for f in _KEY_FIELDS}
+        rec = {f.name: getattr(key, f.name) for f in fields(key)}
         rec.update(
             estimate=value.estimate,
             std_error=value.std_error,
             boundary_fraction=value.boundary_fraction,
-            timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         )
         rec["checksum"] = _checksum(rec)
         with self.path.open("a") as fh:

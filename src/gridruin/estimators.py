@@ -6,10 +6,13 @@ indicator by the likelihood ratio exp(-2c * S_tau).  The flip is the
 classical first-passage change of measure: it matches the exp(-2cu) decay
 shared by all four ruin variants, so ruin becomes a typical event while the
 estimator stays exactly unbiased for the ruin-by-horizon probability.
+Crude sampling is the same weighted sampler at the true drift -c, where
+every weight exp(-(drift + c) * S_tau) is exactly 1.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -109,9 +112,17 @@ VARIANTS = tuple(_DETECTORS)
 
 
 def _setup(variant, params, grid, variant_params, horizon):
-    """The variant's detector bound to its parameter, and the path length in steps."""
+    """The variant's detector bound to its parameter, and the path length in steps.
+
+    The one gate for every simulated horizon: it must be finite and cover a
+    grid step, and one below ``default_horizon`` warns at the caller of the
+    public estimator.
+    """
     p = _variant_value(variant, variant_params)
     detector, windowed = _DETECTORS[variant]
+    if math.isfinite(horizon) and grid.n_steps_for(horizon) < 1:
+        raise ValueError(f"horizon {horizon} covers no grid step of {grid.delta}")
+    _check_horizon(params, horizon, stacklevel=4)
     n_steps = grid.n_steps_for(horizon)
     if windowed:
         p = grid.points(p) + 1
@@ -119,11 +130,15 @@ def _setup(variant, params, grid, variant_params, horizon):
     return (lambda paths: detector(paths, params.u, p)), n_steps
 
 
-def _tilted_block(detect, grid, c, n_steps, m, rng):
-    """(occurred, idx, w) of a block under drift +c; w = exp(-2c S_tau) if ruined, else 0."""
-    paths = path_block(grid, c, n_steps, m, rng)
+def _weighted_block(detect, grid, c, drift, n_steps, m, rng):
+    """(occurred, idx, w) of a block under ``drift``; w = exp(-(drift + c) S_tau) if ruined, else 0.
+
+    drift -c is crude sampling (every weight is exactly 1); drift +c is the
+    tilted sampler, whose weight is the likelihood ratio exp(-2c S_tau).
+    """
+    paths = path_block(grid, drift, n_steps, m, rng)
     occurred, idx = detect(paths)
-    w = np.where(occurred, np.exp(-2.0 * c * paths[np.arange(m), idx]), 0.0)
+    w = np.where(occurred, np.exp(-(drift + c) * paths[np.arange(m), idx]), 0.0)
     assert np.isfinite(w).all()
     return occurred, idx, w
 
@@ -148,17 +163,14 @@ def estimate(
     infinite-horizon probability is underestimated) and bounded by
     ``horizon_bias_bound``.
     """
-    if method not in ("crude", "tilted"):
+    drifts = {"crude": -params.c, "tilted": params.c}
+    if method not in drifts:
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
-    _check_horizon(params, horizon)
     detect, n_steps = _setup(variant, params, grid, variant_params, horizon)
 
     def worker(m, rng):
-        if method == "crude":
-            s = float(detect(path_block(grid, -params.c, n_steps, m, rng))[0].sum())
-            return s, s
-        _, _, w = _tilted_block(detect, grid, params.c, n_steps, m, rng)
+        _, _, w = _weighted_block(detect, grid, params.c, drifts[method], n_steps, m, rng)
         return float(w.sum()), float((w * w).sum())
 
     value, std_error = _mean_se(_run_blocks(n, seed, worker, threads), n)
@@ -197,7 +209,7 @@ def ruin_time_distribution(
     detect, n_steps = _setup(variant, params, grid, variant_params, default_horizon(params, 1.5))
 
     def worker(m, rng):
-        occurred, idx, w = _tilted_block(detect, grid, params.c, n_steps, m, rng)
+        occurred, idx, w = _weighted_block(detect, grid, params.c, params.c, n_steps, m, rng)
         rows = np.flatnonzero(occurred)
         return to_s(idx[rows] * grid.delta), w[rows]
 

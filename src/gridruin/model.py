@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -159,19 +160,21 @@ def _run_blocks(n: int, seed: int, worker, threads: int = 1) -> list:
 
     Block b covers replicates [b * BLOCK_SIZE, ...) and owns the stream
     ``make_rng(seed, b)``, so the results are the same for any ``threads``.
+    A block's stream is built when the block is submitted, and at most
+    ``threads + 1`` blocks are in flight, so the streams held do not grow with n.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    jobs = [
-        (min(BLOCK_SIZE, n - start), make_rng(seed, b))
-        for b, start in enumerate(range(0, n, BLOCK_SIZE))
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda job: worker(*job), jobs))
-    return [worker(m, rng) for m, rng in jobs]
+    results, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for b, start in enumerate(range(0, n, BLOCK_SIZE)):
+            if len(pending) > threads:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(worker, min(BLOCK_SIZE, n - start), make_rng(seed, b)))
+        results.extend(future.result() for future in pending)
+    return results
 
 
 def _mean_se(parts, n: int) -> tuple[float, float]:
@@ -196,13 +199,17 @@ def default_horizon(params: ModelParams, window_mult: float = 1.0) -> float:
     return max(params.u / params.c + window_mult * math.sqrt(ug) * math.log(ug), 10.0 / params.c)
 
 
-def _check_horizon(params: ModelParams, horizon: float) -> None:
-    """Reject a negative or non-finite horizon; warn when it is below ``default_horizon``."""
+def _check_horizon(params: ModelParams, horizon: float, stacklevel: int) -> None:
+    """Reject a negative or non-finite horizon; warn when it is below ``default_horizon``.
+
+    ``stacklevel`` goes to ``warnings.warn``; each caller picks it so that
+    the warning points at the line that called the public function.
+    """
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     if horizon < default_horizon(params) - 1e-9:
         warnings.warn(
             f"horizon {horizon:.3g} is below the recommended {default_horizon(params):.3g}; "
             "the result understates the infinite-horizon probability",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )

@@ -5,7 +5,9 @@ on stdout (visible with `pytest -s` or in captured output on failure), so a
 full run doubles as a checklist.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,18 @@ from gridruin.estimators import (
 )
 from gridruin import cli
 from gridruin.model import Grid, ModelParams, VariantParams, default_horizon, make_rng, path_block
+
+
+def _load_reference():
+    """The benchmark's exact Spitzer-series constants, loaded by path (it imports no gridruin)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -94,12 +108,22 @@ def pickands_pairs():
 
 def test_04_pickands_representations_agree(pickands_pairs):
     ok = True
-    worst = 0.0
+    worst = worst_exact = 0.0
     for eta, (dy, diff) in pickands_pairs.items():
         z = abs(dy.estimate - diff.estimate) / math.hypot(dy.std_error, diff.std_error)
         worst = max(worst, z)
         ok &= z < 3.0
-    report(4, ok, f"dy vs diff at eta in (0.25, 0.5, 1.0): worst |z|={worst:.2f} (<3)")
+        exact = reference.pickands_exact(eta)
+        for est in (dy, diff):
+            z = abs(est.estimate - exact) / est.std_error
+            worst_exact = max(worst_exact, z)
+            ok &= z < 3.0
+    report(
+        4,
+        ok,
+        f"dy vs diff at eta in (0.25, 0.5, 1.0): worst |z|={worst:.2f} (<3); "
+        f"each vs the exact Spitzer series: worst |z|={worst_exact:.2f} (<3)",
+    )
 
 
 def test_05_pickands_bounds(pickands_pairs):
@@ -138,8 +162,14 @@ def test_07_cumulative_reductions():
     b0 = berman(0.5, 0, trunc=40.0, n=200_000, seed=503)
     h = pickands_dy(0.5, trunc=20.0, n=200_000, seed=504)
     z = abs(b0.estimate - h.estimate) / math.hypot(b0.std_error, h.std_error)
-    ok = decisions_equal and z < 3.0
-    report(7, ok, f"k=0 decisions identical; B(0)={b0.estimate:.4f} vs H={h.estimate:.4f}, |z|={z:.2f} (<3)")
+    z_exact = abs(b0.estimate - reference.berman_exact(0.5, 0)) / b0.std_error
+    ok = decisions_equal and z < 3.0 and z_exact < 3.0
+    report(
+        7,
+        ok,
+        f"k=0 decisions identical; B(0)={b0.estimate:.4f} vs H={h.estimate:.4f}, |z|={z:.2f} (<3); "
+        f"vs the exact Spitzer series |z|={z_exact:.2f} (<3)",
+    )
 
 
 def test_09_classical_asymptotic_ratio():

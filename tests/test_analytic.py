@@ -126,8 +126,9 @@ class TestDpOracle:
 
     def test_short_horizon_warns(self):
         p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
-        with pytest.warns(UserWarning, match="below the recommended"):
+        with pytest.warns(UserWarning, match="below the recommended") as caught:
             dp_classical_ruin(p, g, 10)
+        assert caught[0].filename == __file__  # points at the caller of dp_classical_ruin
 
     def test_under_resolved_state_grid_raises(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)

@@ -306,6 +306,8 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         # 100 rows of 10^12 steps, 728 TiB: more than the address space, so the
         # allocation fails at once
         (["estimate", "--c", "1", "--u", "1e9", "--delta", "1e-3", "--n", "100"], None),
+        # u/c overflows, so the ruin-time horizon is infinite
+        (["ruin-time", "--c", "1e-300", "--u", "1e10", "--delta", "0.1", "--n", "10"], None),
     ],
     ids=[
         "zero-n",
@@ -326,6 +328,7 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "ruin-time-cache-flag",
         "constant-threads-flag",
         "oversized-request",
+        "ruin-time-infinite-horizon",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):

@@ -299,6 +299,19 @@ class TestCache:
         reloaded = ConstantCache(path)
         assert len(reloaded) == 1
         assert reloaded.lookup(key).estimate == value.estimate
+        # the record is the key, the value and the checksum, nothing that
+        # differs between two identical runs
+        rec = json.loads(path.read_text())
+        assert set(rec) == {
+            "kind", "eta", "trunc", "n_samples", "seed", "a", "T", "k",
+            "estimate", "std_error", "boundary_fraction", "checksum",
+        }
+        # a line with an extra field, such as a wall-clock timestamp, still loads
+        del rec["checksum"]
+        rec["timestamp"] = "2026-01-01T00:00:00"
+        rec["checksum"] = _checksum(rec)
+        path.write_text(json.dumps(rec) + "\n")
+        assert ConstantCache(path).lookup(key).estimate == value.estimate
 
     def test_corrupt_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "cache.jsonl"

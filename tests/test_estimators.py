@@ -153,8 +153,9 @@ class TestEstimate:
 
     def test_short_horizon_warns(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
-        with pytest.warns(UserWarning, match="horizon"):
+        with pytest.warns(UserWarning, match="horizon") as caught:
             estimate("classical", p, g, horizon=1.0, n=1000, seed=0)
+        assert caught[0].filename == __file__  # points at the caller of estimate
 
     def test_config_validation(self):
         p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
@@ -164,7 +165,7 @@ class TestEstimate:
             estimate("classical", p, g, method="magic", n=10)
         with pytest.raises(ValueError):
             estimate("upside-down", p, g, n=10)
-        for horizon in (math.inf, math.nan, -1.0):
+        for horizon in (math.inf, math.nan, -1.0, 0.0):
             with pytest.raises(ValueError, match="horizon"):
                 estimate("classical", p, g, horizon=horizon, n=10)
         for variant in ("reflected", "parisian", "cumulative"):

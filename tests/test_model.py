@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gridruin import constants, estimators, model
 from gridruin.model import (
     Grid,
     ModelParams,
@@ -60,6 +61,12 @@ class TestParams:
         with pytest.raises(ValueError):
             g.points(VariantParams(parisian_T=0.35).parisian_T)
         assert g.points(VariantParams(parisian_T=0.3).parisian_T) == 3
+
+    def test_variant_tables_share_keys(self):
+        # the parameter field, the detector and the constant keys of a variant
+        # are looked up by name in three tables; a name missing from one of
+        # them would only show as a KeyError at run time
+        assert set(model._VARIANT_FIELDS) == set(estimators._DETECTORS) == set(constants._MODEL_KEYS)
 
 
 class TestRng:
@@ -143,3 +150,22 @@ class TestDefaultHorizon:
     def test_rejects_nonpositive_mult(self):
         with pytest.raises(ValueError):
             default_horizon(ModelParams(c=1.0, u=1.0), 0.0)
+
+
+class TestRunBlocks:
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_streams_built_only_for_blocks_in_flight(self, monkeypatch, threads):
+        built = []
+
+        def counting_make_rng(seed, block):
+            built.append(block)
+            return make_rng(seed, block)
+
+        def failing_worker(m, rng):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(model, "make_rng", counting_make_rng)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            model._run_blocks(10**9, 0, failing_worker, threads)
+        # 10^9 replicates are 122,071 blocks; only those in flight get a stream
+        assert len(built) <= threads + 1
