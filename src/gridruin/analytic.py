@@ -2,7 +2,10 @@
 
 The DP oracle computes the classical grid ruin probability by propagating the
 sub-density of the random walk restricted below the barrier, which gives an
-independent deterministic cross-check for the Monte Carlo estimators.
+independent deterministic cross-check for the Monte Carlo estimators.  On its
+uniform state grid the one-step kernel is a Toeplitz matrix times the
+quadrature weights, so each step is one FFT convolution with a fixed kernel
+row: O(N log N) time per step and O(N) memory for N state points.
 """
 
 from __future__ import annotations
@@ -82,7 +85,14 @@ def _ruin_time_scale(params: ModelParams):
     """The map tau -> c^(3/2) (tau - u/c) / sqrt(u) onto the scale of the normal limit."""
     if params.u <= 0:
         raise ValueError(f"the ruin-time scale requires u > 0, got u={params.u}")
-    scale = params.c**1.5 / math.sqrt(params.u)
+    try:
+        scale = params.c**1.5 / math.sqrt(params.u)
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise ValueError(
+            f"the ruin-time scale c^1.5/sqrt(u) is not finite for c={params.c}, u={params.u}"
+        )
     center = params.u / params.c
     return lambda tau: scale * (tau - center)
 
@@ -118,6 +128,18 @@ def _default_state_lo(params: ModelParams, horizon: float) -> float:
     return min(drift_low, tilt_low)
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2-3-5-smooth integer >= n, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def dp_classical_ruin(
     params: ModelParams,
     grid: Grid,
@@ -128,9 +150,13 @@ def dp_classical_ruin(
 
     The sub-density of S_n restricted to (state_lo, u] is pushed forward one
     step at a time through the Gaussian increment kernel on a uniform state
-    grid with composite Simpson weights.  Mass crossing the barrier
-    accumulates into the ruin probability; mass leaving through the floor is
-    tracked and the total balance is checked against ``_MASS_TOLERANCE``.
+    grid with composite Simpson weights.  The kernel entry for states x_i, x_j
+    depends only on i - j, so a step is the convolution of the weighted
+    density with one kernel row, done by FFT with the row's transform computed
+    once per call: O(N log N) per step and O(N) memory, no N x N matrix.
+    Mass crossing the barrier accumulates into the ruin probability; mass
+    leaving through the floor is tracked and the total balance is checked
+    against ``_MASS_TOLERANCE``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -152,8 +178,13 @@ def dp_classical_ruin(
     w[1::2] = 4.0 * h / 3.0
     w[0] = w[-1] = h / 3.0
 
-    # One-step transition: column j (state x_j, weight w_j) -> row i.
-    kernel = norm_pdf((x[:, None] - x[None, :] + c * delta) / sigma) / sigma * w[None, :]
+    # One-step transition f_i <- sum_j row[i - j] w_j f_j over the 2N - 1 lags
+    # i - j = -(N-1) .. N-1: a linear convolution whose middle N outputs are
+    # free of wrap-around for any FFT length >= 2N - 1.
+    row = norm_pdf((np.arange(1 - n_nodes, n_nodes) * h + c * delta) / sigma) / sigma
+    n_fft = _fft_length(2 * n_nodes - 1)
+    row_hat = np.fft.rfft(row, n_fft)
+    middle = slice(n_nodes - 1, 2 * n_nodes - 1)
     p_ruin_from = norm_sf((u - x + c * delta) / sigma) * w
     p_floor_from = norm_cdf((lo - x + c * delta) / sigma) * w
 
@@ -165,7 +196,7 @@ def dp_classical_ruin(
     for _ in range(n_steps - 1):
         ruin += float(p_ruin_from @ f)
         below += float(p_floor_from @ f)
-        f = kernel @ f
+        f = np.fft.irfft(np.fft.rfft(w * f, n_fft) * row_hat, n_fft)[middle]
 
     survived = float(w @ f)
     balance = ruin + below + survived

@@ -26,7 +26,7 @@ __all__ = [
     "default_horizon",
 ]
 
-_MASK64 = (1 << 64) - 1
+_KEY_LIMIT = 1 << 64  # a Philox key word holds 64 bits
 
 # Replicates per block of the stream layout: block b holds replicates
 # [b * BLOCK_SIZE, ...) on make_rng(seed, b).  Every Monte Carlo output is a
@@ -127,11 +127,15 @@ def make_rng(seed: int, replicate_id: int) -> np.random.Generator:
     The stream is a pure function of ``(seed, replicate_id)``: Philox is
     keyed directly with the pair, so distinct ids give statistically
     independent streams and reproduction does not depend on how many other
-    streams exist or in which order they are consumed.
+    streams exist or in which order they are consumed.  Both must lie in
+    [0, 2**64), the range of a Philox key word, so distinct pairs never share
+    a stream.
     """
-    if replicate_id < 0:
-        raise ValueError(f"replicate_id must be nonnegative, got {replicate_id}")
-    key = np.array([seed & _MASK64, replicate_id & _MASK64], dtype=np.uint64)
+    if not 0 <= seed < _KEY_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if not 0 <= replicate_id < _KEY_LIMIT:
+        raise ValueError(f"replicate_id must lie in [0, 2**64), got {replicate_id}")
+    key = np.array([seed, replicate_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gridruin.analytic import (
     DpOracleConfig,
     QuadratureMassError,
+    _default_state_lo,
     crossing_after,
     dp_classical_ruin,
     norm_cdf,
@@ -86,6 +88,31 @@ class TestRuinTimeCdf:
         with pytest.raises(ValueError):
             ruin_time_cdf_approx(1.0, ModelParams(c=1.0, u=0.0))
 
+    @pytest.mark.parametrize("c, u", [(1e300, 1e-300), (1e200, 1e-300)])
+    def test_overflowing_scale_rejected(self, c, u):
+        # c**1.5 overflows (an OverflowError) or the ratio does (inf)
+        with pytest.raises(ValueError, match=r"c=1e\+\d+, u=1e-300"):
+            ruin_time_cdf_approx(1.0, ModelParams(c=c, u=u))
+
+
+def _dense_dp_ruin(params, grid, n_steps, state_points):
+    """Reference oracle: the same recursion with the one-step kernel as a dense matrix."""
+    u, c, delta = params.u, params.c, grid.delta
+    sigma = math.sqrt(delta)
+    x = np.linspace(_default_state_lo(params, n_steps * delta), u, state_points | 1)
+    h = x[1] - x[0]
+    w = np.full(x.size, 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[0] = w[-1] = h / 3.0
+    kernel = norm_pdf((x[:, None] - x[None, :] + c * delta) / sigma) / sigma * w[None, :]
+    p_ruin_from = norm_sf((u - x + c * delta) / sigma) * w
+    ruin = float(norm_sf((u + c * delta) / sigma))
+    f = norm_pdf((x + c * delta) / sigma) / sigma
+    for _ in range(n_steps - 1):
+        ruin += float(p_ruin_from @ f)
+        f = kernel @ f
+    return ruin
+
 
 class TestDpOracle:
     def test_single_step_closed_form(self):
@@ -93,6 +120,44 @@ class TestDpOracle:
         with pytest.warns(UserWarning):  # horizon of a single step is tiny
             val = dp_classical_ruin(ModelParams(c=1.0, u=1.0), Grid(1.0), 1)
         assert val == pytest.approx(float(norm_sf(2.0)), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "u, c, delta, n_steps, recorded",
+        [
+            (4.0, 1.0, 0.1, 100, 0.00022832562677911844),
+            (2.0, 1.0, 0.05, 200, 0.014091234598164318),
+            (1.0, 0.5, 0.05, 400, 0.32172711806984566),
+        ],
+    )
+    def test_recorded_values(self, u, c, delta, n_steps, recorded):
+        # perfbench/reference.py's DP_RECORDED, computed with a dense kernel;
+        # a wrong lag sign or slice offset in the FFT step moves them by far
+        # more than 1e-9
+        val = dp_classical_ruin(ModelParams(c=c, u=u), Grid(delta), n_steps)
+        assert abs(val - recorded) < 1e-9
+
+    @pytest.mark.parametrize(
+        "u, c, delta, state_points",
+        [(0.5, 1.0, 0.2, 1024), (2.0, 2.0, 0.1, 512), (3.0, 2.0, 0.05, 512)],
+    )
+    def test_matches_dense_kernel(self, u, c, delta, state_points):
+        # FFT round-off is a few ulp of the largest term, far below 1e-12
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        n = g.n_steps_for(default_horizon(p))
+        val = dp_classical_ruin(p, g, n, DpOracleConfig(state_points=state_points))
+        assert abs(val - _dense_dp_ruin(p, g, n, state_points)) < 1e-12
+
+    def test_memory_linear_in_state_points(self):
+        # a dense one-step kernel at 4097 nodes would take 134 MB
+        p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
+        n = g.n_steps_for(default_horizon(p))
+        tracemalloc.start()
+        try:
+            dp_classical_ruin(p, g, n, DpOracleConfig(state_points=4096))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 8 * 4097
 
     def test_zero_steps(self):
         with pytest.warns(UserWarning):

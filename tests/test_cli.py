@@ -308,6 +308,12 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         (["estimate", "--c", "1", "--u", "1e9", "--delta", "1e-3", "--n", "100"], None),
         # u/c overflows, so the ruin-time horizon is infinite
         (["ruin-time", "--c", "1e-300", "--u", "1e10", "--delta", "0.1", "--n", "10"], None),
+        # c^1.5 overflows a float
+        (["ruin-time", "--c", "1e300", "--u", "1e-300", "--delta", "0.1", "--n", "10"], None),
+        # seeds that 64-bit masking would alias to 2^64 - 1 and to 0
+        ([*ESTIMATE_HEAD, "--seed", "-1"], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "1000",
+          "--seed", "18446744073709551616"], None),
     ],
     ids=[
         "zero-n",
@@ -329,6 +335,9 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "constant-threads-flag",
         "oversized-request",
         "ruin-time-infinite-horizon",
+        "ruin-time-scale-overflow",
+        "negative-seed",
+        "seed-beyond-64-bits",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):

@@ -84,6 +84,15 @@ class TestRng:
         with pytest.raises(ValueError):
             make_rng(7, -1)
 
+    @pytest.mark.parametrize("seed, replicate_id", [(-1, 0), (2**64, 0), (7, 2**64)])
+    def test_key_outside_64_bits_rejected(self, seed, replicate_id):
+        # masking to 64 bits would alias -1 to 2**64 - 1 and 2**64 to 0
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            make_rng(seed, replicate_id)
+
+    def test_largest_seed_accepted(self):
+        assert make_rng(2**64 - 1, 0).standard_normal() != make_rng(0, 0).standard_normal()
+
 
 class TestSimulatePath:
     """Single-path edge cases, on one-row blocks."""
