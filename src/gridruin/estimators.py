@@ -8,6 +8,19 @@ shared by all four ruin variants, so ruin becomes a typical event while the
 estimator stays exactly unbiased for the ruin-by-horizon probability.
 Crude sampling is the same weighted sampler at the true drift -c, where
 every weight exp(-(drift + c) * S_tau) is exactly 1.
+
+Paths are simulated a chunk at a time.  A block of up to ``BLOCK_SIZE``
+paths advances ``_CHUNK`` grid steps per chunk, carrying each live path's
+level and detector state (running minimum, run length, exceedance count)
+from one chunk to the next.  A path is dropped as soon as it is detected,
+with its ruin index and weight recorded, so the tilted sampler, which
+ruins nearly every path around the middle of the horizon, draws no normals
+past ruin.  Each chunk draws (live paths, chunk steps) normals from the
+block's stream in row order, so every estimate is a pure function of
+``(seed, n, params)`` for any thread count.  A block holds
+O(BLOCK_SIZE x _CHUNK) values whatever the horizon or grid step, and a
+request whose worst case, n paths all run to the horizon, exceeds
+``_MAX_NORMALS`` normals is refused before the first draw.
 """
 
 from __future__ import annotations
@@ -24,11 +37,11 @@ from .model import (
     ModelParams,
     VariantParams,
     _check_horizon,
+    _increments,
     _mean_se,
     _run_blocks,
     _variant_value,
     default_horizon,
-    path_block,
 )
 
 __all__ = [
@@ -57,21 +70,97 @@ class Estimate:
 
 
 # ---------------------------------------------------------------------------
-# Detectors.  Matrix versions take a block of paths, shape (m, n_steps + 1)
-# with column i the walk value at grid point i, and return (occurred, idx).
+# Detectors.  Each variant has one step: (levels, u, p, state, scratch) ->
+# (qualifies, state).  ``levels[j, r]`` is path r at the j-th of some
+# consecutive grid points (time-major, so each grid point is one contiguous
+# row and the carried quantities update one vector operation per point);
+# ``state[r]`` is what the variant carries from the points before them (the
+# running minimum, the current run length, the exceedance count), and
+# ``qualifies[j, r]`` says whether ruin holds there.  ``scratch`` lends the
+# step its work arrays.  The public ``detect_<v>_matrix(paths, ...)`` is one
+# step over whole paths (one row per path) from the initial state, returning
+# (occurred, idx) with idx the first qualifying column (0 where none).
+
+
+class _Scratch:
+    """Work arrays reused by every chunk of a block, each viewed at the chunk's shape.
+
+    A fresh (16, 8192) float64 array is 1 MB, past glibc's default mmap
+    threshold, so allocating one per chunk would cost an mmap and its page
+    faults each time.
+    """
+
+    _DTYPES = {"level": np.float64, "float": np.float64, "int": np.int64, "hit": bool}
+
+    def __init__(self, size):
+        self._size, self._flat = size, {}
+
+    def __call__(self, name, shape):
+        if name not in self._flat:
+            self._flat[name] = np.empty(self._size, self._DTYPES[name])
+        return self._flat[name][: shape[0] * shape[1]].reshape(shape)
+
+
+def _classical_step(levels, u, _, state, scratch):
+    return np.greater(levels, u, out=scratch("hit", levels.shape)), state
+
+
+def _reflected_step(levels, u, gamma, low, scratch):
+    """Ruin once S - gamma * (running minimum of S) exceeds u; carries the running minimum."""
+    reflected = scratch("float", levels.shape)
+    for j, level in enumerate(levels):
+        low = np.minimum(low, level, out=reflected[j])
+    low = low.copy()
+    reflected *= gamma
+    np.subtract(levels, reflected, out=reflected)
+    return np.greater(reflected, u, out=scratch("hit", levels.shape)), low
+
+
+def _parisian_step(levels, u, window_pts, run, scratch):
+    """Ruin once ``window_pts`` consecutive points exceed u; carries the current run length."""
+    exceed = np.greater(levels, u, out=scratch("hit", levels.shape))
+    runs = scratch("int", levels.shape)
+    for j, above in enumerate(exceed):
+        run = np.add(run, 1, out=runs[j])
+        run *= above
+    return np.greater_equal(runs, window_pts, out=exceed), run.copy()
+
+
+def _cumulative_step(levels, u, k, count, scratch):
+    """Ruin once more than k points exceed u (not necessarily consecutive); carries the count."""
+    exceed = np.greater(levels, u, out=scratch("hit", levels.shape))
+    counts = scratch("int", levels.shape)
+    for j, above in enumerate(exceed):
+        count = np.add(count, above, out=counts[j])
+    return np.greater(counts, k, out=exceed), count.copy()
+
+
+# variant -> (step, initial state, windowed).  A windowed variant's parameter
+# is its window in grid points, T/delta + 1, and its paths run window - 1
+# steps past the horizon so that a run starting there can end.
+_DETECTORS = {
+    "classical": (_classical_step, 0, False),
+    "reflected": (_reflected_step, np.inf, False),
+    "parisian": (_parisian_step, 0, True),
+    "cumulative": (_cumulative_step, 0, False),
+}
+VARIANTS = tuple(_DETECTORS)
+
+
+def _one_chunk(variant, paths, u, p):
+    step, initial, _ = _DETECTORS[variant]
+    qualifies, _ = step(paths.T, u, p, np.full(len(paths), initial), _Scratch(paths.size))
+    return qualifies.any(axis=0), qualifies.argmax(axis=0)
 
 
 def detect_classical_matrix(paths: np.ndarray, u: float):
-    exceed = paths > u
-    occurred = exceed.any(axis=1)
-    return occurred, exceed.argmax(axis=1)
+    return _one_chunk("classical", paths, u, None)
 
 
 def detect_reflected_matrix(paths: np.ndarray, u: float, gamma: float):
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    reflected = paths - gamma * np.minimum.accumulate(paths, axis=1)
-    return detect_classical_matrix(reflected, u)
+    return _one_chunk("reflected", paths, u, gamma)
 
 
 def detect_parisian_matrix(paths: np.ndarray, u: float, window_pts: int):
@@ -82,44 +171,41 @@ def detect_parisian_matrix(paths: np.ndarray, u: float, window_pts: int):
     """
     if window_pts < 1:
         raise ValueError("window_pts must be >= 1")
-    exceed = paths > u
-    idx = np.arange(paths.shape[1])
-    # run length ending at column j: j minus the last non-exceedance index
-    last_gap = np.maximum.accumulate(np.where(~exceed, idx, -1), axis=1)
-    qualifies = (idx - last_gap) >= window_pts
-    return qualifies.any(axis=1), qualifies.argmax(axis=1)
+    return _one_chunk("parisian", paths, u, window_pts)
 
 
 def detect_cumulative_matrix(paths: np.ndarray, u: float, k: int):
     """Ruin once the number of grid exceedances exceeds k (not consecutive)."""
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    count = np.cumsum(paths > u, axis=1)
-    qualifies = count > k
-    return qualifies.any(axis=1), qualifies.argmax(axis=1)
+    return _one_chunk("cumulative", paths, u, k)
 
 
-# variant -> (detector(paths, u, p), windowed), p the variant's parameter.  A
-# windowed variant's p is its window in grid points, T/delta + 1, and its paths
-# run window - 1 steps past the horizon so that a run starting there can end.
-_DETECTORS = {
-    "classical": (lambda paths, u, _: detect_classical_matrix(paths, u), False),
-    "reflected": (lambda paths, u, gamma: detect_reflected_matrix(paths, u, gamma), False),
-    "parisian": (lambda paths, u, window: detect_parisian_matrix(paths, u, window), True),
-    "cumulative": (lambda paths, u, k: detect_cumulative_matrix(paths, u, k), False),
-}
-VARIANTS = tuple(_DETECTORS)
+# Grid steps a block advances per chunk.  A block's work arrays hold
+# BLOCK_SIZE x (_CHUNK + 1) values whatever the horizon.  Shorter chunks pay
+# the fixed numpy calls of a chunk more often; in longer ones a ruined path
+# draws more steps past ruin ((_CHUNK - 1) / 2 on average) and the arrays
+# outgrow the cache.  Of 8, 16, 32 and 64, 16 was fastest on tilted
+# estimates, a ruin-time sample and a crude estimate (2-vCPU VM).
+_CHUNK = 16
+
+# Most normals one request may draw, n * n_steps (every path to the
+# horizon).  2**40 is about eight hours of one core at the 4e7 normals/s of a
+# 2-vCPU Xeon VM and far above any documented command, so an impossible
+# request fails before its first draw.
+_MAX_NORMALS = 2**40
 
 
-def _setup(variant, params, grid, variant_params, horizon):
-    """The variant's detector bound to its parameter, and the path length in steps.
+def _setup(variant, params, grid, variant_params, horizon, n):
+    """The variant's step bound to u and its parameter, its initial state, and the path length in steps.
 
     The one gate for every simulated horizon: it must be finite and cover a
-    grid step, and one below ``default_horizon`` warns at the caller of the
-    public estimator.
+    grid step, one below ``default_horizon`` warns at the caller of the
+    public estimator, and n paths of that length may draw at most
+    ``_MAX_NORMALS`` normals.
     """
     p = _variant_value(variant, variant_params)
-    detector, windowed = _DETECTORS[variant]
+    step, initial, windowed = _DETECTORS[variant]
     if math.isfinite(horizon) and grid.n_steps_for(horizon) < 1:
         raise ValueError(f"horizon {horizon} covers no grid step of {grid.delta}")
     _check_horizon(params, horizon, stacklevel=4)
@@ -127,20 +213,74 @@ def _setup(variant, params, grid, variant_params, horizon):
     if windowed:
         p = grid.points(p) + 1
         n_steps += p - 1
-    return (lambda paths: detector(paths, params.u, p)), n_steps
+    if n * n_steps > _MAX_NORMALS:
+        raise ValueError(
+            f"{n} paths of {n_steps} steps may draw {n * n_steps:.3g} normals, "
+            f"more than the limit of {_MAX_NORMALS:.3g}"
+        )
+    return (lambda levels, state, scratch: step(levels, params.u, p, state, scratch)), initial, n_steps
 
 
-def _weighted_block(detect, grid, c, drift, n_steps, m, rng):
+def _run_chunks(step, state, n_steps, fill, tilt):
+    """(occurred, idx, w) of paths over grid points 0..n_steps, advanced a chunk at a time.
+
+    ``state`` holds the step's initial state, one entry per path.
+    ``fill(rows, start, out)`` writes the levels of the paths ``rows`` at
+    grid points start, start + 1, ... into the time-major ``out`` (one row
+    per point).  The first chunk covers point 0 and _CHUNK steps, every
+    later one the next _CHUNK steps.  A detected path records its first
+    qualifying index and its weight w = exp(-tilt * S_idx), and is dropped,
+    so later chunks fill only the paths still live; w = 0 for a path that
+    never qualifies.
+    """
+    m = state.size
+    occurred, idx, w = np.zeros(m, bool), np.zeros(m, np.int64), np.zeros(m)
+    rows = np.arange(m)
+    scratch = _Scratch(m * (_CHUNK + 1))
+    start = 0
+    while rows.size and start <= n_steps:
+        stop = min(max(start, 1) + _CHUNK, n_steps + 1)
+        levels = scratch("level", (stop - start, rows.size))
+        fill(rows, start, levels)
+        qualifies, state = step(levels, state, scratch)
+        hit = qualifies.any(axis=0)
+        if hit.any():
+            j = qualifies[:, hit].argmax(axis=0)
+            ruined = rows[hit]
+            occurred[ruined] = True
+            idx[ruined] = start + j
+            w[ruined] = np.exp(-tilt * levels[j, np.flatnonzero(hit)])
+            live = ~hit
+            rows, state = rows[live], state[live]
+        start = stop
+    assert np.isfinite(w).all()
+    return occurred, idx, w
+
+
+def _weighted_block(detect, initial, grid, c, drift, n_steps, m, rng):
     """(occurred, idx, w) of a block under ``drift``; w = exp(-(drift + c) S_tau) if ruined, else 0.
 
     drift -c is crude sampling (every weight is exactly 1); drift +c is the
     tilted sampler, whose weight is the likelihood ratio exp(-2c S_tau).
+    Each chunk draws (live paths, chunk steps) normals from ``rng`` in row
+    order into one buffer reused for the whole block, so the block's stream
+    is consumed chunk by chunk and no chunk allocates a path matrix.
     """
-    paths = path_block(grid, drift, n_steps, m, rng)
-    occurred, idx = detect(paths)
-    w = np.where(occurred, np.exp(-(drift + c) * paths[np.arange(m), idx]), 0.0)
-    assert np.isfinite(w).all()
-    return occurred, idx, w
+    level = np.zeros(m)
+    normals = np.empty(m * _CHUNK)
+
+    def fill(rows, start, out):
+        prev = level[rows]
+        if start == 0:
+            out[0] = prev
+        steps = out[(start == 0):]
+        z = normals[: rows.size * len(steps)].reshape(rows.size, len(steps))
+        _increments(grid, drift, rng.standard_normal(out=z))
+        for j, row in enumerate(steps):
+            prev = np.add(prev, z[:, j], out=row)
+        level[rows] = prev
+
+    return _run_chunks(detect, np.full(m, initial), n_steps, fill, drift + c)
 
 
 def estimate(
@@ -167,10 +307,10 @@ def estimate(
     if method not in drifts:
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
-    detect, n_steps = _setup(variant, params, grid, variant_params, horizon)
+    detect, initial, n_steps = _setup(variant, params, grid, variant_params, horizon, n)
 
     def worker(m, rng):
-        _, _, w = _weighted_block(detect, grid, params.c, drifts[method], n_steps, m, rng)
+        _, _, w = _weighted_block(detect, initial, grid, params.c, drifts[method], n_steps, m, rng)
         return float(w.sum()), float((w * w).sum())
 
     value, std_error = _mean_se(_run_blocks(n, seed, worker, threads), n)
@@ -206,10 +346,12 @@ def ruin_time_distribution(
             "only meaningful for large u",
             stacklevel=2,
         )
-    detect, n_steps = _setup(variant, params, grid, variant_params, default_horizon(params, 1.5))
+    detect, initial, n_steps = _setup(
+        variant, params, grid, variant_params, default_horizon(params, 1.5), n
+    )
 
     def worker(m, rng):
-        occurred, idx, w = _weighted_block(detect, grid, params.c, params.c, n_steps, m, rng)
+        occurred, idx, w = _weighted_block(detect, initial, grid, params.c, params.c, n_steps, m, rng)
         rows = np.flatnonzero(occurred)
         return to_s(idx[rows] * grid.delta), w[rows]
 

@@ -29,7 +29,9 @@ __all__ = [
 _KEY_LIMIT = 1 << 64  # a Philox key word holds 64 bits
 
 # Replicates per block of the stream layout: block b holds replicates
-# [b * BLOCK_SIZE, ...) on make_rng(seed, b).  Every Monte Carlo output is a
+# [b * BLOCK_SIZE, ...) on make_rng(seed, b).  The ruin estimators consume a
+# block's stream chunk by chunk, drawing (live paths, chunk steps) normals in
+# row order for the paths not yet ruined.  Every Monte Carlo output is a
 # function of this layout, so changing it changes every printed number.
 BLOCK_SIZE = 8192
 
@@ -152,11 +154,16 @@ def path_block(
     paths = np.empty((n_paths, n_steps + 1))
     paths[:, 0] = 0.0
     if n_steps:
-        z = rng.standard_normal((n_paths, n_steps))
-        z *= math.sqrt(grid.delta)
-        z += drift * grid.delta
+        z = _increments(grid, drift, rng.standard_normal((n_paths, n_steps)))
         np.cumsum(z, axis=1, out=paths[:, 1:])
     return paths
+
+
+def _increments(grid: Grid, drift: float, z: np.ndarray) -> np.ndarray:
+    """Turn standard normals ``z`` in place into walk increments sqrt(delta) * z + drift * delta."""
+    z *= math.sqrt(grid.delta)
+    z += drift * grid.delta
+    return z
 
 
 def _run_blocks(n: int, seed: int, worker, threads: int = 1) -> list:
@@ -165,7 +172,12 @@ def _run_blocks(n: int, seed: int, worker, threads: int = 1) -> list:
     Block b covers replicates [b * BLOCK_SIZE, ...) and owns the stream
     ``make_rng(seed, b)``, so the results are the same for any ``threads``.
     A block's stream is built when the block is submitted, and at most
-    ``threads + 1`` blocks are in flight, so the streams held do not grow with n.
+    ``threads + 1`` blocks are in flight, so the streams held do not grow
+    with n.  The ruin estimators' workers advance their block a chunk of
+    grid steps at a time and drop each path once it is ruined, so a block
+    in flight holds O(BLOCK_SIZE x chunk) values, independent of the
+    horizon and the grid step; memory grows with ``threads``, never with n
+    or the path length.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -303,8 +303,8 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         (["ruin-time", "--c", "1", "--u", "0", "--delta", "0.1", "--n", "100"], None),
         (["ruin-time", "--c", "1", "--u", "15", "--delta", "0.1", "--n", "100", "--cache", "x.jsonl"], None),
         (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "100", "--threads", "2"], None),
-        # 100 rows of 10^12 steps, 728 TiB: more than the address space, so the
-        # allocation fails at once
+        # 100 paths of 10^12 steps, 1e14 normals: over the estimators' work
+        # bound, so the request is refused before the first draw
         (["estimate", "--c", "1", "--u", "1e9", "--delta", "1e-3", "--n", "100"], None),
         # u/c overflows, so the ruin-time horizon is infinite
         (["ruin-time", "--c", "1e-300", "--u", "1e10", "--delta", "0.1", "--n", "10"], None),

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from gridruin import estimators
 from gridruin.analytic import dp_classical_ruin
 from gridruin.estimators import (
     Estimate,
@@ -118,6 +120,49 @@ class TestDetectCumulative:
             detect_cumulative_matrix(np.zeros((1, 3)), u=1.0, k=-1)
 
 
+class TestChunkCarry:
+    """The chunked runner carries each detector's state exactly across chunk edges."""
+
+    @pytest.mark.parametrize("drift", [1.0, -1.0])
+    @pytest.mark.parametrize(
+        "variant, p",
+        [
+            ("classical", None),
+            ("reflected", 0.2),
+            ("reflected", 0.5),
+            ("parisian", 1),
+            ("parisian", 4),
+            ("cumulative", 0),
+            ("cumulative", 2),
+        ],
+    )
+    def test_any_chunk_length_matches_one_chunk(self, variant, p, drift, monkeypatch):
+        m, n_steps, u, tilt = 400, 60, 1.0, drift + 1.0
+        increments = make_rng(12, 0).standard_normal((m, n_steps)) * math.sqrt(0.1) + 0.1 * drift
+        levels = np.concatenate([np.zeros((m, 1)), np.cumsum(increments, axis=1)], axis=1)
+        occurred, idx = getattr(estimators, f"detect_{variant}_matrix")(
+            levels, u, *([] if p is None else [p])
+        )
+        weight = np.where(occurred, np.exp(-tilt * levels[np.arange(m), idx]), 0.0)
+        assert 0 < occurred.sum() < m
+
+        def fill(rows, start, out):
+            out[...] = levels[rows, start : start + len(out)].T
+
+        step, initial, _ = estimators._DETECTORS[variant]
+        for chunk in (1, 7, 16, n_steps):
+            monkeypatch.setattr(estimators, "_CHUNK", chunk)
+            got = estimators._run_chunks(
+                lambda lv, state, scratch: step(lv, u, p, state, scratch),
+                np.full(m, initial),
+                n_steps,
+                fill,
+                tilt,
+            )
+            for name, a, b in zip(("occurred", "idx", "weight"), got, (occurred, idx, weight)):
+                np.testing.assert_array_equal(a, b, err_msg=f"{name}, chunk {chunk}")
+
+
 class TestEstimate:
     def test_crude_vs_tilted(self):
         p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
@@ -156,6 +201,26 @@ class TestEstimate:
         with pytest.warns(UserWarning, match="horizon") as caught:
             estimate("classical", p, g, horizon=1.0, n=1000, seed=0)
         assert caught[0].filename == __file__  # points at the caller of estimate
+
+    @pytest.mark.parametrize("variant, vp", [("classical", None), ("reflected", VariantParams(gamma=0.5))])
+    def test_memory_independent_of_horizon(self, variant, vp):
+        # 3884 steps: a whole-horizon block of 8192 paths would be 254 MB
+        p, g = ModelParams(c=1.0, u=50.0), Grid(0.02)
+        tracemalloc.start()
+        try:
+            estimate(variant, p, g, vp, n=8192, seed=13, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_work_bound_checked_before_drawing(self):
+        # 100 paths of 10^12 steps each
+        p, g = ModelParams(c=1.0, u=1e9), Grid(1e-3)
+        with pytest.raises(ValueError, match="normals"):
+            estimate("classical", p, g, n=100)
+        with pytest.raises(ValueError, match="normals"):
+            ruin_time_distribution("classical", p, g, n=100)
 
     def test_config_validation(self):
         p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
