@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--method", choices=("crude", "tilted"), default="tilted")
     pe.add_argument("--n", type=int, default=None, help="default: crude 10^6, tilted 10^5")
     pe.add_argument("--horizon-mult", type=float, default=1.0)
-    pe.add_argument("--threads", type=int, default=1)
+    pe.add_argument("--threads", type=int, default=None, help="default: every available core")
     _add_common(pe)
 
     pc = sub.add_parser("constant", help="estimate a limiting constant")

@@ -14,6 +14,14 @@ All estimators truncate the grid to a finite window and report a
 ``boundary_fraction`` diagnostic: the fraction of samples whose extremal
 point falls in the outer 10% of the window, which turns the unquantifiable
 truncation bias into an observable warning.
+
+The drivers run their blocks on every available core.  Each block is
+filled and reduced ``_TILE`` rows at a time, so a worker holds a few
+``_TILE`` x window arrays for a one-sided kind (``pickands_diff``,
+``piterbarg``) and, for a two-sided kind, also its block's
+``BLOCK_SIZE`` x n_side right-half normals (6.6 MB for the default window
+at eta = 0.2), never a whole (block, window) field.  A request for more
+than 2**40 normals is refused before the first draw.
 """
 
 from __future__ import annotations
@@ -24,10 +32,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .cache import ConstantCache
-from .model import Grid, ModelParams, VariantParams, _mean_se, _run_blocks, _variant_value
+from .model import (
+    _MAX_NORMALS,
+    Grid,
+    ModelParams,
+    VariantParams,
+    _mean_se,
+    _run_blocks,
+    _variant_value,
+)
 
 __all__ = [
     "ConstantKey",
@@ -130,9 +145,12 @@ class ConstantValue:
 # Field samplers
 
 
-def _walk(out: np.ndarray, eta: float, slope: float, rng: np.random.Generator) -> None:
-    """Fill ``out`` (m, n) with sqrt(2) B(t) - slope*t at t = eta, 2 eta, ..., n eta."""
-    z = rng.standard_normal(out.shape)
+def _walk(out: np.ndarray, z: np.ndarray, eta: float, slope: float) -> None:
+    """Fill ``out`` (m, n) with sqrt(2) B(t) - slope*t at t = eta, 2 eta, ..., n eta.
+
+    ``z`` holds the (m, n) standard normals of B's increments, in row order,
+    and is scaled in place.
+    """
     z *= math.sqrt(eta)
     np.cumsum(z, axis=1, out=out)
     out *= _SQRT2
@@ -145,14 +163,15 @@ def sample_field_two_sided(
     """m samples of W(t) = sqrt(2) B(t) - |t| on the grid [-trunc, trunc].
 
     Returns shape (m, 2*n_side + 1); column n_side is t = 0 where W = 0.
-    The two half-axes use independent Brownian motions (right half drawn
-    first), which is exact since B has independent increments from 0.
+    The two half-axes use independent Brownian motions (right halves of all
+    m rows drawn first), which is exact since B has independent increments
+    from 0.
     """
     n_side = Grid(eta).points(trunc)
     out = np.empty((m, 2 * n_side + 1))
     out[:, n_side] = 0.0
-    _walk(out[:, n_side + 1 :], eta, 1.0, rng)
-    _walk(out[:, :n_side][:, ::-1], eta, 1.0, rng)
+    _walk(out[:, n_side + 1 :], rng.standard_normal((m, n_side)), eta, 1.0)
+    _walk(out[:, :n_side][:, ::-1], rng.standard_normal((m, n_side)), eta, 1.0)
     return out
 
 
@@ -162,7 +181,7 @@ def sample_field_one_sided(
     """m samples of sqrt(2) B(t) - slope*t on the grid [0, length]."""
     out = np.empty((m, Grid(eta).points(length) + 1))
     out[:, 0] = 0.0
-    _walk(out[:, 1:], eta, slope, rng)
+    _walk(out[:, 1:], rng.standard_normal(out[:, 1:].shape), eta, slope)
     return out
 
 
@@ -196,7 +215,15 @@ def parisian_window_values(field: np.ndarray, eta: float, T: float) -> np.ndarra
     w_pts = Grid(eta).points(T) + 1
     if w_pts > field.shape[1]:
         raise ValueError("window longer than the simulated grid")
-    win_min = sliding_window_view(field, w_pts, axis=1).min(axis=2)
+    # Minima over runs of `span` columns, doubling span while it fits in the
+    # window; two overlapping runs of `span` then cover a run of w_pts.
+    # Exact, in O(log w_pts) passes.
+    win_min, span = field, 1
+    while 2 * span <= w_pts:
+        win_min = np.minimum(win_min[:, :-span], win_min[:, span:])
+        span *= 2
+    if span < w_pts:
+        win_min = np.minimum(win_min[:, : span - w_pts], win_min[:, w_pts - span :])
     e = np.exp(field)
     return np.exp(win_min).max(axis=1) / (eta * e.sum(axis=1))
 
@@ -266,29 +293,63 @@ _KINDS = {
 }
 
 
+# Rows of a block filled and reduced at a time.  A worker holds a few
+# _TILE x window arrays (the tile, its normals, the functional's
+# temporaries); a two-sided field adds the block's BLOCK_SIZE x n_side
+# right-half normals.  Fewer rows pay a tile's fixed numpy calls more often,
+# more rows hold more memory.  On the four cold keys of the `constants`
+# benchmark workload (2 threads, 2-vCPU VM, median of three) 128, 256 and
+# 512 rows took 1.73, 1.66 and 1.55 s; 1024 and 2048 were no faster.
+_TILE = 512
+
+
 def _estimate(key: ConstantKey):
     """Shared body of the drivers: the mean of the kind's functional over sampled fields.
 
     Unbiased for the truncated expectation; the boundary fraction is the
-    share of samples near the edge of the window.
+    share of samples near the edge of the window.  A block fills, reduces
+    and drops its fields a tile of rows at a time, drawing the normals of
+    :func:`sample_field_one_sided` / :func:`sample_field_two_sided` in the
+    same order (for two-sided fields the right halves of the whole block
+    first), so every estimate equals the whole-block computation bit for
+    bit.  A request for more than ``_MAX_NORMALS`` normals, n samples of
+    the field's points off the origin, is refused before the first draw.
     """
     spec = _KINDS[key.kind]
     eta, trunc, n = key.eta, key.trunc, key.n_samples
     p = None if spec.param is None else getattr(key, spec.param)
     n_side = Grid(eta).points(trunc)
-    levels = eta * np.arange(-n_side if spec.slope is None else 0, n_side + 1)
+    two_sided = spec.slope is None
+    points = 2 * n_side if two_sided else n_side
+    if n * points > _MAX_NORMALS:
+        raise ValueError(
+            f"{n} samples of {points} field points may draw {n * points:.3g} normals, "
+            f"more than the limit of {_MAX_NORMALS:.3g}"
+        )
+    slope = 1.0 if two_sided else spec.slope(p)
+    levels = eta * np.arange(-n_side if two_sided else 0, n_side + 1)
     outer = np.abs(levels) > 0.9 * trunc
+    origin = n_side if two_sided else 0
 
     def worker(m, rng):
-        if spec.slope is None:
-            field = sample_field_two_sided(eta, trunc, m, rng)
-        else:
-            field = sample_field_one_sided(eta, trunc, m, rng, slope=spec.slope(p))
-        vals = spec.values(field, eta, p)
-        if spec.positive_edge:
-            near_edge = (field[:, outer] > 0.0).any(axis=1)
-        else:
-            near_edge = outer[field.argmax(axis=1)]
+        vals, near_edge = np.empty(m), np.empty(m, bool)
+        tile = np.empty((min(m, _TILE), levels.size))
+        tile[:, origin] = 0.0
+        z = np.empty((len(tile), n_side))
+        right = rng.standard_normal((m, n_side)) if two_sided else None
+        for start in range(0, m, _TILE):
+            rows = slice(start, min(start + _TILE, m))
+            field, zt = tile[: rows.stop - start], z[: rows.stop - start]
+            if two_sided:
+                _walk(field[:, n_side + 1 :], right[rows], eta, slope)
+                _walk(field[:, :n_side][:, ::-1], rng.standard_normal(out=zt), eta, slope)
+            else:
+                _walk(field[:, 1:], rng.standard_normal(out=zt), eta, slope)
+            vals[rows] = spec.values(field, eta, p)
+            if spec.positive_edge:
+                near_edge[rows] = (field[:, outer] > 0.0).any(axis=1)
+            else:
+                near_edge[rows] = outer[field.argmax(axis=1)]
         return float(vals.sum()), float((vals * vals).sum()), int(near_edge.sum())
 
     parts = _run_blocks(n, key.seed, worker)

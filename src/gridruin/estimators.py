@@ -33,6 +33,7 @@ import numpy as np
 
 from .analytic import _ruin_time_scale, crossing_after
 from .model import (
+    _MAX_NORMALS,
     Grid,
     ModelParams,
     VariantParams,
@@ -189,12 +190,6 @@ def detect_cumulative_matrix(paths: np.ndarray, u: float, k: int):
 # estimates, a ruin-time sample and a crude estimate (2-vCPU VM).
 _CHUNK = 16
 
-# Most normals one request may draw, n * n_steps (every path to the
-# horizon).  2**40 is about eight hours of one core at the 4e7 normals/s of a
-# 2-vCPU Xeon VM and far above any documented command, so an impossible
-# request fails before its first draw.
-_MAX_NORMALS = 2**40
-
 
 def _setup(variant, params, grid, variant_params, horizon, n):
     """The variant's step bound to u and its parameter, its initial state, and the path length in steps.
@@ -293,7 +288,7 @@ def estimate(
     horizon: float | None = None,
     n: int = 100_000,
     seed: int = 0,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> Estimate:
     """Unbiased Monte Carlo estimate of the ruin-by-horizon probability.
 
@@ -301,7 +296,8 @@ def estimate(
     ``method='tilted'`` simulates with drift +c and weights detections by
     exp(-2c * S_tau).  The horizon truncation bias is one-sided (the
     infinite-horizon probability is underestimated) and bounded by
-    ``horizon_bias_bound``.
+    ``horizon_bias_bound``.  ``threads`` workers run the blocks, one per
+    available core when None; the estimate is the same for any count.
     """
     drifts = {"crude": -params.c, "tilted": params.c}
     if method not in drifts:
@@ -337,7 +333,8 @@ def ruin_time_distribution(
     Returns ``(s, w)`` with s = c^(3/2) (tau - u/c) / sqrt(u) for each
     detected replicate and w its likelihood-ratio weight; the weighted
     empirical CDF estimates P(normalized ruin time <= s | ruin).  Paths run
-    to ``default_horizon(params, 1.5)``.
+    to ``default_horizon(params, 1.5)``.  The blocks run on every available
+    core; the sample is the same for any count.
     """
     to_s = _ruin_time_scale(params)
     if params.u < 10:

@@ -10,6 +10,7 @@ concurrently or in which order streams are consumed.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +35,13 @@ _KEY_LIMIT = 1 << 64  # a Philox key word holds 64 bits
 # row order for the paths not yet ruined.  Every Monte Carlo output is a
 # function of this layout, so changing it changes every printed number.
 BLOCK_SIZE = 8192
+
+# Most normals one request may draw: n paths to the horizon (the ruin
+# estimators) or n fields of the window's points (the constant drivers).
+# 2**40 is about eight hours of one core at the 4e7 normals/s of a 2-vCPU
+# Xeon VM and far above any documented command, so an impossible request
+# fails before its first draw.
+_MAX_NORMALS = 2**40
 
 
 @dataclass(frozen=True)
@@ -166,19 +174,33 @@ def _increments(grid: Grid, drift: float, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _run_blocks(n: int, seed: int, worker, threads: int = 1) -> list:
+def _cores() -> int:
+    """Cores this process may run on: its CPU affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
     """Run ``worker(m, rng)`` over the replicate blocks; results in block order.
 
     Block b covers replicates [b * BLOCK_SIZE, ...) and owns the stream
-    ``make_rng(seed, b)``, so the results are the same for any ``threads``.
-    A block's stream is built when the block is submitted, and at most
-    ``threads + 1`` blocks are in flight, so the streams held do not grow
-    with n.  The ruin estimators' workers advance their block a chunk of
-    grid steps at a time and drop each path once it is ruined, so a block
-    in flight holds O(BLOCK_SIZE x chunk) values, independent of the
-    horizon and the grid step; memory grows with ``threads``, never with n
-    or the path length.
+    ``make_rng(seed, b)``, so the results are the same for any ``threads``;
+    None runs one worker per core the process may use.  A block's stream is
+    built when the block is submitted, and at most ``threads + 1`` blocks
+    are in flight, so the streams held do not grow with n.  What a block in
+    flight holds depends on its worker, never on n:
+
+    * the ruin estimators advance their block a chunk of grid steps at a
+      time and drop each path once it is ruined, O(BLOCK_SIZE x chunk)
+      values whatever the horizon and the grid step;
+    * the constant drivers fill and reduce their block a tile of rows at a
+      time, O(tile x window) values for a one-sided field, plus the
+      block's BLOCK_SIZE x n_side right-half normals for a two-sided one.
+
+    Memory grows with ``threads``, never with n.
     """
+    threads = _cores() if threads is None else threads
     if n < 1:
         raise ValueError("n must be at least 1")
     if threads < 1:

@@ -58,7 +58,8 @@ class TestEstimateCommand:
         base = ESTIMATE_ARGS + ("--method", "tilted")
         _, out1, _ = run(capsys, *base, "--threads", "1")
         _, out2, _ = run(capsys, *base, "--threads", "6")
-        assert out1 == out2
+        _, out_default, _ = run(capsys, *base)
+        assert out1 == out2 == out_default
 
     def test_wall_time_goes_to_stderr_only(self, capsys):
         _, out, err = run(capsys, *ESTIMATE_ARGS)
@@ -306,6 +307,8 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         # 100 paths of 10^12 steps, 1e14 normals: over the estimators' work
         # bound, so the request is refused before the first draw
         (["estimate", "--c", "1", "--u", "1e9", "--delta", "1e-3", "--n", "100"], None),
+        # 10^10 fields of 3 * 10^5 points: over the constant drivers' work bound
+        (["constant", "--kind", "piterbarg", "--a", "1", "--eta", "1e-4", "--n", "10000000000"], None),
         # u/c overflows, so the ruin-time horizon is infinite
         (["ruin-time", "--c", "1e-300", "--u", "1e10", "--delta", "0.1", "--n", "10"], None),
         # c^1.5 overflows a float
@@ -334,6 +337,7 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "ruin-time-cache-flag",
         "constant-threads-flag",
         "oversized-request",
+        "oversized-constant-request",
         "ruin-time-infinite-horizon",
         "ruin-time-scale-overflow",
         "negative-seed",

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 from scipy.stats import norm
 
-from gridruin import model
+from gridruin import constants, model
 from gridruin.cache import ConstantCache, _checksum
 from gridruin.constants import (
     ConstantKey,
@@ -208,6 +210,106 @@ class TestBerman:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             berman(0.5, -1, trunc=40.0, n=100)
+
+
+def whole_block_reference(key: ConstantKey) -> ConstantValue:
+    """The driver's estimate computed the untiled way.
+
+    Block b samples all its rows as one whole field on make_rng(seed, b)
+    with the public samplers, then applies the kind's functional and edge
+    rule to the whole field.
+    """
+    eta, trunc, n = key.eta, key.trunc, key.n_samples
+    parts = []
+    for b, start in enumerate(range(0, n, model.BLOCK_SIZE)):
+        m, rng = min(model.BLOCK_SIZE, n - start), make_rng(key.seed, b)
+        if key.kind in ("pickands_diff", "piterbarg"):
+            slope = 1.0 + key.a if key.kind == "piterbarg" else 1.0
+            field = sample_field_one_sided(eta, trunc, m, rng, slope=slope)
+            t = eta * np.arange(field.shape[1])
+        else:
+            field = sample_field_two_sided(eta, trunc, m, rng)
+            t = eta * np.arange(field.shape[1]) - trunc
+        vals = {
+            "pickands_dy": lambda: pickands_ratio_values(field, eta),
+            "pickands_diff": lambda: pickands_diff_values(field, eta),
+            "piterbarg": lambda: piterbarg_values(field),
+            "parisian": lambda: parisian_window_values(field, eta, key.T),
+            "berman": lambda: berman_count_values(field, eta, key.k),
+        }[key.kind]()
+        outer = np.abs(t) > 0.9 * trunc
+        if key.kind == "berman":
+            near_edge = (field[:, outer] > 0.0).any(axis=1)
+        else:
+            near_edge = outer[field.argmax(axis=1)]
+        parts.append((float(vals.sum()), float((vals * vals).sum()), int(near_edge.sum())))
+    mean, se = model._mean_se(parts, n)
+    return ConstantValue(mean, se, sum(part[2] for part in parts) / n, n)
+
+
+# One key per kind at eta = 0.5 and its default window.
+KIND_EXTRAS = [
+    ("pickands_dy", {}),
+    ("pickands_diff", {}),
+    ("piterbarg", {"a": 1.0}),
+    ("parisian", {"T": 1.0}),
+    ("berman", {"k": 1}),
+]
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTiledDrivers:
+    @pytest.mark.parametrize("kind, extra", KIND_EXTRAS)
+    @pytest.mark.parametrize("n", [1000, model.BLOCK_SIZE + 1])
+    def test_equals_whole_block_fields(self, kind, extra, n):
+        # n = 1000 ends in a partial tile; 8193 adds a one-row block
+        key = ConstantKey(kind, 0.5, None, n, 11, **extra)
+        assert resolve_constant(key)[0] == whole_block_reference(key)
+
+    @pytest.mark.parametrize("kind, extra", KIND_EXTRAS)
+    def test_same_bits_for_any_worker_count(self, kind, extra, monkeypatch):
+        key = ConstantKey(kind, 0.5, None, 3 * model.BLOCK_SIZE + 5, 12, **extra)
+        values = []
+        for cores in (1, 2):
+            monkeypatch.setattr(model, "_cores", lambda cores=cores: cores)
+            values.append(resolve_constant(key)[0])
+        assert values[0] == values[1]
+
+    @pytest.mark.parametrize("w_pts", [1, 2, 4, 7, 21])
+    def test_window_minimum_matches_sliding_window(self, w_pts):
+        eta = 0.5
+        field = sample_field_two_sided(eta, 5.0, 300, make_rng(10, 0))  # 21 columns
+        win_min = sliding_window_view(field, w_pts, axis=1).min(axis=2)
+        expected = np.exp(win_min).max(axis=1) / (eta * np.exp(field).sum(axis=1))
+        np.testing.assert_array_equal(
+            parisian_window_values(field, eta, (w_pts - 1) * eta), expected
+        )
+
+    def test_one_sided_memory_is_a_few_tiles(self):
+        # 601 window points: one whole block's field is 8192 x 601 floats (39 MB)
+        peak = traced_peak(lambda: piterbarg(0.05, 1.0, n=model.BLOCK_SIZE))
+        assert peak < 3 * constants._TILE * 601 * 8
+
+    def test_two_sided_memory_is_right_halves_plus_tiles(self):
+        n_side = 100  # default window 20 at eta = 0.2
+        peak = traced_peak(lambda: pickands_dy(0.2, n=model.BLOCK_SIZE))
+        right_halves = model.BLOCK_SIZE * n_side * 8
+        assert peak < right_halves + 4 * constants._TILE * (2 * n_side + 1) * 8
+
+    def test_work_bound_checked_before_drawing(self):
+        # 10^10 fields of 3 * 10^5 points each
+        with pytest.raises(ValueError, match="3e\\+15 normals"):
+            piterbarg(1e-4, 1.0, n=10**10)
+        with pytest.raises(ValueError, match="normals"):
+            berman(1e-4, 2, n=10**10)
 
 
 class TestRegressionFixtures:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from gridruin import estimators
+from gridruin import estimators, model
 from gridruin.analytic import dp_classical_ruin
 from gridruin.estimators import (
     Estimate,
@@ -280,6 +280,15 @@ class TestRuinTimeDistribution:
         cum = np.cumsum(w[order]) / w.sum()
         median = s[order][np.searchsorted(cum, 0.5)]
         assert abs(median) < 0.15
+
+    def test_same_sample_for_any_worker_count(self, monkeypatch):
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        samples = []
+        for cores in (1, 2):
+            monkeypatch.setattr(model, "_cores", lambda cores=cores: cores)
+            samples.append(ruin_time_distribution("classical", p, g, n=20_000, seed=4))
+        for one, two in zip(*samples):
+            np.testing.assert_array_equal(one, two)
 
     def test_small_u_warns(self):
         with pytest.warns(UserWarning, match="small"):

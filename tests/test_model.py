@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -178,3 +179,15 @@ class TestRunBlocks:
             model._run_blocks(10**9, 0, failing_worker, threads)
         # 10^9 replicates are 122,071 blocks; only those in flight get a stream
         assert len(built) <= threads + 1
+
+    def test_default_pool_has_a_worker_per_core(self, monkeypatch):
+        sizes = []
+        pool = model.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers)
+
+        monkeypatch.setattr(model, "ThreadPoolExecutor", recording_pool)
+        model._run_blocks(10, 0, lambda m, rng: m)
+        assert sizes == [len(os.sched_getaffinity(0))]
