@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -39,12 +40,12 @@ class ConstantCache:
     def _load(self) -> None:
         from .constants import ConstantKey, ConstantValue
 
-        for lineno, line in enumerate(self.path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(self.path.read_bytes().splitlines(), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(line.decode())  # UnicodeDecodeError is a ValueError
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
                 stored = rec.pop("checksum")
@@ -76,8 +77,10 @@ class ConstantCache:
             boundary_fraction=value.boundary_fraction,
         )
         rec["checksum"] = _checksum(rec)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        with self.path.open("a+b") as fh:
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+            lead = b"" if fh.read(1) in (b"", b"\n") else b"\n"  # end a line cut short first
+            fh.write(lead + json.dumps(rec, sort_keys=True).encode() + b"\n")
         self._records[key] = value
 
     def __len__(self) -> int:

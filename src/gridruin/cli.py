@@ -304,7 +304,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         status = _COMMANDS[args.command](args)
-    except (ValueError, MemoryError) as exc:  # MemoryError: an oversized request
+    except (ValueError, MemoryError, OSError) as exc:  # MemoryError: huge request; OSError: bad path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, FloatingPointError) as exc:

@@ -47,8 +47,6 @@ from .model import (
 __all__ = [
     "ConstantKey",
     "ConstantValue",
-    "sample_field_two_sided",
-    "sample_field_one_sided",
     "pickands_ratio_values",
     "pickands_diff_values",
     "piterbarg_values",
@@ -142,7 +140,7 @@ class ConstantValue:
 
 
 # ---------------------------------------------------------------------------
-# Field samplers
+# Field walk
 
 
 def _walk(out: np.ndarray, z: np.ndarray, eta: float, slope: float) -> None:
@@ -155,34 +153,6 @@ def _walk(out: np.ndarray, z: np.ndarray, eta: float, slope: float) -> None:
     np.cumsum(z, axis=1, out=out)
     out *= _SQRT2
     out -= slope * (eta * np.arange(1, out.shape[1] + 1))
-
-
-def sample_field_two_sided(
-    eta: float, trunc: float, m: int, rng: np.random.Generator
-) -> np.ndarray:
-    """m samples of W(t) = sqrt(2) B(t) - |t| on the grid [-trunc, trunc].
-
-    Returns shape (m, 2*n_side + 1); column n_side is t = 0 where W = 0.
-    The two half-axes use independent Brownian motions (right halves of all
-    m rows drawn first), which is exact since B has independent increments
-    from 0.
-    """
-    n_side = Grid(eta).points(trunc)
-    out = np.empty((m, 2 * n_side + 1))
-    out[:, n_side] = 0.0
-    _walk(out[:, n_side + 1 :], rng.standard_normal((m, n_side)), eta, 1.0)
-    _walk(out[:, :n_side][:, ::-1], rng.standard_normal((m, n_side)), eta, 1.0)
-    return out
-
-
-def sample_field_one_sided(
-    eta: float, length: float, m: int, rng: np.random.Generator, slope: float = 1.0
-) -> np.ndarray:
-    """m samples of sqrt(2) B(t) - slope*t on the grid [0, length]."""
-    out = np.empty((m, Grid(eta).points(length) + 1))
-    out[:, 0] = 0.0
-    _walk(out[:, 1:], rng.standard_normal(out[:, 1:].shape), eta, slope)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +277,16 @@ def _estimate(key: ConstantKey):
     """Shared body of the drivers: the mean of the kind's functional over sampled fields.
 
     Unbiased for the truncated expectation; the boundary fraction is the
-    share of samples near the edge of the window.  A block fills, reduces
-    and drops its fields a tile of rows at a time, drawing the normals of
-    :func:`sample_field_one_sided` / :func:`sample_field_two_sided` in the
-    same order (for two-sided fields the right halves of the whole block
-    first), so every estimate equals the whole-block computation bit for
-    bit.  A request for more than ``_MAX_NORMALS`` normals, n samples of
-    the field's points off the origin, is refused before the first draw.
+    share of samples near the edge of the window.  This is the only field
+    sampler.  A block fills, reduces and drops its fields a tile of rows at
+    a time.  Its stream is drawn in row order: a one-sided block draws each
+    tile's (rows, n_side) normals in turn; a two-sided block first draws
+    the (m, n_side) normals of all its right halves (t > 0), then each
+    tile's left half (t < 0, walked outward from the origin).  The halves
+    are independent Brownian motions from 0, which is exact since B has
+    independent increments.  A request for more than ``_MAX_NORMALS``
+    normals, n samples of the field's points off the origin, is refused
+    before the first draw.
     """
     spec = _KINDS[key.kind]
     eta, trunc, n = key.eta, key.trunc, key.n_samples

@@ -38,7 +38,6 @@ from .model import (
     ModelParams,
     VariantParams,
     _check_horizon,
-    _increments,
     _mean_se,
     _run_blocks,
     _variant_value,
@@ -47,10 +46,6 @@ from .model import (
 
 __all__ = [
     "Estimate",
-    "detect_classical_matrix",
-    "detect_reflected_matrix",
-    "detect_parisian_matrix",
-    "detect_cumulative_matrix",
     "estimate",
     "ruin_time_distribution",
     "weighted_ks",
@@ -78,9 +73,7 @@ class Estimate:
 # ``state[r]`` is what the variant carries from the points before them (the
 # running minimum, the current run length, the exceedance count), and
 # ``qualifies[j, r]`` says whether ruin holds there.  ``scratch`` lends the
-# step its work arrays.  The public ``detect_<v>_matrix(paths, ...)`` is one
-# step over whole paths (one row per path) from the initial state, returning
-# (occurred, idx) with idx the first qualifying column (0 where none).
+# step its work arrays.  ``_run_chunks`` is the steps' only caller.
 
 
 class _Scratch:
@@ -146,40 +139,6 @@ _DETECTORS = {
     "cumulative": (_cumulative_step, 0, False),
 }
 VARIANTS = tuple(_DETECTORS)
-
-
-def _one_chunk(variant, paths, u, p):
-    step, initial, _ = _DETECTORS[variant]
-    qualifies, _ = step(paths.T, u, p, np.full(len(paths), initial), _Scratch(paths.size))
-    return qualifies.any(axis=0), qualifies.argmax(axis=0)
-
-
-def detect_classical_matrix(paths: np.ndarray, u: float):
-    return _one_chunk("classical", paths, u, None)
-
-
-def detect_reflected_matrix(paths: np.ndarray, u: float, gamma: float):
-    if not (0.0 < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    return _one_chunk("reflected", paths, u, gamma)
-
-
-def detect_parisian_matrix(paths: np.ndarray, u: float, window_pts: int):
-    """Ruin once ``window_pts`` consecutive grid points all exceed u.
-
-    ``window_pts`` = T/delta + 1 (a window of length T on the grid).  The
-    reported index is the end of the first qualifying window.
-    """
-    if window_pts < 1:
-        raise ValueError("window_pts must be >= 1")
-    return _one_chunk("parisian", paths, u, window_pts)
-
-
-def detect_cumulative_matrix(paths: np.ndarray, u: float, k: int):
-    """Ruin once the number of grid exceedances exceeds k (not consecutive)."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    return _one_chunk("cumulative", paths, u, k)
 
 
 # Grid steps a block advances per chunk.  A block's work arrays hold
@@ -270,7 +229,9 @@ def _weighted_block(detect, initial, grid, c, drift, n_steps, m, rng):
             out[0] = prev
         steps = out[(start == 0):]
         z = normals[: rows.size * len(steps)].reshape(rows.size, len(steps))
-        _increments(grid, drift, rng.standard_normal(out=z))
+        rng.standard_normal(out=z)
+        z *= math.sqrt(grid.delta)
+        z += drift * grid.delta
         for j, row in enumerate(steps):
             prev = np.add(prev, z[:, j], out=row)
         level[rows] = prev

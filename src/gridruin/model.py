@@ -1,10 +1,11 @@
-"""Grid arithmetic, model parameters and reproducible path simulation.
+"""Grid arithmetic, model parameters, random streams and the block runner.
 
 Everything downstream (constant estimation, ruin estimators, the CLI) draws
 its randomness through :func:`make_rng`, which maps a ``(seed, stream_id)``
 pair to an independent counter-based Philox stream.  Aggregates computed from
 fixed stream ids are therefore bit-identical no matter how many workers run
-concurrently or in which order streams are consumed.
+concurrently or in which order streams are consumed.  Paths and fields are
+drawn only by the block workers of :mod:`.estimators` and :mod:`.constants`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ModelParams",
     "VariantParams",
     "make_rng",
-    "path_block",
     "default_horizon",
 ]
 
@@ -149,31 +149,6 @@ def make_rng(seed: int, replicate_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def path_block(
-    grid: Grid, drift: float, n_steps: int, n_paths: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Matrix of ``n_paths`` paths, shape (n_paths, n_steps + 1), column 0 = 0.
-
-    Rows are filled in C order, so row ``r`` is a pure function of the stream
-    position ``r * n_steps`` — independent of how many rows the block holds.
-    """
-    if not math.isfinite(drift):
-        raise ValueError(f"drift must be finite, got {drift}")
-    paths = np.empty((n_paths, n_steps + 1))
-    paths[:, 0] = 0.0
-    if n_steps:
-        z = _increments(grid, drift, rng.standard_normal((n_paths, n_steps)))
-        np.cumsum(z, axis=1, out=paths[:, 1:])
-    return paths
-
-
-def _increments(grid: Grid, drift: float, z: np.ndarray) -> np.ndarray:
-    """Turn standard normals ``z`` in place into walk increments sqrt(delta) * z + drift * delta."""
-    z *= math.sqrt(grid.delta)
-    z += drift * grid.delta
-    return z
-
-
 def _cores() -> int:
     """Cores this process may run on: its CPU affinity set where the platform has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -191,12 +166,13 @@ def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
     are in flight, so the streams held do not grow with n.  What a block in
     flight holds depends on its worker, never on n:
 
-    * the ruin estimators advance their block a chunk of grid steps at a
-      time and drop each path once it is ruined, O(BLOCK_SIZE x chunk)
-      values whatever the horizon and the grid step;
-    * the constant drivers fill and reduce their block a tile of rows at a
-      time, O(tile x window) values for a one-sided field, plus the
-      block's BLOCK_SIZE x n_side right-half normals for a two-sided one.
+    * the ruin estimators' worker, the only path sampler, advances its
+      block a chunk of grid steps at a time and drops each path once it is
+      ruined, O(BLOCK_SIZE x chunk) values whatever the horizon and step;
+    * the constant drivers' worker, the only field sampler, fills and
+      reduces its block a tile of rows at a time, O(tile x window) values
+      for a one-sided field, plus the block's BLOCK_SIZE x n_side
+      right-half normals for a two-sided one.
 
     Memory grows with ``threads``, never with n.
     """

@@ -1,0 +1,67 @@
+"""Coupled samples for the tests: whole path and field matrices, and detection on them.
+
+The library draws ruin paths only in the estimators' chunk runner and limit
+fields only in the constant drivers' tile fill.  A coupling test needs one
+matrix that several detectors or functionals all see, so the samplers here
+draw it whole from one Philox stream: C-order normals, and for a two-sided
+field the normals of every row's right half before those of every left
+half.  ``detect`` runs the rows of a path matrix through the production
+chunk runner, ``estimators._run_chunks``.
+"""
+
+import math
+
+import numpy as np
+
+from gridruin import estimators
+from gridruin.constants import _walk
+from gridruin.model import Grid
+
+
+def whole_paths(delta, drift, n_steps, n_paths, rng):
+    """(n_paths, n_steps + 1) walks of steps drift * delta + sqrt(delta) Z; column 0 is 0."""
+    z = rng.standard_normal((n_paths, n_steps))
+    z *= math.sqrt(delta)
+    z += drift * delta
+    paths = np.zeros((n_paths, n_steps + 1))
+    np.cumsum(z, axis=1, out=paths[:, 1:])
+    return paths
+
+
+def whole_field_two_sided(eta, trunc, m, rng):
+    """m samples of sqrt(2) B(t) - |t| on the grid [-trunc, trunc]; column trunc/eta is t = 0."""
+    n_side = Grid(eta).points(trunc)
+    field = np.zeros((m, 2 * n_side + 1))
+    _walk(field[:, n_side + 1 :], rng.standard_normal((m, n_side)), eta, 1.0)
+    _walk(field[:, :n_side][:, ::-1], rng.standard_normal((m, n_side)), eta, 1.0)
+    return field
+
+
+def whole_field_one_sided(eta, length, m, rng, slope=1.0):
+    """m samples of sqrt(2) B(t) - slope * t on the grid [0, length]."""
+    n = Grid(eta).points(length)
+    field = np.zeros((m, n + 1))
+    _walk(field[:, 1:], rng.standard_normal((m, n)), eta, slope)
+    return field
+
+
+def detect(variant, levels, u, p=None, tilt=0.0):
+    """(occurred, idx, w) of each row of ``levels`` under the estimators' chunk runner.
+
+    ``levels[r]`` is path r at grid points 0, 1, ...; ``p`` is the variant's
+    detector parameter (gamma, the window in grid points, or k).  idx is
+    the first qualifying point (0 where none) and w = exp(-tilt * S_idx) on
+    a detected row, 0 elsewhere.
+    """
+    step, initial, _ = estimators._DETECTORS[variant]
+
+    def fill(rows, start, out):
+        out[...] = levels[rows, start : start + len(out)].T
+
+    return estimators._run_chunks(
+        lambda chunk, state, scratch: step(chunk, u, p, state, scratch),
+        np.full(len(levels), initial),
+        levels.shape[1] - 1,
+        fill,
+        tilt,
+    )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from coupled import detect, whole_field_two_sided, whole_paths
 from gridruin.analytic import dp_classical_ruin, psi_inf
 from gridruin.asymptotics import validate_ratio
 from gridruin.constants import (
@@ -21,18 +22,14 @@ from gridruin.constants import (
     pickands_diff,
     pickands_dy,
     pickands_ratio_values,
-    sample_field_two_sided,
 )
 from gridruin.estimators import (
-    detect_classical_matrix,
-    detect_cumulative_matrix,
-    detect_parisian_matrix,
     estimate,
     ruin_time_distribution,
     weighted_ks,
 )
 from gridruin import cli
-from gridruin.model import Grid, ModelParams, VariantParams, default_horizon, make_rng, path_block
+from gridruin.model import Grid, ModelParams, VariantParams, default_horizon, make_rng
 
 
 def _load_reference():
@@ -142,22 +139,22 @@ def test_05_pickands_bounds(pickands_pairs):
 
 
 def test_06_parisian_reductions():
-    field = sample_field_two_sided(0.5, 10.0, 20_000, make_rng(500, 0))
+    field = whole_field_two_sided(0.5, 10.0, 20_000, make_rng(500, 0))
     functional_equal = np.array_equal(
         parisian_window_values(field, 0.5, 0.0), pickands_ratio_values(field, 0.5)
     )
-    paths = path_block(Grid(0.1), 1.0, 120, 10_000, make_rng(501, 0))
-    cls, _ = detect_classical_matrix(paths, 1.0)
-    par, _ = detect_parisian_matrix(paths, 1.0, 1)
+    paths = whole_paths(0.1, 1.0, 120, 10_000, make_rng(501, 0))
+    cls = detect("classical", paths, 1.0)[0]
+    par = detect("parisian", paths, 1.0, 1)[0]
     decisions_equal = np.array_equal(cls, par)
     ok = functional_equal and decisions_equal
     report(6, ok, "T=0: per-path constants identical; detector decisions identical on 10^4 paths")
 
 
 def test_07_cumulative_reductions():
-    paths = path_block(Grid(0.1), 1.0, 120, 10_000, make_rng(502, 0))
-    cls, _ = detect_classical_matrix(paths, 1.0)
-    cum, _ = detect_cumulative_matrix(paths, 1.0, 0)
+    paths = whole_paths(0.1, 1.0, 120, 10_000, make_rng(502, 0))
+    cls = detect("classical", paths, 1.0)[0]
+    cum = detect("cumulative", paths, 1.0, 0)[0]
     decisions_equal = np.array_equal(cls, cum)
     b0 = berman(0.5, 0, trunc=40.0, n=200_000, seed=503)
     h = pickands_dy(0.5, trunc=20.0, n=200_000, seed=504)
@@ -217,22 +214,20 @@ def test_11_ruin_time_clt():
 
 
 def test_12_monotonicity_suite():
-    from gridruin.estimators import detect_reflected_matrix
-
-    paths = path_block(Grid(0.1), -1.0, 120, 20_000, make_rng(506, 0))
-    cls, _ = detect_classical_matrix(paths, 1.0)
-    ref, _ = detect_reflected_matrix(paths, 1.0, 0.5)
-    par, _ = detect_parisian_matrix(paths, 1.0, 4)
+    paths = whole_paths(0.1, -1.0, 120, 20_000, make_rng(506, 0))
+    cls = detect("classical", paths, 1.0)[0]
+    ref = detect("reflected", paths, 1.0, 0.5)[0]
+    par = detect("parisian", paths, 1.0, 4)[0]
     chain = bool(np.all(par <= cls) and np.all(cls <= ref))
-    cum_prev, _ = detect_cumulative_matrix(paths, 1.0, 0)
+    cum_prev = detect("cumulative", paths, 1.0, 0)[0]
     cum_mono = True
     for k in (1, 2, 3):
-        cum_k, _ = detect_cumulative_matrix(paths, 1.0, k)
+        cum_k = detect("cumulative", paths, 1.0, k)[0]
         cum_mono &= bool(np.all(cum_k <= cum_prev))
         cum_prev = cum_k
-    fine = path_block(Grid(0.05), -1.0, 240, 20_000, make_rng(507, 0))
-    occ_fine, _ = detect_classical_matrix(fine, 1.0)
-    occ_coarse, _ = detect_classical_matrix(fine[:, ::2], 1.0)
+    fine = whole_paths(0.05, -1.0, 240, 20_000, make_rng(507, 0))
+    occ_fine = detect("classical", fine, 1.0)[0]
+    occ_coarse = detect("classical", fine[:, ::2], 1.0)[0]
     refinement = bool(np.all(occ_coarse <= occ_fine))
     ok = chain and cum_mono and refinement
     report(12, ok, "pathwise parisian<=classical<=reflected; cumulative monotone in k; refinement monotone")

@@ -317,6 +317,10 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         ([*ESTIMATE_HEAD, "--seed", "-1"], None),
         (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "1000",
           "--seed", "18446744073709551616"], None),
+        # paths relative to the run's own temporary directory
+        (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "100", "--cache", "."], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "100",
+          "--out", "no-such-dir/x.csv"], None),
     ],
     ids=[
         "zero-n",
@@ -342,6 +346,8 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "ruin-time-scale-overflow",
         "negative-seed",
         "seed-beyond-64-bits",
+        "cache-path-is-a-directory",
+        "out-path-in-missing-directory",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):
@@ -349,7 +355,7 @@ def test_bad_input_exits_cleanly(argv, config, tmp_path):
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv = [*argv, "--config", str(tmp_path / "run.cfg")]
-    src = str(Path(gridruin.__file__).parent.parent)
+    src = str(Path(gridruin.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gridruin.cli", *argv],
@@ -357,6 +363,7 @@ def test_bad_input_exits_cleanly(argv, config, tmp_path):
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
+        cwd=tmp_path,
     )
     assert proc.returncode in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), proc.stderr
     assert "Traceback" not in proc.stderr

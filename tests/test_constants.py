@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 from scipy.stats import norm
 
+from coupled import whole_field_one_sided, whole_field_two_sided
 from gridruin import constants, model
 from gridruin.cache import ConstantCache, _checksum
 from gridruin.constants import (
@@ -26,8 +28,6 @@ from gridruin.constants import (
     piterbarg,
     piterbarg_values,
     resolve_constant,
-    sample_field_one_sided,
-    sample_field_two_sided,
 )
 from gridruin.model import Grid, ModelParams, VariantParams, make_rng
 
@@ -65,26 +65,43 @@ class TestKeyAndValue:
         assert not ConstantValue(1.0, 0.01, 0.005, 100).warn
 
 
+def tile_fields(key: ConstantKey, monkeypatch) -> np.ndarray:
+    """The fields the drivers' tile fill draws for ``key``, one row per sample, in order."""
+    tiles = []
+
+    def record(field, eta, p):
+        tiles.append(field.copy())
+        return np.zeros(len(field))
+
+    spec = dataclasses.replace(constants._KINDS[key.kind], values=record)
+    monkeypatch.setitem(constants._KINDS, key.kind, spec)
+    monkeypatch.setattr(model, "_cores", lambda: 1)  # blocks, and so tiles, in order
+    resolve_constant(key)
+    return np.concatenate(tiles)
+
+
 class TestSamplers:
-    def test_two_sided_shape_and_origin(self):
-        f = sample_field_two_sided(0.5, 5.0, 7, make_rng(0, 0))
+    """The tile fill of ``constants._estimate``, the one field sampler."""
+
+    def test_two_sided_shape_and_origin(self, monkeypatch):
+        f = tile_fields(ConstantKey("pickands_dy", 0.5, 5.0, 7), monkeypatch)
         assert f.shape == (7, 21)
         np.testing.assert_array_equal(f[:, 10], 0.0)
 
-    def test_one_sided_shape_and_origin(self):
-        f = sample_field_one_sided(0.5, 5.0, 7, make_rng(0, 0))
+    def test_one_sided_shape_and_origin(self, monkeypatch):
+        f = tile_fields(ConstantKey("pickands_diff", 0.5, 5.0, 7), monkeypatch)
         assert f.shape == (7, 11)
         np.testing.assert_array_equal(f[:, 0], 0.0)
 
-    def test_drift_shows_in_the_mean(self):
+    def test_drift_shows_in_the_mean(self, monkeypatch):
         # E W(t) = -|t|; check the outermost columns over many samples
-        f = sample_field_two_sided(1.0, 10.0, 50_000, make_rng(1, 0))
+        f = tile_fields(ConstantKey("pickands_dy", 1.0, 10.0, 50_000, seed=1), monkeypatch)
         assert f[:, 0].mean() == pytest.approx(-10.0, abs=0.1)
         assert f[:, -1].mean() == pytest.approx(-10.0, abs=0.1)
 
     def test_trunc_must_be_grid_multiple(self):
-        with pytest.raises(ValueError):
-            sample_field_two_sided(0.3, 10.0, 2, make_rng(0, 0))
+        with pytest.raises(ValueError, match="multiple"):
+            pickands_dy(0.3, trunc=10.0, n=2)
 
 
 class TestPickands:
@@ -99,7 +116,7 @@ class TestPickands:
         assert 0 < h.estimate <= 1.0 + 3 * h.std_error
 
     def test_diff_integrand_nonnegative(self):
-        field = sample_field_one_sided(0.5, 10.0, 1000, make_rng(4, 0))
+        field = whole_field_one_sided(0.5, 10.0, 1000, make_rng(4, 0))
         assert np.all(pickands_diff_values(field, 0.5) >= 0.0)
 
     def test_small_trunc_rejected(self):
@@ -124,7 +141,7 @@ class TestPickands:
         # pickands_dy estimator body runs directly on the block runner
 
         def worker(m, rng):
-            vals = pickands_ratio_values(sample_field_two_sided(eta, eta, m, rng), eta)
+            vals = pickands_ratio_values(whole_field_two_sided(eta, eta, m, rng), eta)
             return float(vals.sum()), float((vals * vals).sum())
 
         mean, se = model._mean_se(model._run_blocks(100_000, 8, worker), 100_000)
@@ -145,7 +162,7 @@ class TestPiterbarg:
     def test_pathwise_nonincreasing_in_a(self):
         # couple by sampling the Brownian part once and re-sloping it
         eta, trunc = 0.5, 20.0
-        base = sample_field_one_sided(eta, trunc, 2000, make_rng(6, 0), slope=0.0)
+        base = whole_field_one_sided(eta, trunc, 2000, make_rng(6, 0), slope=0.0)
         t = eta * np.arange(base.shape[1])
         lo = piterbarg_values(base - (1.0 + 0.5) * t)
         hi = piterbarg_values(base - (1.0 + 2.0) * t)
@@ -162,7 +179,7 @@ class TestPiterbarg:
 
 class TestParisianConstant:
     def test_T_zero_reduces_to_pickands_integrand(self):
-        field = sample_field_two_sided(0.5, 10.0, 500, make_rng(7, 0))
+        field = whole_field_two_sided(0.5, 10.0, 500, make_rng(7, 0))
         np.testing.assert_array_equal(
             parisian_window_values(field, 0.5, 0.0), pickands_ratio_values(field, 0.5)
         )
@@ -174,7 +191,7 @@ class TestParisianConstant:
         assert a.estimate == b.estimate
 
     def test_pathwise_dominated_by_pickands(self):
-        field = sample_field_two_sided(0.5, 10.0, 2000, make_rng(8, 0))
+        field = whole_field_two_sided(0.5, 10.0, 2000, make_rng(8, 0))
         par = parisian_window_values(field, 0.5, 1.0)
         pick = pickands_ratio_values(field, 0.5)
         assert np.all(par <= pick)
@@ -215,9 +232,9 @@ class TestBerman:
 def whole_block_reference(key: ConstantKey) -> ConstantValue:
     """The driver's estimate computed the untiled way.
 
-    Block b samples all its rows as one whole field on make_rng(seed, b)
-    with the public samplers, then applies the kind's functional and edge
-    rule to the whole field.
+    Block b samples all its rows as one whole field on make_rng(seed, b),
+    right halves first for a two-sided field, then applies the kind's
+    functional and edge rule to the whole field.
     """
     eta, trunc, n = key.eta, key.trunc, key.n_samples
     parts = []
@@ -225,10 +242,10 @@ def whole_block_reference(key: ConstantKey) -> ConstantValue:
         m, rng = min(model.BLOCK_SIZE, n - start), make_rng(key.seed, b)
         if key.kind in ("pickands_diff", "piterbarg"):
             slope = 1.0 + key.a if key.kind == "piterbarg" else 1.0
-            field = sample_field_one_sided(eta, trunc, m, rng, slope=slope)
+            field = whole_field_one_sided(eta, trunc, m, rng, slope=slope)
             t = eta * np.arange(field.shape[1])
         else:
-            field = sample_field_two_sided(eta, trunc, m, rng)
+            field = whole_field_two_sided(eta, trunc, m, rng)
             t = eta * np.arange(field.shape[1]) - trunc
         vals = {
             "pickands_dy": lambda: pickands_ratio_values(field, eta),
@@ -286,7 +303,7 @@ class TestTiledDrivers:
     @pytest.mark.parametrize("w_pts", [1, 2, 4, 7, 21])
     def test_window_minimum_matches_sliding_window(self, w_pts):
         eta = 0.5
-        field = sample_field_two_sided(eta, 5.0, 300, make_rng(10, 0))  # 21 columns
+        field = whole_field_two_sided(eta, 5.0, 300, make_rng(10, 0))  # 21 columns
         win_min = sliding_window_view(field, w_pts, axis=1).min(axis=2)
         expected = np.exp(win_min).max(axis=1) / (eta * np.exp(field).sum(axis=1))
         np.testing.assert_array_equal(
@@ -441,6 +458,30 @@ class TestCache:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.warns(UserWarning, match="corrupt"):
             assert len(ConstantCache(path)) == 0
+
+    def test_append_after_a_line_cut_short_is_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        k1 = ConstantKey("pickands_dy", 0.5, 10.0, 2000, seed=3)
+        k2 = ConstantKey("pickands_dy", 0.5, 10.0, 2000, seed=4)
+        resolve_constant(k1, ConstantCache(path))
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])  # a write cut short: no newline at the end
+        with pytest.warns(UserWarning, match="corrupt"):
+            value, cached = resolve_constant(k2, ConstantCache(path))
+        assert not cached
+        with pytest.warns(UserWarning, match=":1: skipping corrupt"):
+            reloaded = ConstantCache(path)
+        assert len(reloaded) == 1 and reloaded.lookup(k2) == value
+
+    def test_non_utf8_line_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        key = ConstantKey("pickands_dy", 0.5, 10.0, 2000, seed=3)
+        value, _ = resolve_constant(key, ConstantCache(path))
+        with path.open("ab") as fh:
+            fh.write(b"\xff\xfe\n")
+        with pytest.warns(UserWarning, match=":2: skipping corrupt"):
+            reloaded = ConstantCache(path)
+        assert reloaded.lookup(key) == value
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = ConstantCache(tmp_path / "cache.jsonl")

@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from coupled import detect, whole_paths
 from gridruin import estimators, model
 from gridruin.analytic import dp_classical_ruin
 from gridruin.estimators import (
     Estimate,
-    detect_classical_matrix,
-    detect_cumulative_matrix,
-    detect_parisian_matrix,
-    detect_reflected_matrix,
     estimate,
     ruin_time_distribution,
     weighted_ks,
 )
-from gridruin.model import Grid, ModelParams, VariantParams, default_horizon, make_rng, path_block
+from gridruin.model import Grid, ModelParams, VariantParams, default_horizon, make_rng
 
 
 def one_row(*values):
@@ -26,15 +23,15 @@ def one_row(*values):
 
 class TestDetectClassical:
     def test_immediate_ruin_at_negative_level(self):
-        occurred, idx = detect_classical_matrix(one_row(0.0, -1.0), u=-1.0)
+        occurred, idx, _ = detect("classical", one_row(0.0, -1.0), u=-1.0)
         assert occurred[0] and idx[0] == 0
 
     def test_first_crossing_time(self):
-        occurred, idx = detect_classical_matrix(one_row(0.0, 0.5, 1.2), u=1.0)
+        occurred, idx, _ = detect("classical", one_row(0.0, 0.5, 1.2), u=1.0)
         assert occurred[0] and idx[0] == 2
 
     def test_strict_inequality(self):
-        occurred, _ = detect_classical_matrix(one_row(0.0, 1.0, 0.5), u=1.0)
+        occurred, _, _ = detect("classical", one_row(0.0, 1.0, 0.5), u=1.0)
         assert not occurred[0]
 
 
@@ -42,38 +39,32 @@ class TestDetectReflected:
     def test_hand_computed_stub(self):
         # path [0, -2, 1]: reflected value at step 2 is 1 + 2*gamma
         path = one_row(0.0, -2.0, 1.0)
-        assert detect_reflected_matrix(path, u=2.0, gamma=0.6)[0][0]
-        assert not detect_reflected_matrix(path, u=2.0, gamma=0.4)[0][0]
+        assert detect("reflected", path, u=2.0, p=0.6)[0][0]
+        assert not detect("reflected", path, u=2.0, p=0.4)[0][0]
 
     def test_dominates_classical_on_coupled_paths(self):
-        paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(1, 0))
-        cls, _ = detect_classical_matrix(paths, 1.5)
-        ref, _ = detect_reflected_matrix(paths, 1.5, 0.5)
+        paths = whole_paths(0.1, -1.0, 100, 5000, make_rng(1, 0))
+        cls = detect("classical", paths, 1.5)[0]
+        ref = detect("reflected", paths, 1.5, 0.5)[0]
         assert np.all(cls <= ref)
-
-    def test_gamma_range_enforced(self):
-        paths = np.zeros((1, 3))
-        for bad in (0.0, 1.0):
-            with pytest.raises(ValueError):
-                detect_reflected_matrix(paths, 1.0, bad)
 
 
 class TestDetectParisian:
     def test_T_zero_equals_classical(self):
-        paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(2, 0))
-        cls, cls_idx = detect_classical_matrix(paths, 1.0)
-        par, par_idx = detect_parisian_matrix(paths, 1.0, 1)
+        paths = whole_paths(0.1, -1.0, 100, 5000, make_rng(2, 0))
+        cls, cls_idx, _ = detect("classical", paths, 1.0)
+        par, par_idx, _ = detect("parisian", paths, 1.0, 1)
         np.testing.assert_array_equal(cls, par)
         np.testing.assert_array_equal(cls_idx, par_idx)
 
     def test_run_length_requirement(self):
         # three consecutive exceedances support a window of 3 points, not 4
         path = one_row(0.0, 2.0, 2.0, 2.0, 0.0)
-        assert detect_parisian_matrix(path, u=1.0, window_pts=3)[0][0]
-        assert not detect_parisian_matrix(path, u=1.0, window_pts=4)[0][0]
+        assert detect("parisian", path, u=1.0, p=3)[0][0]
+        assert not detect("parisian", path, u=1.0, p=4)[0][0]
 
     def test_time_is_end_of_first_window(self):
-        _, idx = detect_parisian_matrix(one_row(0.0, 2.0, 2.0, 0.0), u=1.0, window_pts=2)
+        _, idx, _ = detect("parisian", one_row(0.0, 2.0, 2.0, 0.0), u=1.0, p=2)
         assert idx[0] == 2
 
     def test_misaligned_window_rejected(self):
@@ -82,42 +73,38 @@ class TestDetectParisian:
             estimate("parisian", p, g, VariantParams(parisian_T=0.35), n=1)
 
     def test_dominated_by_classical(self):
-        paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(3, 0))
-        cls, _ = detect_classical_matrix(paths, 1.0)
-        par, _ = detect_parisian_matrix(paths, 1.0, 4)
+        paths = whole_paths(0.1, -1.0, 100, 5000, make_rng(3, 0))
+        cls = detect("classical", paths, 1.0)[0]
+        par = detect("parisian", paths, 1.0, 4)[0]
         assert np.all(par <= cls)
 
 
 class TestDetectCumulative:
     def test_k_zero_equals_classical(self):
-        paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(4, 0))
-        cls, cls_idx = detect_classical_matrix(paths, 1.0)
-        cum, cum_idx = detect_cumulative_matrix(paths, 1.0, 0)
+        paths = whole_paths(0.1, -1.0, 100, 5000, make_rng(4, 0))
+        cls, cls_idx, _ = detect("classical", paths, 1.0)
+        cum, cum_idx, _ = detect("cumulative", paths, 1.0, 0)
         np.testing.assert_array_equal(cls, cum)
         np.testing.assert_array_equal(cls_idx, cum_idx)
 
     def test_exceedance_counting_stub(self):
         path = one_row(0.0, 2.0, 0.5, 2.0, 0.0)  # exactly two exceedances
-        assert detect_cumulative_matrix(path, u=1.0, k=0)[0][0]
-        assert detect_cumulative_matrix(path, u=1.0, k=1)[0][0]
-        assert not detect_cumulative_matrix(path, u=1.0, k=2)[0][0]
+        assert detect("cumulative", path, u=1.0, p=0)[0][0]
+        assert detect("cumulative", path, u=1.0, p=1)[0][0]
+        assert not detect("cumulative", path, u=1.0, p=2)[0][0]
 
     def test_time_is_k_plus_first_exceedance(self):
-        _, idx = detect_cumulative_matrix(one_row(0.0, 2.0, 0.5, 2.0, 0.0), u=1.0, k=1)
+        _, idx, _ = detect("cumulative", one_row(0.0, 2.0, 0.5, 2.0, 0.0), u=1.0, p=1)
         assert idx[0] == 3
 
     def test_nonincreasing_in_k(self):
-        paths = path_block(Grid(0.1), -1.0, 100, 5000, make_rng(5, 0))
+        paths = whole_paths(0.1, -1.0, 100, 5000, make_rng(5, 0))
         prev = None
         for k in range(4):
-            occ, _ = detect_cumulative_matrix(paths, 1.0, k)
+            occ = detect("cumulative", paths, 1.0, k)[0]
             if prev is not None:
                 assert np.all(occ <= prev)
             prev = occ
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            detect_cumulative_matrix(np.zeros((1, 3)), u=1.0, k=-1)
 
 
 class TestChunkCarry:
@@ -138,27 +125,16 @@ class TestChunkCarry:
     )
     def test_any_chunk_length_matches_one_chunk(self, variant, p, drift, monkeypatch):
         m, n_steps, u, tilt = 400, 60, 1.0, drift + 1.0
-        increments = make_rng(12, 0).standard_normal((m, n_steps)) * math.sqrt(0.1) + 0.1 * drift
-        levels = np.concatenate([np.zeros((m, 1)), np.cumsum(increments, axis=1)], axis=1)
-        occurred, idx = getattr(estimators, f"detect_{variant}_matrix")(
-            levels, u, *([] if p is None else [p])
-        )
-        weight = np.where(occurred, np.exp(-tilt * levels[np.arange(m), idx]), 0.0)
+        levels = whole_paths(0.1, drift, n_steps, m, make_rng(12, 0))
+        monkeypatch.setattr(estimators, "_CHUNK", n_steps)
+        occurred, idx, weight = detect(variant, levels, u, p, tilt)
         assert 0 < occurred.sum() < m
-
-        def fill(rows, start, out):
-            out[...] = levels[rows, start : start + len(out)].T
-
-        step, initial, _ = estimators._DETECTORS[variant]
-        for chunk in (1, 7, 16, n_steps):
+        np.testing.assert_array_equal(
+            weight, np.where(occurred, np.exp(-tilt * levels[np.arange(m), idx]), 0.0)
+        )
+        for chunk in (1, 7, 16):
             monkeypatch.setattr(estimators, "_CHUNK", chunk)
-            got = estimators._run_chunks(
-                lambda lv, state, scratch: step(lv, u, p, state, scratch),
-                np.full(m, initial),
-                n_steps,
-                fill,
-                tilt,
-            )
+            got = detect(variant, levels, u, p, tilt)
             for name, a, b in zip(("occurred", "idx", "weight"), got, (occurred, idx, weight)):
                 np.testing.assert_array_equal(a, b, err_msg=f"{name}, chunk {chunk}")
 
@@ -252,9 +228,9 @@ class TestEstimate:
     def test_refinement_increases_classical_ruin(self):
         # simulate once on the fine grid; the coarse grid sees every other point
         p = ModelParams(c=1.0, u=1.0)
-        fine = path_block(Grid(0.05), -1.0, 200, 20_000, make_rng(7, 0))
-        occ_fine, _ = detect_classical_matrix(fine, p.u)
-        occ_coarse, _ = detect_classical_matrix(fine[:, ::2], p.u)
+        fine = whole_paths(0.05, -1.0, 200, 20_000, make_rng(7, 0))
+        occ_fine = detect("classical", fine, p.u)[0]
+        occ_coarse = detect("classical", fine[:, ::2], p.u)[0]
         assert np.all(occ_coarse <= occ_fine)
 
     def test_ci95_width(self):

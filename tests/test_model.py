@@ -11,7 +11,6 @@ from gridruin.model import (
     VariantParams,
     default_horizon,
     make_rng,
-    path_block,
 )
 
 
@@ -63,6 +62,11 @@ class TestParams:
             g.points(VariantParams(parisian_T=0.35).parisian_T)
         assert g.points(VariantParams(parisian_T=0.3).parisian_T) == 3
 
+    def test_cumulative_k_nonnegative(self):
+        VariantParams(cumulative_k=0)
+        with pytest.raises(ValueError, match="cumulative_k"):
+            VariantParams(cumulative_k=-1)
+
     def test_variant_tables_share_keys(self):
         # the parameter field, the detector and the constant keys of a variant
         # are looked up by name in three tables; a name missing from one of
@@ -95,27 +99,46 @@ class TestRng:
         assert make_rng(2**64 - 1, 0).standard_normal() != make_rng(0, 0).standard_normal()
 
 
+def walk(drift, n_steps, m, rng, delta=0.1):
+    """The (m, n_steps + 1) levels the ruin estimators' fill draws from ``rng``.
+
+    The block runs under a step that never qualifies, so no path is dropped
+    and the step sees every level of every path, chunk by chunk.
+    """
+    seen = []
+
+    def record(levels, state, scratch):
+        seen.append(levels.copy())
+        return np.zeros(levels.shape, bool), state
+
+    occurred, _, _ = estimators._weighted_block(record, 0, Grid(delta), 1.0, drift, n_steps, m, rng)
+    assert not occurred.any()
+    return np.concatenate(seen).T
+
+
 class TestSimulatePath:
-    """Single-path edge cases, on one-row blocks."""
+    """The walk of ``estimators._weighted_block``, the one path sampler."""
 
     def test_zero_steps(self):
-        p = path_block(Grid(0.1), -1.0, 0, 1, make_rng(0, 0))
-        np.testing.assert_array_equal(p, [[0.0]])
+        rng = make_rng(0, 0)
+        np.testing.assert_array_equal(walk(-1.0, 0, 1, rng), [[0.0]])
+        assert rng.standard_normal() == make_rng(0, 0).standard_normal()  # drew nothing
 
     def test_starts_at_zero(self):
-        p = path_block(Grid(0.1), -1.0, 50, 1, make_rng(0, 1))
+        p = walk(-1.0, 50, 1, make_rng(0, 1))
         assert p[0, 0] == 0.0 and p.shape == (1, 51)
 
     @pytest.mark.parametrize("drift", [math.inf, math.nan])
     def test_rejects_nonfinite_drift(self, drift):
+        # the walk's drift is -c (crude) or +c (tilted), and c is checked here
         with pytest.raises(ValueError):
-            path_block(Grid(0.1), drift, 10, 1, make_rng(0, 0))
+            ModelParams(c=drift, u=1.0)
 
     def test_terminal_mean_and_variance(self):
         # S_100 ~ N(100*drift*delta, 100*delta); 4-sigma band on both moments
         c, delta, n = 1.0, 0.1, 200_000
-        paths = path_block(Grid(delta), -c, 100, n, make_rng(3, 0))
-        terminal = paths[:, -1]
+        blocks = model._run_blocks(n, 3, lambda m, rng: walk(-c, 100, m, rng, delta)[:, -1])
+        terminal = np.concatenate(blocks)
         mean_se = math.sqrt(100 * delta / n)
         assert abs(terminal.mean() + 100 * c * delta) < 4 * mean_se
         var = terminal.var()
@@ -124,18 +147,34 @@ class TestSimulatePath:
 
 
 class TestPathBlock:
-    def test_rows_are_prefix_stable(self):
-        # a block is filled row-major, so a shorter block is a prefix
-        g = Grid(0.2)
-        big = path_block(g, -1.0, 25, 10, make_rng(11, 4))
-        small = path_block(g, -1.0, 25, 4, make_rng(11, 4))
-        np.testing.assert_array_equal(big[:4], small)
+    """The stream layout and the increments of that walk."""
+
+    def test_stream_is_drawn_chunk_by_chunk(self):
+        # each chunk draws (paths, chunk steps) normals in row order
+        m, n_steps, delta, drift = 5, 40, 0.1, -1.0
+        rng, chunk = make_rng(11, 4), estimators._CHUNK
+        z = np.concatenate(
+            [rng.standard_normal((m, min(chunk, n_steps - s))) for s in range(0, n_steps, chunk)],
+            axis=1,
+        )
+        z *= math.sqrt(delta)
+        z += drift * delta
+        expected = np.concatenate([np.zeros((m, 1)), np.cumsum(z, axis=1)], axis=1)
+        np.testing.assert_array_equal(walk(drift, n_steps, m, make_rng(11, 4), delta), expected)
 
     def test_increment_normality_moments(self):
-        g = Grid(0.1)
-        paths = path_block(g, -1.0, 10, 100_000, make_rng(5, 0))
+        # the walk crosses two chunk edges, after steps `edge` and 2 * `edge`
+        g, n, edge = Grid(0.1), 25_000, estimators._CHUNK
+        n_steps = 2 * edge + 8
+        paths = np.concatenate(model._run_blocks(n, 5, lambda m, rng: walk(-1.0, n_steps, m, rng)))
         z = (np.diff(paths, axis=1) + 1.0 * g.delta) / math.sqrt(g.delta)
-        z = z.ravel()  # 10^6 standardized increments
+        for left, right in ((edge - 1, edge), (2 * edge - 1, 2 * edge)):
+            # a dropped carry or a reused normal shows in the steps either side of an edge
+            for col in (left, right):
+                assert abs(z[:, col].mean()) < 4 / math.sqrt(n)
+                assert abs(z[:, col].var() - 1.0) < 4 * math.sqrt(2.0 / n)
+            assert abs(np.corrcoef(z[:, left], z[:, right])[0, 1]) < 4 / math.sqrt(n)
+        z = z.ravel()  # 10^6 standardized increments at the default chunk of 16
         skew = float(np.mean(z**3))
         kurt = float(np.mean(z**4) - 3.0)
         assert abs(skew) < 0.02

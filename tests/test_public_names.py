@@ -1,0 +1,40 @@
+"""No public function whose only caller is its own unit test.
+
+Every name in a ``gridruin`` module's ``__all__`` must be re-exported by
+the package or referenced as code (a name or an attribute, not a docstring
+mention) somewhere in the library.
+"""
+
+import ast
+from pathlib import Path
+
+import gridruin
+
+PACKAGE = Path(gridruin.__file__).resolve().parent
+
+
+def declared_all(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_public_name_is_exported_or_used_by_the_library():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    unused = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        if module != "__init__"
+        for name in declared_all(tree)
+        if name not in gridruin.__all__ and name not in used
+    ]
+    assert unused == []
