@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, log_ndtr, ndtr
 
 from .model import Grid, ModelParams, _check_horizon
 
@@ -32,16 +31,59 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_erfc_object = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _erfc(x):
+    """Complementary error function, elementwise, from the standard library's math.erfc.
+
+    A scalar gives a 0-d float array, an array a float array of its shape.
+    """
+    return np.asarray(_erfc_object(x), dtype=float)
 
 
 def norm_cdf(x):
-    """Standard normal CDF, |error| <= 1e-14 on |x| <= 8 (erfc-based)."""
-    return ndtr(x)
+    """Standard normal CDF Phi, as erfc(-x/sqrt(2)) / 2, accurate far into the lower tail.
+
+    Measured against Phi at 40 digits on 4001 points with Phi > 1e-290
+    (x > -36.4): within 1.9e-13 relative.  The error grows like x^2 * 1e-16
+    from the rounding of x/sqrt(2); on |x| <= 8 it is below 1e-14.
+    """
+    return 0.5 * _erfc(-np.asarray(x, dtype=float) / _SQRT2)
 
 
 def norm_sf(x):
     """Standard normal survival function Phi-bar, accurate far into the tail."""
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
+    return 0.5 * _erfc(np.asarray(x, dtype=float) / _SQRT2)
+
+
+# Terms of the asymptotic series of log Phi below _LOG_NDTR_SERIES_BELOW: the
+# tenth is (19)!! / x^20 < 1e-17 for x <= -20.
+_LOG_NDTR_SERIES_BELOW = -20.0
+_LOG_NDTR_TERMS = 10
+
+
+def _log_ndtr(x):
+    """log Phi(x), accurate in both tails.
+
+    Above 0 it is log1p(-Phi-bar(x)); on (-20, 0] the log of Phi(x); at or
+    below -20, where Phi underflows near x = -38, the asymptotic series of
+    Abramowitz & Stegun 7.1.23:
+    Phi(x) = phi(x)/(-x) * (1 + sum_m (-1)^m (2m-1)!! / x^(2m)).
+    """
+    x = np.asarray(x, dtype=float)
+    tail = norm_sf(np.abs(x))  # Phi(-|x|), one erfc per point for either sign
+    with np.errstate(divide="ignore"):
+        out = np.where(x > 0.0, np.log1p(-tail), np.log(tail))
+    far = np.minimum(x, _LOG_NDTR_SERIES_BELOW)
+    inv_x2 = 1.0 / (far * far)
+    term, series = np.ones_like(far), np.ones_like(far)
+    for m in range(1, _LOG_NDTR_TERMS + 1):
+        term = term * (-(2 * m - 1) * inv_x2)
+        series = series + term
+    asymptotic = -0.5 * far * far - np.log(-far) - _LOG_SQRT_2PI + np.log(series)
+    return np.where(x <= _LOG_NDTR_SERIES_BELOW, asymptotic, out)
 
 
 def norm_pdf(x):
@@ -66,8 +108,8 @@ def crossing_after(T: float, params: ModelParams) -> float:
         raise ValueError(f"T must be positive, got {T}")
     c, u = params.c, params.u
     rt = math.sqrt(T)
-    term1 = math.exp(log_ndtr(-(u + c * T) / rt))
-    log_term2 = -2.0 * c * u + log_ndtr((u - c * T) / rt)
+    term1 = math.exp(_log_ndtr(-(u + c * T) / rt))
+    log_term2 = -2.0 * c * u + _log_ndtr((u - c * T) / rt)
     return term1 + math.exp(log_term2)
 
 
@@ -78,7 +120,7 @@ def ruin_time_cdf_approx(t: float, params: ModelParams) -> float:
     with scale sqrt(u)/c^(3/2); the 3/2 power comes from the curvature c^3 of
     the variance profile at its maximiser.
     """
-    return float(ndtr(_ruin_time_scale(params)(t)))
+    return float(norm_cdf(_ruin_time_scale(params)(t)))
 
 
 def _ruin_time_scale(params: ModelParams):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -49,6 +50,17 @@ def _emit(data: dict | list[dict], fmt: str, out_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any work is done."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValueError(f"--out {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {path}: directory {parent} does not exist")
+    if not os.access(parent, os.W_OK):
+        raise ValueError(f"--out {path}: directory {parent} is not writable")
 
 
 def _load_config(path: str) -> dict:
@@ -303,8 +315,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        if args.out:
+            _check_out(args.out)
         status = _COMMANDS[args.command](args)
-    except (ValueError, MemoryError, OSError) as exc:  # MemoryError: huge request; OSError: bad path
+    # MemoryError: huge request; OverflowError: a grid so fine that its point
+    # count overflows a float; OSError: bad path
+    except (ValueError, MemoryError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (RuntimeError, FloatingPointError) as exc:

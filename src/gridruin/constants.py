@@ -41,6 +41,7 @@ from .model import (
     VariantParams,
     _mean_se,
     _run_blocks,
+    _Scratch,
     _variant_value,
 )
 
@@ -159,15 +160,25 @@ def _walk(out: np.ndarray, z: np.ndarray, eta: float, slope: float) -> None:
 # Per-path functionals (shared-path coupling works on these directly)
 
 
-def pickands_ratio_values(field: np.ndarray, eta: float) -> np.ndarray:
+# Each functional takes ``scratch(name, shape, dtype)``, which lends it its
+# tile-sized work arrays.  The drivers pass their worker's _Scratch, so a
+# block's tiles reuse them; the default allocates.  The values are the same
+# either way.
+
+
+def _fresh(_name, shape, dtype=np.float64):
+    return np.empty(shape, dtype)
+
+
+def pickands_ratio_values(field: np.ndarray, eta: float, scratch=_fresh) -> np.ndarray:
     """Per-path value of the ratio representation, any grid of step eta."""
-    e = np.exp(field)
+    e = np.exp(field, out=scratch("exp", field.shape))
     return e.max(axis=1) / (eta * e.sum(axis=1))
 
 
-def pickands_diff_values(field: np.ndarray, eta: float) -> np.ndarray:
+def pickands_diff_values(field: np.ndarray, eta: float, scratch=_fresh) -> np.ndarray:
     """Per-path difference of maxima; ``field`` must start at t = 0."""
-    e = np.exp(field)
+    e = np.exp(field, out=scratch("exp", field.shape))
     return (e.max(axis=1) - e[:, 1:].max(axis=1)) / eta
 
 
@@ -175,7 +186,7 @@ def piterbarg_values(field: np.ndarray) -> np.ndarray:
     return np.exp(field.max(axis=1))
 
 
-def parisian_window_values(field: np.ndarray, eta: float, T: float) -> np.ndarray:
+def parisian_window_values(field: np.ndarray, eta: float, T: float, scratch=_fresh) -> np.ndarray:
     """Ratio representation with the numerator infimum over [t, t+T].
 
     Only window start points whose full window fits inside the simulated
@@ -185,20 +196,24 @@ def parisian_window_values(field: np.ndarray, eta: float, T: float) -> np.ndarra
     w_pts = Grid(eta).points(T) + 1
     if w_pts > field.shape[1]:
         raise ValueError("window longer than the simulated grid")
+    denom = eta * np.exp(field, out=scratch("exp", field.shape)).sum(axis=1)
     # Minima over runs of `span` columns, doubling span while it fits in the
     # window; two overlapping runs of `span` then cover a run of w_pts.
-    # Exact, in O(log w_pts) passes.
-    win_min, span = field, 1
+    # Exact, in O(log w_pts) passes, alternating between two work arrays.
+    shifts, span = [], 1
     while 2 * span <= w_pts:
-        win_min = np.minimum(win_min[:, :-span], win_min[:, span:])
+        shifts.append(span)
         span *= 2
     if span < w_pts:
-        win_min = np.minimum(win_min[:, : span - w_pts], win_min[:, w_pts - span :])
-    e = np.exp(field)
-    return np.exp(win_min).max(axis=1) / (eta * e.sum(axis=1))
+        shifts.append(w_pts - span)
+    win_min = field
+    for i, shift in enumerate(shifts):
+        out = scratch(("min_a", "min_b")[i % 2], (len(field), win_min.shape[1] - shift))
+        win_min = np.minimum(win_min[:, : out.shape[1]], win_min[:, shift:], out=out)
+    return np.exp(win_min, out=scratch("exp", win_min.shape)).max(axis=1) / denom
 
 
-def berman_count_values(field: np.ndarray, eta: float, k: int) -> np.ndarray:
+def berman_count_values(field: np.ndarray, eta: float, k: int, scratch=_fresh) -> np.ndarray:
     """Per-path indicator estimator of the exceedance-count constant.
 
     Exact lattice representation: the constant equals (1/eta) times the
@@ -211,7 +226,7 @@ def berman_count_values(field: np.ndarray, eta: float, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
-    positives = (field > 0.0).sum(axis=1)
+    positives = np.greater(field, 0.0, out=scratch("positive", field.shape, bool)).sum(axis=1)
     return (positives == k).astype(float) / eta
 
 
@@ -233,7 +248,7 @@ class _Kind:
     min_trunc: float  # plus the window p for a windowed kind
     param: str | None  # the ConstantKey field holding p
     driver: str  # the public function that estimates the kind
-    values: Callable  # (field, eta, p) -> per-sample values
+    values: Callable  # (field, eta, p, scratch) -> per-sample values
     slope: Callable | None = None
     windowed: bool = False
     positive_edge: bool = False
@@ -242,22 +257,22 @@ class _Kind:
 # The lambdas and driver names are looked up when called.
 _KINDS = {
     "pickands_dy": _Kind(
-        20.0, 5.0, None, "pickands_dy", lambda f, eta, _: pickands_ratio_values(f, eta)
+        20.0, 5.0, None, "pickands_dy", lambda f, eta, _, s: pickands_ratio_values(f, eta, s)
     ),
     "pickands_diff": _Kind(
-        20.0, 5.0, None, "pickands_diff", lambda f, eta, _: pickands_diff_values(f, eta),
+        20.0, 5.0, None, "pickands_diff", lambda f, eta, _, s: pickands_diff_values(f, eta, s),
         slope=lambda _: 1.0,
     ),
     "piterbarg": _Kind(
-        30.0, 5.0, "a", "piterbarg", lambda f, eta, _: piterbarg_values(f),
+        30.0, 5.0, "a", "piterbarg", lambda f, eta, _, s: piterbarg_values(f),
         slope=lambda a: 1.0 + a,
     ),
     "parisian": _Kind(
         20.0, 5.0, "T", "parisian_constant",
-        lambda f, eta, T: parisian_window_values(f, eta, T), windowed=True,
+        lambda f, eta, T, s: parisian_window_values(f, eta, T, s), windowed=True,
     ),
     "berman": _Kind(
-        40.0, 10.0, "k", "berman", lambda f, eta, k: berman_count_values(f, eta, k),
+        40.0, 10.0, "k", "berman", lambda f, eta, k, s: berman_count_values(f, eta, k, s),
         positive_edge=True,
     ),
 }
@@ -296,7 +311,7 @@ def _estimate(key: ConstantKey):
     points = 2 * n_side if two_sided else n_side
     if n * points > _MAX_NORMALS:
         raise ValueError(
-            f"{n} samples of {points} field points may draw {n * points:.3g} normals, "
+            f"{n} samples of {points:.3g} field points may draw {n * float(points):.3g} normals, "
             f"more than the limit of {_MAX_NORMALS:.3g}"
         )
     slope = 1.0 if two_sided else spec.slope(p)
@@ -309,6 +324,7 @@ def _estimate(key: ConstantKey):
         tile = np.empty((min(m, _TILE), levels.size))
         tile[:, origin] = 0.0
         z = np.empty((len(tile), n_side))
+        scratch = _Scratch(tile.size)
         right = rng.standard_normal((m, n_side)) if two_sided else None
         for start in range(0, m, _TILE):
             rows = slice(start, min(start + _TILE, m))
@@ -318,7 +334,7 @@ def _estimate(key: ConstantKey):
                 _walk(field[:, :n_side][:, ::-1], rng.standard_normal(out=zt), eta, slope)
             else:
                 _walk(field[:, 1:], rng.standard_normal(out=zt), eta, slope)
-            vals[rows] = spec.values(field, eta, p)
+            vals[rows] = spec.values(field, eta, p, scratch)
             if spec.positive_edge:
                 near_edge[rows] = (field[:, outer] > 0.0).any(axis=1)
             else:

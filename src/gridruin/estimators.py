@@ -38,6 +38,7 @@ from .model import (
     ModelParams,
     VariantParams,
     _check_horizon,
+    _Scratch,
     _mean_se,
     _run_blocks,
     _variant_value,
@@ -76,27 +77,8 @@ class Estimate:
 # step its work arrays.  ``_run_chunks`` is the steps' only caller.
 
 
-class _Scratch:
-    """Work arrays reused by every chunk of a block, each viewed at the chunk's shape.
-
-    A fresh (16, 8192) float64 array is 1 MB, past glibc's default mmap
-    threshold, so allocating one per chunk would cost an mmap and its page
-    faults each time.
-    """
-
-    _DTYPES = {"level": np.float64, "float": np.float64, "int": np.int64, "hit": bool}
-
-    def __init__(self, size):
-        self._size, self._flat = size, {}
-
-    def __call__(self, name, shape):
-        if name not in self._flat:
-            self._flat[name] = np.empty(self._size, self._DTYPES[name])
-        return self._flat[name][: shape[0] * shape[1]].reshape(shape)
-
-
 def _classical_step(levels, u, _, state, scratch):
-    return np.greater(levels, u, out=scratch("hit", levels.shape)), state
+    return np.greater(levels, u, out=scratch("hit", levels.shape, bool)), state
 
 
 def _reflected_step(levels, u, gamma, low, scratch):
@@ -107,13 +89,13 @@ def _reflected_step(levels, u, gamma, low, scratch):
     low = low.copy()
     reflected *= gamma
     np.subtract(levels, reflected, out=reflected)
-    return np.greater(reflected, u, out=scratch("hit", levels.shape)), low
+    return np.greater(reflected, u, out=scratch("hit", levels.shape, bool)), low
 
 
 def _parisian_step(levels, u, window_pts, run, scratch):
     """Ruin once ``window_pts`` consecutive points exceed u; carries the current run length."""
-    exceed = np.greater(levels, u, out=scratch("hit", levels.shape))
-    runs = scratch("int", levels.shape)
+    exceed = np.greater(levels, u, out=scratch("hit", levels.shape, bool))
+    runs = scratch("int", levels.shape, np.int64)
     for j, above in enumerate(exceed):
         run = np.add(run, 1, out=runs[j])
         run *= above
@@ -122,8 +104,8 @@ def _parisian_step(levels, u, window_pts, run, scratch):
 
 def _cumulative_step(levels, u, k, count, scratch):
     """Ruin once more than k points exceed u (not necessarily consecutive); carries the count."""
-    exceed = np.greater(levels, u, out=scratch("hit", levels.shape))
-    counts = scratch("int", levels.shape)
+    exceed = np.greater(levels, u, out=scratch("hit", levels.shape, bool))
+    counts = scratch("int", levels.shape, np.int64)
     for j, above in enumerate(exceed):
         count = np.add(count, above, out=counts[j])
     return np.greater(counts, k, out=exceed), count.copy()
@@ -169,7 +151,7 @@ def _setup(variant, params, grid, variant_params, horizon, n):
         n_steps += p - 1
     if n * n_steps > _MAX_NORMALS:
         raise ValueError(
-            f"{n} paths of {n_steps} steps may draw {n * n_steps:.3g} normals, "
+            f"{n} paths of {n_steps:.3g} steps may draw {n * float(n_steps):.3g} normals, "
             f"more than the limit of {_MAX_NORMALS:.3g}"
         )
     return (lambda levels, state, scratch: step(levels, params.u, p, state, scratch)), initial, n_steps

@@ -191,6 +191,25 @@ def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
     return results
 
 
+class _Scratch:
+    """Work arrays a block worker reuses for each of its chunks or tiles.
+
+    ``scratch(name, shape, dtype)`` returns the work array ``name``,
+    allocated at its first request, as a contiguous view of ``shape``;
+    ``size`` is the most elements a view may hold.  A fresh (16, 8192) float64 array is
+    1 MB, past glibc's default mmap threshold, so allocating one per chunk
+    would cost an mmap and its page faults each time.
+    """
+
+    def __init__(self, size):
+        self._size, self._flat = size, {}
+
+    def __call__(self, name, shape, dtype=np.float64):
+        if name not in self._flat:
+            self._flat[name] = np.empty(self._size, dtype)
+        return self._flat[name][: shape[0] * shape[1]].reshape(shape)
+
+
 def _mean_se(parts, n: int) -> tuple[float, float]:
     """Mean and standard error from per-block (sum x, sum x^2), summed in block order."""
     mean = math.fsum(p[0] for p in parts) / n

@@ -3,11 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import special
 
 from gridruin.analytic import (
     DpOracleConfig,
     QuadratureMassError,
     _default_state_lo,
+    _erfc,
+    _log_ndtr,
     crossing_after,
     dp_classical_ruin,
     norm_cdf,
@@ -28,6 +31,47 @@ class TestNormalTools:
     def test_sf_accurate_in_far_tail(self):
         # naive 1 - ndtr(x) dies around x ~ 8.3; the erfc route keeps going
         assert norm_sf(20.0) == pytest.approx(2.7536241186062337e-89, rel=1e-12)
+
+
+class TestNormalToolsAgainstScipy:
+    """The library's normal helpers pinned to scipy.special, the independent reference."""
+
+    @staticmethod
+    def rel_err(got, want):
+        return np.max(np.abs(got - want) / np.abs(want))
+
+    def test_cdf_and_sf_wherever_above_1e_290(self):
+        # below 1e-290 (x < -36.4) the values approach the subnormal range
+        x = np.linspace(-36.4, 36.4, 100_001)
+        assert self.rel_err(norm_cdf(x), special.ndtr(x)) <= 1e-12
+        assert self.rel_err(norm_sf(x), special.ndtr(-x)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "x",
+        [-np.geomspace(1e-300, 1e4, 100_001), np.linspace(-1e4, -1e-3, 100_001)],
+        ids=["log-spaced", "linear"],
+    )
+    def test_log_ndtr_below_zero(self, x):
+        # crosses the switch to the asymptotic series at -20
+        assert self.rel_err(_log_ndtr(x), special.log_ndtr(x)) <= 1e-15
+
+    def test_log_ndtr_above_zero(self):
+        x = np.concatenate([np.geomspace(1e-300, 1.0, 10_001), np.linspace(1.0, 37.0, 100_001)])
+        assert self.rel_err(_log_ndtr(x), special.log_ndtr(x)) <= 1e-12
+
+    def test_edge_values(self):
+        x = np.array([-np.inf, -1e10, -20.0, 0.0, 1e10, np.inf, np.nan])
+        np.testing.assert_allclose(_log_ndtr(x), special.log_ndtr(x), rtol=1e-15)
+        np.testing.assert_allclose(norm_cdf(x), special.ndtr(x), rtol=1e-12)
+        np.testing.assert_allclose(_erfc(x), special.erfc(x), rtol=1e-12)
+
+    @pytest.mark.parametrize("fn", [norm_cdf, norm_sf, _log_ndtr, _erfc])
+    @pytest.mark.parametrize("x", [0.5, np.float64(-3.0), 2])
+    def test_scalar_in_float_out(self, fn, x):
+        y = fn(x)
+        assert isinstance(y, float) or (isinstance(y, np.ndarray) and y.shape == ())
+        assert np.asarray(y).dtype == np.float64
+        assert float(y) == fn(np.array([x]))[0]
 
 
 class TestPsiInf:

@@ -100,6 +100,17 @@ class TestEstimateCommand:
         assert out == ""
         assert target.read_text().startswith("variant,")
 
+    @pytest.mark.parametrize("target", ["missing/record.csv", ""], ids=["missing-parent", "directory"])
+    def test_unwritable_out_refused_before_the_estimate(self, capsys, monkeypatch, tmp_path, target):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the estimate ran before --out was checked")
+
+        monkeypatch.setattr(cli.estimators, "estimate", must_not_run)
+        status, out, err = run(capsys, *ESTIMATE_ARGS, "--out", str(tmp_path / target))
+        assert status == cli.EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("error: --out ")
+
     def test_numerical_failure_exit_code(self, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic numerical failure")
@@ -321,6 +332,13 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "100", "--cache", "."], None),
         (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "100",
           "--out", "no-such-dir/x.csv"], None),
+        # grids so fine that the step and point counts have hundreds of
+        # digits, or overflow a float
+        (["estimate", "--c", "1", "--u", "10", "--delta", "1e-300", "--n", "100000"], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "1e-300", "--n", "1000"], None),
+        (["estimate", "--c", "1", "--u", "10", "--delta", "1e-305", "--n", "100000"], None),
+        (["estimate", "--c", "1", "--u", "10", "--delta", "1e-320", "--n", "100"], None),
+        (["constant", "--kind", "pickands_dy", "--eta", "1e-320", "--n", "1000"], None),
     ],
     ids=[
         "zero-n",
@@ -348,6 +366,11 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "seed-beyond-64-bits",
         "cache-path-is-a-directory",
         "out-path-in-missing-directory",
+        "tiny-delta",
+        "tiny-eta",
+        "tiny-delta-normals-overflow",
+        "subnormal-delta",
+        "subnormal-eta",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):
@@ -355,15 +378,34 @@ def test_bad_input_exits_cleanly(argv, config, tmp_path):
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
         argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    proc = _python(tmp_path, "-m", "gridruin.cli", *argv)
+    assert proc.returncode in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), proc.stderr
+    assert "Traceback" not in proc.stderr
+    message = proc.stderr.splitlines()[-1]
+    assert len(message) < 200, message
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    """scipy stays out of the CLI's import path: it was over half of every call's start-up."""
+    proc = _python(
+        tmp_path,
+        "-c",
+        "import gridruin.cli, sys; gridruin.cli.build_parser(); "
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _python(cwd, *args):
+    """Run a fresh interpreter with this checkout's gridruin on its path."""
     src = str(Path(gridruin.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gridruin.cli", *argv],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=120,
-        cwd=tmp_path,
+        cwd=cwd,
     )
-    assert proc.returncode in (cli.EXIT_CONFIG, cli.EXIT_NUMERICAL), proc.stderr
-    assert "Traceback" not in proc.stderr

@@ -69,7 +69,7 @@ def tile_fields(key: ConstantKey, monkeypatch) -> np.ndarray:
     """The fields the drivers' tile fill draws for ``key``, one row per sample, in order."""
     tiles = []
 
-    def record(field, eta, p):
+    def record(field, eta, p, _scratch):
         tiles.append(field.copy())
         return np.zeros(len(field))
 
@@ -271,6 +271,7 @@ KIND_EXTRAS = [
     ("piterbarg", {"a": 1.0}),
     ("parisian", {"T": 1.0}),
     ("berman", {"k": 1}),
+    ("parisian", {"T": 3.0}),  # three window-minimum passes, an odd number
 ]
 
 
