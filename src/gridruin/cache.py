@@ -1,10 +1,12 @@
 """Append-only on-disk cache of limiting-constant estimates.
 
 One JSON record per line: the ConstantKey's fields, ``estimate``,
-``std_error``, ``boundary_fraction`` and a sha256-prefix ``checksum`` of the
-other fields, so that truncated or hand-edited lines are detected and skipped
-with a warning instead of silently poisoning later runs.  A line with extra
-fields still loads; its checksum covers them too.
+``std_error``, ``boundary_fraction``, the ``stream`` layout that drew the
+estimate and a sha256-prefix ``checksum`` of the other fields, so that
+truncated or hand-edited lines are detected and skipped with a warning
+instead of silently poisoning later runs.  A line from another random-stream
+layout is skipped too: the same key estimates another number there.  A line
+with extra fields still loads; its checksum covers them too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+from .model import _STREAM_LAYOUT
 
 if TYPE_CHECKING:
     from .constants import ConstantKey, ConstantValue
@@ -51,6 +55,14 @@ class ConstantCache:
                 stored = rec.pop("checksum")
                 if stored != _checksum(rec):
                     raise ValueError("checksum mismatch")
+                stream = rec.get("stream")
+                if stream != _STREAM_LAYOUT:
+                    warnings.warn(
+                        f"{self.path}:{lineno}: skipping cache line from another random-stream "
+                        f"layout ({stream!r}, this version draws {_STREAM_LAYOUT!r})",
+                        stacklevel=2,
+                    )
+                    continue
                 key = ConstantKey(**{f.name: rec[f.name] for f in fields(ConstantKey)})
                 value = ConstantValue(
                     estimate=rec["estimate"],
@@ -75,6 +87,7 @@ class ConstantCache:
             estimate=value.estimate,
             std_error=value.std_error,
             boundary_fraction=value.boundary_fraction,
+            stream=_STREAM_LAYOUT,
         )
         rec["checksum"] = _checksum(rec)
         with self.path.open("a+b") as fh:

@@ -16,12 +16,11 @@ point falls in the outer 10% of the window, which turns the unquantifiable
 truncation bias into an observable warning.
 
 The drivers run their blocks on every available core.  Each block is
-filled and reduced ``_TILE`` rows at a time, so a worker holds a few
-``_TILE`` x window arrays for a one-sided kind (``pickands_diff``,
-``piterbarg``) and, for a two-sided kind, also its block's
-``BLOCK_SIZE`` x n_side right-half normals (6.6 MB for the default window
-at eta = 0.2), never a whole (block, window) field.  A request for more
-than 2**40 normals is refused before the first draw.
+filled and reduced ``_TILE`` rows at a time, each tile drawing its own
+normals, so a worker holds a few ``_TILE`` x window arrays (a traced peak
+of 2.8 MB for the two-sided default window at eta = 0.2), never a whole
+(block, window) field.  A request for more than 2**40 normals is refused before the first
+draw.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .model import (
     _mean_se,
     _run_blocks,
     _Scratch,
+    _steps_in,
     _variant_value,
 )
 
@@ -73,7 +73,7 @@ def _normalise(x: float | None) -> float | None:
 
 def _snap(trunc: float, eta: float) -> float:
     """The nearest positive integer multiple of ``eta``."""
-    return max(round(trunc / eta), 1) * eta
+    return max(round(_steps_in(trunc, eta)), 1) * eta
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,7 @@ _KINDS = {
 
 # Rows of a block filled and reduced at a time.  A worker holds a few
 # _TILE x window arrays (the tile, its normals, the functional's
-# temporaries); a two-sided field adds the block's BLOCK_SIZE x n_side
-# right-half normals.  Fewer rows pay a tile's fixed numpy calls more often,
+# temporaries).  Fewer rows pay a tile's fixed numpy calls more often,
 # more rows hold more memory.  On the four cold keys of the `constants`
 # benchmark workload (2 threads, 2-vCPU VM, median of three) 128, 256 and
 # 512 rows took 1.73, 1.66 and 1.55 s; 1024 and 2048 were no faster.
@@ -294,12 +293,12 @@ def _estimate(key: ConstantKey):
     Unbiased for the truncated expectation; the boundary fraction is the
     share of samples near the edge of the window.  This is the only field
     sampler.  A block fills, reduces and drops its fields a tile of rows at
-    a time.  Its stream is drawn in row order: a one-sided block draws each
-    tile's (rows, n_side) normals in turn; a two-sided block first draws
-    the (m, n_side) normals of all its right halves (t > 0), then each
-    tile's left half (t < 0, walked outward from the origin).  The halves
-    are independent Brownian motions from 0, which is exact since B has
-    independent increments.  A request for more than ``_MAX_NORMALS``
+    a time.  Its stream is drawn in row order, each tile drawing its
+    (rows, n_side) normals, or (rows, 2 n_side) for a two-sided field: row
+    r's right half (t > 0), then its left half (t < 0, walked outward from
+    the origin), so the stream layout does not depend on ``_TILE``.  The
+    halves are independent Brownian motions from 0, which is exact since B
+    has independent increments.  A request for more than ``_MAX_NORMALS``
     normals, n samples of the field's points off the origin, is refused
     before the first draw.
     """
@@ -323,17 +322,16 @@ def _estimate(key: ConstantKey):
         vals, near_edge = np.empty(m), np.empty(m, bool)
         tile = np.empty((min(m, _TILE), levels.size))
         tile[:, origin] = 0.0
-        z = np.empty((len(tile), n_side))
+        z = np.empty((len(tile), points))
         scratch = _Scratch(tile.size)
-        right = rng.standard_normal((m, n_side)) if two_sided else None
         for start in range(0, m, _TILE):
             rows = slice(start, min(start + _TILE, m))
-            field, zt = tile[: rows.stop - start], z[: rows.stop - start]
+            field, zt = tile[: rows.stop - start], rng.standard_normal(out=z[: rows.stop - start])
             if two_sided:
-                _walk(field[:, n_side + 1 :], right[rows], eta, slope)
-                _walk(field[:, :n_side][:, ::-1], rng.standard_normal(out=zt), eta, slope)
+                _walk(field[:, n_side + 1 :], zt[:, :n_side], eta, slope)
+                _walk(field[:, :n_side][:, ::-1], zt[:, n_side:], eta, slope)
             else:
-                _walk(field[:, 1:], rng.standard_normal(out=zt), eta, slope)
+                _walk(field[:, 1:], zt, eta, slope)
             vals[rows] = spec.values(field, eta, p, scratch)
             if spec.positive_edge:
                 near_edge[rows] = (field[:, outer] > 0.0).any(axis=1)

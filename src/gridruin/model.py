@@ -2,10 +2,11 @@
 
 Everything downstream (constant estimation, ruin estimators, the CLI) draws
 its randomness through :func:`make_rng`, which maps a ``(seed, stream_id)``
-pair to an independent counter-based Philox stream.  Aggregates computed from
-fixed stream ids are therefore bit-identical no matter how many workers run
-concurrently or in which order streams are consumed.  Paths and fields are
-drawn only by the block workers of :mod:`.estimators` and :mod:`.constants`.
+pair to its own SFC64 stream, seeded by hashing the pair with numpy's
+``SeedSequence``.  Aggregates computed from fixed stream ids are therefore
+bit-identical no matter how many workers run concurrently or in which order
+streams are consumed.  Paths and fields are drawn only by the block workers
+of :mod:`.estimators` and :mod:`.constants`.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ __all__ = [
     "default_horizon",
 ]
 
-_KEY_LIMIT = 1 << 64  # a Philox key word holds 64 bits
+_KEY_LIMIT = 1 << 64  # seeds and stream ids are 64-bit words (see make_rng)
 
 # Replicates per block of the stream layout: block b holds replicates
 # [b * BLOCK_SIZE, ...) on make_rng(seed, b).  The ruin estimators consume a
@@ -36,12 +37,25 @@ _KEY_LIMIT = 1 << 64  # a Philox key word holds 64 bits
 # function of this layout, so changing it changes every printed number.
 BLOCK_SIZE = 8192
 
+# Name of the stream layout: the generator of make_rng, BLOCK_SIZE and the
+# samplers' draw orders.  The constant cache stores it with each record and
+# skips records written under another, so change it whenever they change.
+_STREAM_LAYOUT = "sfc64-1"
+
 # Most normals one request may draw: n paths to the horizon (the ruin
 # estimators) or n fields of the window's points (the constant drivers).
-# 2**40 is about eight hours of one core at the 4e7 normals/s of a 2-vCPU
-# Xeon VM and far above any documented command, so an impossible request
-# fails before its first draw.
+# 2**40 is about five hours of one core at the 6e7 SFC64 normals/s of a
+# 2-vCPU Xeon VM and far above any documented command, so an impossible
+# request fails before its first draw.
 _MAX_NORMALS = 2**40
+
+
+def _steps_in(length: float, step: float) -> float:
+    """``length / step``, refused when a finite length holds more steps than a float can count."""
+    steps = length / step
+    if math.isinf(steps) and math.isfinite(length):
+        raise ValueError(f"a length of {length} holds too many grid steps of {step} to count")
+    return steps
 
 
 @dataclass(frozen=True)
@@ -61,11 +75,11 @@ class Grid:
 
     def n_steps_for(self, horizon: float) -> int:
         """Smallest step count whose grid covers ``[0, horizon]``."""
-        return int(math.ceil(horizon / self.delta - 1e-9))
+        return int(math.ceil(_steps_in(horizon, self.delta) - 1e-9))
 
     def points(self, length: float) -> int:
         """Steps in ``length``, a nonnegative multiple of delta to 1e-9 * max(1, length, delta)."""
-        n = round(length / self.delta) if 0.0 <= length < math.inf else -1
+        n = round(_steps_in(length, self.delta)) if 0.0 <= length < math.inf else -1
         if n < 0 or abs(n * self.delta - length) > 1e-9 * max(1.0, length, self.delta):
             raise ValueError(
                 f"{length} must be a nonnegative integer multiple of the grid step {self.delta}"
@@ -134,19 +148,26 @@ def _variant_value(variant: str, variant_params: VariantParams | None):
 def make_rng(seed: int, replicate_id: int) -> np.random.Generator:
     """Independent random stream for one replicate (or replicate block).
 
-    The stream is a pure function of ``(seed, replicate_id)``: Philox is
-    keyed directly with the pair, so distinct ids give statistically
-    independent streams and reproduction does not depend on how many other
-    streams exist or in which order they are consumed.  Both must lie in
-    [0, 2**64), the range of a Philox key word, so distinct pairs never share
-    a stream.
+    The stream is a pure function of ``(seed, replicate_id)``, so
+    reproduction does not depend on how many other streams exist or in which
+    order they are consumed.  Both must lie in [0, 2**64), so no two pairs
+    are aliased by masking.
+
+    Distinct pairs give distinct streams that do not overlap.  With a spawn
+    key, ``SeedSequence`` pads the seed's words to its 4-word pool before
+    appending the key's, so distinct pairs give distinct entropy words and
+    hence distinct SFC64 states, except with probability about 2**-128.
+    Every SFC64 stream starts with its 64-bit counter at the same value,
+    and the counter is part of the state, so one stream cannot reach
+    another's starting state within 2**64 outputs, far above the
+    ``_MAX_NORMALS`` = 2**40 normals one request may draw.
     """
     if not 0 <= seed < _KEY_LIMIT:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if not 0 <= replicate_id < _KEY_LIMIT:
         raise ValueError(f"replicate_id must lie in [0, 2**64), got {replicate_id}")
-    key = np.array([seed, replicate_id], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    entropy = np.random.SeedSequence(seed, spawn_key=(replicate_id,))
+    return np.random.Generator(np.random.SFC64(entropy))
 
 
 def _cores() -> int:
@@ -170,9 +191,7 @@ def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
       block a chunk of grid steps at a time and drops each path once it is
       ruined, O(BLOCK_SIZE x chunk) values whatever the horizon and step;
     * the constant drivers' worker, the only field sampler, fills and
-      reduces its block a tile of rows at a time, O(tile x window) values
-      for a one-sided field, plus the block's BLOCK_SIZE x n_side
-      right-half normals for a two-sided one.
+      reduces its block a tile of rows at a time, O(tile x window) values.
 
     Memory grows with ``threads``, never with n.
     """

@@ -3,10 +3,9 @@
 The library draws ruin paths only in the estimators' chunk runner and limit
 fields only in the constant drivers' tile fill.  A coupling test needs one
 matrix that several detectors or functionals all see, so the samplers here
-draw it whole from one Philox stream: C-order normals, and for a two-sided
-field the normals of every row's right half before those of every left
-half.  ``detect`` runs the rows of a path matrix through the production
-chunk runner, ``estimators._run_chunks``.
+draw it whole from one stream: C-order normals, and for a two-sided field
+each row's right half, then its left half.  ``detect`` runs the rows of a
+path matrix through the production chunk runner, ``estimators._run_chunks``.
 """
 
 import math
@@ -32,8 +31,9 @@ def whole_field_two_sided(eta, trunc, m, rng):
     """m samples of sqrt(2) B(t) - |t| on the grid [-trunc, trunc]; column trunc/eta is t = 0."""
     n_side = Grid(eta).points(trunc)
     field = np.zeros((m, 2 * n_side + 1))
-    _walk(field[:, n_side + 1 :], rng.standard_normal((m, n_side)), eta, 1.0)
-    _walk(field[:, :n_side][:, ::-1], rng.standard_normal((m, n_side)), eta, 1.0)
+    z = rng.standard_normal((m, 2 * n_side))
+    _walk(field[:, n_side + 1 :], z[:, :n_side], eta, 1.0)
+    _walk(field[:, :n_side][:, ::-1], z[:, n_side:], eta, 1.0)
     return field
 
 

@@ -385,6 +385,21 @@ def test_bad_input_exits_cleanly(argv, config, tmp_path):
     assert len(message) < 200, message
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--c", "1", "--u", "10", "--delta", "1e-320", "--n", "100"],
+        ["constant", "--kind", "pickands_dy", "--eta", "1e-320"],
+    ],
+    ids=["subnormal-delta", "subnormal-eta"],
+)
+def test_subnormal_step_refusal_names_the_step(argv, capsys):
+    # the step count overflows a float; the refusal names the step and the length
+    status, out, err = run(capsys, *argv)
+    assert status == cli.EXIT_CONFIG and out == ""
+    assert "grid steps of 1e-320" in err and "infinity" not in err
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     """scipy stays out of the CLI's import path: it was over half of every call's start-up."""
     proc = _python(

@@ -124,7 +124,9 @@ class TestChunkCarry:
         ],
     )
     def test_any_chunk_length_matches_one_chunk(self, variant, p, drift, monkeypatch):
-        m, n_steps, u, tilt = 400, 60, 1.0, drift + 1.0
+        # at drift +1 as few as 0.2% of the paths survive (reflected, gamma 0.5),
+        # so 10^4 paths hold some survivors for any stream
+        m, n_steps, u, tilt = 10_000, 60, 1.0, drift + 1.0
         levels = whole_paths(0.1, drift, n_steps, m, make_rng(12, 0))
         monkeypatch.setattr(estimators, "_CHUNK", n_steps)
         occurred, idx, weight = detect(variant, levels, u, p, tilt)

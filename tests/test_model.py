@@ -1,5 +1,8 @@
+import ast
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +32,15 @@ class TestGrid:
         for bad in (0.35, -0.1, math.inf, math.nan):
             with pytest.raises(ValueError, match="integer multiple"):
                 g.points(bad)
+
+    def test_subnormal_step_refused_with_step_and_length(self):
+        # 10 / 1e-320 overflows a float, so no step count exists
+        g = Grid(delta=1e-320)
+        for count in (g.n_steps_for, g.points):
+            with pytest.raises(ValueError, match="length of 10.0 holds too many grid steps of 1e-320"):
+                count(10.0)
+        with pytest.raises(ValueError, match="length of 20.0 holds too many grid steps of 1e-320"):
+            constants.pickands_dy(1e-320)  # the default window, snapped to the step
 
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_delta(self, delta):
@@ -97,6 +109,21 @@ class TestRng:
 
     def test_largest_seed_accepted(self):
         assert make_rng(2**64 - 1, 0).standard_normal() != make_rng(0, 0).standard_normal()
+
+    def test_one_generator_path(self):
+        # every stream comes from make_rng, so the generator and its seeding
+        # live in one place; the stream layout name covers them
+        src = Path(model.__file__).parent
+        tree = ast.parse((src / "model.py").read_text())
+        fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "make_rng")
+        outside = [
+            f"{path.relative_to(src)}:{lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"\b(np|numpy)\.random\b", line)
+            and not (path.name == "model.py" and fn.lineno <= lineno <= fn.end_lineno)
+        ]
+        assert outside == []
 
 
 def walk(drift, n_steps, m, rng, delta=0.1):
