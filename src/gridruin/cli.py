@@ -19,7 +19,7 @@ import numpy as np
 from . import asymptotics, constants, estimators
 from .analytic import norm_cdf
 from .cache import ConstantCache
-from .model import Grid, ModelParams, VariantParams, _variant_value, default_horizon
+from .model import Grid, ModelParams, VariantParams, default_horizon
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -243,7 +243,7 @@ def cmd_validate(args) -> int:
         constant_n=args.constant_n,
         cache=cache,
     )
-    extra = _variant_value(args.variant, vp)
+    extra = estimators._variant_value(args.variant, vp)
     table = [
         {
             "variant": args.variant,

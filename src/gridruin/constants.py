@@ -33,6 +33,7 @@ from typing import Callable
 import numpy as np
 
 from .cache import ConstantCache
+from .estimators import _VARIANTS, _variant_value
 from .model import (
     _MAX_NORMALS,
     Grid,
@@ -42,7 +43,6 @@ from .model import (
     _run_blocks,
     _Scratch,
     _steps_in,
-    _variant_value,
 )
 
 __all__ = [
@@ -371,9 +371,10 @@ def piterbarg(
 ) -> ConstantValue:
     """E sup exp(sqrt(2) B(t) - t(1+a)) over the one-sided grid [0, trunc]."""
     key = ConstantKey("piterbarg", eta, trunc, n, seed, a=a)
-    if a < 0.05:
+    if a <= 1:
         warnings.warn(
-            f"a={a} is very small; truncation bias and variance grow as a -> 0",
+            f"a={a} <= 1: e^M has a Pareto tail of exponent 1 + a and infinite variance, "
+            "so the standard error does not measure the error",
             stacklevel=2,
         )
     return _estimate(key)
@@ -416,18 +417,6 @@ def berman(
 # ---------------------------------------------------------------------------
 # Model coupling
 
-# variant -> (c, delta, p) -> [(kind, eta, extra key fields)], with p the
-# variant's parameter and eta = 2 c^2 delta the grid step of the limit field.
-_MODEL_KEYS = {
-    "classical": lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})],
-    "reflected": lambda c, delta, g: [
-        ("piterbarg", 2.0 * c * c * (1.0 - g) ** 2 * delta, {"a": g / (1.0 - g)}),
-        ("pickands_dy", 2.0 * c * c * delta, {}),
-    ],
-    "parisian": lambda c, delta, T: [("parisian", 2.0 * c * c * delta, {"T": 2.0 * c * c * T})],
-    "cumulative": lambda c, delta, k: [("berman", 2.0 * c * c * delta, {"k": k})],
-}
-
 
 def resolve_constant(key: ConstantKey, cache: ConstantCache | None = None):
     """Look the key up in the cache, estimate on miss.  Returns (value, cached)."""
@@ -454,12 +443,14 @@ def constant_keys_for_model(
 ) -> list[ConstantKey]:
     """Theorem parameter coupling: model (c, delta, variant) -> constant keys.
 
-    Each key takes its kind's default window, snapped to a multiple of its eta.
+    The keys are those of the variant's row in ``estimators._VARIANTS``;
+    each takes its kind's default window, snapped to a multiple of its eta.
     """
     p = _variant_value(variant, variant_params)
+    *_, model_keys = _VARIANTS[variant]
     return [
         ConstantKey(kind, eta, None, n, seed, **extra)
-        for kind, eta, extra in _MODEL_KEYS[variant](params.c, grid.delta, p)
+        for kind, eta, extra in model_keys(params.c, grid.delta, p)
     ]
 
 

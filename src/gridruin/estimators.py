@@ -9,6 +9,10 @@ estimator stays exactly unbiased for the ruin-by-horizon probability.
 Crude sampling is the same weighted sampler at the true drift -c, where
 every weight exp(-(drift + c) * S_tau) is exactly 1.
 
+Each ruin variant is one row of ``_VARIANTS``: its ``VariantParams`` field,
+its detector, and the limiting constants of its large-capital prefactor.
+A request must set the variant's own field and no other.
+
 Paths are simulated a chunk at a time.  A block of up to ``BLOCK_SIZE``
 paths advances ``_CHUNK`` grid steps per chunk, carrying each live path's
 level and detector state (running minimum, run length, exceedance count)
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .model import (
     _Scratch,
     _mean_se,
     _run_blocks,
-    _variant_value,
     default_horizon,
 )
 
@@ -111,20 +114,43 @@ def _cumulative_step(levels, u, k, count, scratch):
     return np.greater(counts, k, out=exceed), count.copy()
 
 
-# variant -> (step, initial state, windowed).  A windowed variant's parameter
-# is its window in grid points, T/delta + 1, and its paths run window - 1
-# steps past the horizon so that a run starting there can end.
-_DETECTORS = {
-    "classical": (_classical_step, 0, False),
-    "reflected": (_reflected_step, np.inf, False),
-    "parisian": (_parisian_step, 0, True),
-    "cumulative": (_cumulative_step, 0, False),
+# variant -> (the VariantParams field it reads, its detector step, the step's
+# state after S_0 = 0 <= u, windowed, its prefactor's constant keys).  A
+# windowed variant's parameter is its window in grid points, T/delta + 1, and
+# its paths run window - 1 steps past the horizon so that a run starting
+# there can end.  The keys map (c, delta, p), p the variant's parameter, to
+# [(kind, eta, extra key fields)], eta = 2 c^2 delta the limit field's step.
+_VARIANTS = {
+    "classical": (None, _classical_step, 0, False,
+                  lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})]),
+    "reflected": ("gamma", _reflected_step, 0.0, False, lambda c, delta, g: [
+        ("piterbarg", 2.0 * c * c * (1.0 - g) ** 2 * delta, {"a": g / (1.0 - g)}),
+        ("pickands_dy", 2.0 * c * c * delta, {})]),
+    "parisian": ("parisian_T", _parisian_step, 0, True,
+                 lambda c, delta, T: [("parisian", 2.0 * c * c * delta, {"T": 2.0 * c * c * T})]),
+    "cumulative": ("cumulative_k", _cumulative_step, 0, False,
+                   lambda c, delta, k: [("berman", 2.0 * c * c * delta, {"k": k})]),
 }
-VARIANTS = tuple(_DETECTORS)
+VARIANTS = tuple(_VARIANTS)
+
+
+def _variant_value(variant: str, variant_params: VariantParams | None):
+    """The parameter ``variant`` reads from ``variant_params``, which must set it and no other."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    field = _VARIANTS[variant][0]
+    values = asdict(variant_params or VariantParams())
+    value = values.pop(field, None)
+    stray = [name for name, v in values.items() if v is not None]
+    if stray:
+        raise ValueError(f"{variant} variant does not read {stray[0]}")
+    if field is not None and value is None:
+        raise ValueError(f"{variant} variant requires {field}")
+    return value
 
 
 # Grid steps a block advances per chunk.  A block's work arrays hold
-# BLOCK_SIZE x (_CHUNK + 1) values whatever the horizon.  Shorter chunks pay
+# BLOCK_SIZE x _CHUNK values whatever the horizon.  Shorter chunks pay
 # the fixed numpy calls of a chunk more often; in longer ones a ruined path
 # draws more steps past ruin ((_CHUNK - 1) / 2 on average) and the arrays
 # outgrow the cache.  Of 8, 16, 32 and 64, 16 was fastest on tilted
@@ -133,7 +159,7 @@ _CHUNK = 16
 
 
 def _setup(variant, params, grid, variant_params, horizon, n):
-    """The variant's step bound to u and its parameter, its initial state, and the path length in steps.
+    """The variant's step bound to u and its parameter, its state at point 0, and the path's steps.
 
     The one gate for every simulated horizon: it must be finite and cover a
     grid step, one below ``default_horizon`` warns at the caller of the
@@ -141,7 +167,7 @@ def _setup(variant, params, grid, variant_params, horizon, n):
     ``_MAX_NORMALS`` normals.
     """
     p = _variant_value(variant, variant_params)
-    step, initial, windowed = _DETECTORS[variant]
+    _, step, initial, windowed, _ = _VARIANTS[variant]
     if math.isfinite(horizon) and grid.n_steps_for(horizon) < 1:
         raise ValueError(f"horizon {horizon} covers no grid step of {grid.delta}")
     _check_horizon(params, horizon, stacklevel=4)
@@ -158,24 +184,23 @@ def _setup(variant, params, grid, variant_params, horizon, n):
 
 
 def _run_chunks(step, state, n_steps, fill, tilt):
-    """(occurred, idx, w) of paths over grid points 0..n_steps, advanced a chunk at a time.
+    """(occurred, idx, w) of paths over grid points 1..n_steps, advanced a chunk at a time.
 
-    ``state`` holds the step's initial state, one entry per path.
+    ``state`` holds the step's state after point 0, one entry per path.
     ``fill(rows, start, out)`` writes the levels of the paths ``rows`` at
     grid points start, start + 1, ... into the time-major ``out`` (one row
-    per point).  The first chunk covers point 0 and _CHUNK steps, every
-    later one the next _CHUNK steps.  A detected path records its first
-    qualifying index and its weight w = exp(-tilt * S_idx), and is dropped,
-    so later chunks fill only the paths still live; w = 0 for a path that
-    never qualifies.
+    per point).  Each chunk covers the next _CHUNK steps.  A detected path
+    records its first qualifying index and its weight w = exp(-tilt * S_idx),
+    and is dropped, so later chunks fill only the paths still live; w = 0
+    for a path that never qualifies.
     """
     m = state.size
     occurred, idx, w = np.zeros(m, bool), np.zeros(m, np.int64), np.zeros(m)
     rows = np.arange(m)
-    scratch = _Scratch(m * (_CHUNK + 1))
-    start = 0
+    scratch = _Scratch(m * _CHUNK)
+    start = 1
     while rows.size and start <= n_steps:
-        stop = min(max(start, 1) + _CHUNK, n_steps + 1)
+        stop = min(start + _CHUNK, n_steps + 1)
         levels = scratch("level", (stop - start, rows.size))
         fill(rows, start, levels)
         qualifies, state = step(levels, state, scratch)
@@ -207,14 +232,11 @@ def _weighted_block(detect, initial, grid, c, drift, n_steps, m, rng):
 
     def fill(rows, start, out):
         prev = level[rows]
-        if start == 0:
-            out[0] = prev
-        steps = out[(start == 0):]
-        z = normals[: rows.size * len(steps)].reshape(rows.size, len(steps))
+        z = normals[: out.size].reshape(rows.size, len(out))
         rng.standard_normal(out=z)
         z *= math.sqrt(grid.delta)
         z += drift * grid.delta
-        for j, row in enumerate(steps):
+        for j, row in enumerate(out):
             prev = np.add(prev, z[:, j], out=row)
         level[rows] = prev
 

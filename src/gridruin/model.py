@@ -103,10 +103,10 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class VariantParams:
-    """Parameters of the non-classical ruin variants.
+    """Parameters of the ruin variants; at most one may be set.
 
-    At most one of ``gamma`` (reflected), ``parisian_T`` (Parisian) or
-    ``cumulative_k`` (cumulative) may be active for a single request.
+    Which variant reads which field is its row of the variant table in
+    :mod:`.estimators`, which also refuses a field the variant does not read.
     """
 
     gamma: float | None = None
@@ -123,26 +123,6 @@ class VariantParams:
             raise ValueError(f"parisian_T must be nonnegative and finite, got {self.parisian_T}")
         if self.cumulative_k is not None and self.cumulative_k < 0:
             raise ValueError(f"cumulative_k must be nonnegative, got {self.cumulative_k}")
-
-
-# The VariantParams field each ruin variant reads; classical reads none.
-_VARIANT_FIELDS = {
-    "classical": None,
-    "reflected": "gamma",
-    "parisian": "parisian_T",
-    "cumulative": "cumulative_k",
-}
-
-
-def _variant_value(variant: str, variant_params: VariantParams | None):
-    """The parameter ``variant`` reads from ``variant_params`` (None for classical)."""
-    if variant not in _VARIANT_FIELDS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(_VARIANT_FIELDS)}")
-    field = _VARIANT_FIELDS[variant]
-    value = None if field is None else getattr(variant_params or VariantParams(), field)
-    if field is not None and value is None:
-        raise ValueError(f"{variant} variant requires {field}")
-    return value
 
 
 def make_rng(seed: int, replicate_id: int) -> np.random.Generator:

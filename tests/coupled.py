@@ -48,12 +48,13 @@ def whole_field_one_sided(eta, length, m, rng, slope=1.0):
 def detect(variant, levels, u, p=None, tilt=0.0):
     """(occurred, idx, w) of each row of ``levels`` under the estimators' chunk runner.
 
-    ``levels[r]`` is path r at grid points 0, 1, ...; ``p`` is the variant's
-    detector parameter (gamma, the window in grid points, or k).  idx is
-    the first qualifying point (0 where none) and w = exp(-tilt * S_idx) on
-    a detected row, 0 elsewhere.
+    ``levels[r]`` is path r at grid points 0, 1, ..., with S_0 = 0 as in
+    every simulated path; the runner examines points 1, 2, ...  ``p`` is the
+    variant's detector parameter (gamma, the window in grid points, or k).
+    idx is the first qualifying point (0 where none) and w = exp(-tilt *
+    S_idx) on a detected row, 0 elsewhere.
     """
-    step, initial, _ = estimators._DETECTORS[variant]
+    _, step, initial, _, _ = estimators._VARIANTS[variant]
 
     def fill(rows, start, out):
         out[...] = levels[rows, start : start + len(out)].T

@@ -339,6 +339,11 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         (["estimate", "--c", "1", "--u", "10", "--delta", "1e-305", "--n", "100000"], None),
         (["estimate", "--c", "1", "--u", "10", "--delta", "1e-320", "--n", "100"], None),
         (["constant", "--kind", "pickands_dy", "--eta", "1e-320", "--n", "1000"], None),
+        # a variant flag the variant does not read
+        (["estimate", "--variant", "classical", "--gamma", "0.5", "--c", "1", "--u", "1",
+          "--delta", "0.1", "--method", "crude", "--n", "1000"], None),
+        (["validate", "--variant", "classical", "--k", "3", "--c", "1", "--u", "4",
+          "--delta", "0.1", "--n", "1000", "--constant-n", "1000"], None),
     ],
     ids=[
         "zero-n",
@@ -371,6 +376,8 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "tiny-delta-normals-overflow",
         "subnormal-delta",
         "subnormal-eta",
+        "classical-with-gamma",
+        "classical-validate-with-k",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):

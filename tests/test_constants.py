@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -169,8 +170,16 @@ class TestPiterbarg:
         assert np.all(hi <= lo)
 
     def test_small_a_warns(self):
-        with pytest.warns(UserWarning, match="small"):
+        with pytest.warns(UserWarning, match="infinite variance"):
             piterbarg(0.5, 0.01, trunc=30.0, n=1000, seed=0)
+
+    def test_warns_up_to_a_one(self):
+        # e^M has a Pareto tail of exponent 1 + a: its variance is finite only for a > 1
+        with pytest.warns(UserWarning, match="infinite variance"):
+            piterbarg(0.5, 1.0, trunc=30.0, n=1000, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            piterbarg(0.5, 1.5, trunc=30.0, n=1000, seed=0)
 
     def test_nonpositive_a_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from scipy.special import ndtr
 from coupled import detect, whole_paths
 from gridruin import estimators, model
 from gridruin.analytic import dp_classical_ruin
+from gridruin.constants import constant_keys_for_model
 from gridruin.estimators import (
     Estimate,
     estimate,
@@ -22,10 +23,6 @@ def one_row(*values):
 
 
 class TestDetectClassical:
-    def test_immediate_ruin_at_negative_level(self):
-        occurred, idx, _ = detect("classical", one_row(0.0, -1.0), u=-1.0)
-        assert occurred[0] and idx[0] == 0
-
     def test_first_crossing_time(self):
         occurred, idx, _ = detect("classical", one_row(0.0, 0.5, 1.2), u=1.0)
         assert occurred[0] and idx[0] == 2
@@ -140,6 +137,16 @@ class TestChunkCarry:
             for name, a, b in zip(("occurred", "idx", "weight"), got, (occurred, idx, weight)):
                 np.testing.assert_array_equal(a, b, err_msg=f"{name}, chunk {chunk}")
 
+    @pytest.mark.parametrize("chunk", [1, 16])
+    @pytest.mark.parametrize(
+        "variant, p", [("classical", None), ("reflected", 0.5), ("parisian", 1), ("cumulative", 0)]
+    )
+    def test_ruin_at_the_first_step(self, variant, p, chunk, monkeypatch):
+        # point 0 is never examined, so the earliest ruin is point 1
+        monkeypatch.setattr(estimators, "_CHUNK", chunk)
+        occurred, idx, _ = detect(variant, one_row(0.0, 2.0, 0.0, 0.0), u=1.0, p=p)
+        assert occurred[0] and idx[0] == 1
+
 
 class TestEstimate:
     def test_crude_vs_tilted(self):
@@ -214,6 +221,17 @@ class TestEstimate:
         for variant in ("reflected", "parisian", "cumulative"):
             with pytest.raises(ValueError, match="requires"):
                 estimate(variant, p, g, n=10)
+
+    @pytest.mark.parametrize(
+        "vp", [VariantParams(gamma=0.5), VariantParams(parisian_T=0.3), VariantParams(cumulative_k=2)]
+    )
+    def test_classical_refuses_a_variant_parameter(self, vp):
+        # a classical request that sets gamma, T or k would echo a parameter it never read
+        p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
+        with pytest.raises(ValueError, match="does not read"):
+            estimate("classical", p, g, vp, n=10)
+        with pytest.raises(ValueError, match="does not read"):
+            constant_keys_for_model("classical", p, g, vp)
 
     def test_variant_estimates_ordered(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)

