@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .analytic import psi_inf
 from .cache import ConstantCache
 from .constants import ConstantValue, constant_for_model
-from .estimators import estimate
+from .estimators import _variant_value, estimate
 from .model import Grid, ModelParams, VariantParams, default_horizon
 
 __all__ = ["Approximation", "RatioRow", "approx", "validate_ratio"]
@@ -54,8 +54,10 @@ def approx(
 
     ``constant`` may be supplied directly (e.g. a stub, or a cached value);
     otherwise the required constants are estimated via
-    :func:`gridruin.constants.constant_for_model`.
+    :func:`gridruin.constants.constant_for_model`.  Either way the variant
+    must be known and ``variant_params`` must set its parameter and no other.
     """
+    _variant_value(variant, variant_params)
     if constant is None:
         constant = constant_for_model(
             variant, params, grid, variant_params, n=n, seed=seed, cache=cache

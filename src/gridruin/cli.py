@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -314,20 +315,32 @@ def main(argv=None) -> int:
 
     args = build_parser().parse_args(argv)
     start = time.perf_counter()
+    # the library's warnings are printed as one line each, like the CLI's own,
+    # not as a source path and line of the library
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status, failure = _run_command(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if failure is not None:
+        print(failure, file=sys.stderr)
+        return status
+    print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
+    return status
+
+
+def _run_command(args) -> tuple[int, str | None]:
+    """The exit status of the command ``args`` names, and its failure message or None."""
     try:
         if args.out:
             _check_out(args.out)
-        status = _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args), None
     # MemoryError: huge request; OverflowError: a grid so fine that its point
     # count overflows a float; OSError: bad path
     except (ValueError, MemoryError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_CONFIG, f"error: {exc}"
     except (RuntimeError, FloatingPointError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(f"wall_time_s={time.perf_counter() - start:.3f}", file=sys.stderr)
-    return status
+        return EXIT_NUMERICAL, f"numerical failure: {exc}"
 
 
 if __name__ == "__main__":

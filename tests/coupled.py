@@ -45,24 +45,25 @@ def whole_field_one_sided(eta, length, m, rng, slope=1.0):
     return field
 
 
-def detect(variant, levels, u, p=None, tilt=0.0):
+def detect(variant, levels, u, p=None, weigh=None):
     """(occurred, idx, w) of each row of ``levels`` under the estimators' chunk runner.
 
     ``levels[r]`` is path r at grid points 0, 1, ..., with S_0 = 0 as in
     every simulated path; the runner examines points 1, 2, ...  ``p`` is the
     variant's detector parameter (gamma, the window in grid points, or k).
-    idx is the first qualifying point (0 where none) and w = exp(-tilt *
-    S_idx) on a detected row, 0 elsewhere.
+    idx is the first qualifying point (0 where none).  A detected row weighs
+    ``weigh(S_{idx-1}, barrier)``, by default 1 (crude sampling), and any
+    other row 0.
     """
     _, step, initial, _, _ = estimators._VARIANTS[variant]
 
     def fill(rows, start, out):
-        out[...] = levels[rows, start : start + len(out)].T
+        out[...] = levels[rows, start - 1 : start - 1 + len(out)].T
 
     return estimators._run_chunks(
         lambda chunk, state, scratch: step(chunk, u, p, state, scratch),
         np.full(len(levels), initial),
         levels.shape[1] - 1,
         fill,
-        tilt,
+        weigh or estimators._ruin_weigher(0.0, 0.0, 1.0),
     )

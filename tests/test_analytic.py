@@ -32,6 +32,12 @@ class TestNormalTools:
         # naive 1 - ndtr(x) dies around x ~ 8.3; the erfc route keeps going
         assert norm_sf(20.0) == pytest.approx(2.7536241186062337e-89, rel=1e-12)
 
+    @pytest.mark.parametrize("fn", [_erfc, _log_ndtr])
+    def test_scalar_and_array_agree_on_every_piece(self, fn):
+        # x/2 for x in -61..61 visits every piece of _erfc's fits, both signs
+        for x in np.arange(-61, 62) / 2.0:
+            assert float(fn(x)) == fn(np.array([x]))[0], x
+
 
 class TestNormalToolsAgainstScipy:
     """The library's normal helpers pinned to scipy.special, the independent reference."""

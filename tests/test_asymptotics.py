@@ -24,6 +24,15 @@ class TestApprox:
         assert ap.value == psi_inf(p)
         assert ap.std_error == 0.0
 
+    @pytest.mark.parametrize(
+        "variant, vp, match",
+        [("upside-down", None, "unknown variant"), ("classical", VariantParams(gamma=0.5), "does not read")],
+    )
+    def test_supplied_constant_does_not_skip_the_variant_gate(self, variant, vp, match):
+        # a supplied constant would otherwise be labelled with any variant name
+        with pytest.raises(ValueError, match=match):
+            approx(variant, ModelParams(c=1.0, u=3.0), Grid(0.1), vp, constant=UNIT_CONSTANT)
+
     def test_strictly_decreasing_in_u(self):
         const = ConstantValue(0.7, 0.001, 0.0, 1000)
         vals = [

@@ -407,6 +407,33 @@ def test_subnormal_step_refusal_names_the_step(argv, capsys):
     assert "grid steps of 1e-320" in err and "infinity" not in err
 
 
+class TestLibraryWarnings:
+    """A library warning reaches stderr as one ``warning:`` line; stdout is the record alone."""
+
+    PITERBARG = ("constant", "--kind", "piterbarg", "--eta", "0.5", "--a", "0.5", "--n", "1000")
+
+    def test_printed_as_a_warning_line(self, tmp_path):
+        proc = _python(tmp_path, "-m", "gridruin.cli", *self.PITERBARG)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert lines[0].startswith("warning: a=0.5 <= 1: e^M has a Pareto tail")
+        assert "UserWarning" not in proc.stderr and ".py" not in proc.stderr
+        assert proc.stdout.splitlines()[0].startswith("kind,eta,a,")
+
+    def test_printed_before_a_failure(self, capsys):
+        # the small-u warning of ruin-time, then the refusal of the misaligned window
+        status, out, err = run(
+            capsys, "ruin-time", "--variant", "parisian", "--T", "0.35", "--c", "1", "--u", "2",
+            "--delta", "0.1", "--n", "10",
+        )
+        assert status == cli.EXIT_CONFIG and out == ""
+        lines = err.splitlines()
+        assert lines[0] == (
+            "warning: u=2.0 is small; the normal approximation window is only meaningful for large u"
+        )
+        assert lines[-1].startswith("error: 0.35 must be")
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     """scipy stays out of the CLI's import path: it was over half of every call's start-up."""
     proc = _python(

@@ -22,6 +22,23 @@ def one_row(*values):
     return np.array([values], dtype=float)
 
 
+def conditioned_weights(variant, levels, u, p, occurred, idx, drift, tilt, delta):
+    """E[exp(-tilt S_idx) | S_{idx-1}, S_idx > b] of each detected row, by scipy's ndtr; 0 elsewhere.
+
+    b is u, or u + gamma * (minimum of the row before idx) for the reflected variant.
+    """
+    rows = np.flatnonzero(occurred)
+    x = levels[rows, idx[rows] - 1]
+    b = np.full(rows.size, u)
+    if variant == "reflected":
+        b += p * np.array([levels[r, : idx[r]].min() for r in rows])
+    lower = (b - x - drift * delta) / math.sqrt(delta)
+    ratio = ndtr(-(lower + tilt * math.sqrt(delta))) / ndtr(-lower)
+    w = np.zeros(len(levels))
+    w[rows] = np.exp(-tilt * x + (0.5 * tilt - drift) * tilt * delta) * ratio
+    return w
+
+
 class TestDetectClassical:
     def test_first_crossing_time(self):
         occurred, idx, _ = detect("classical", one_row(0.0, 0.5, 1.2), u=1.0)
@@ -122,18 +139,19 @@ class TestChunkCarry:
     )
     def test_any_chunk_length_matches_one_chunk(self, variant, p, drift, monkeypatch):
         # at drift +1 as few as 0.2% of the paths survive (reflected, gamma 0.5),
-        # so 10^4 paths hold some survivors for any stream
-        m, n_steps, u, tilt = 10_000, 60, 1.0, drift + 1.0
-        levels = whole_paths(0.1, drift, n_steps, m, make_rng(12, 0))
+        # so 10^4 paths hold some survivors for any stream; thousands ruin, so
+        # the weights take several slices of _WEIGHT_ROWS
+        m, n_steps, u, tilt, delta = 10_000, 60, 1.0, drift + 1.0, 0.1
+        levels = whole_paths(delta, drift, n_steps, m, make_rng(12, 0))
+        weigh = estimators._ruin_weigher(drift, tilt, delta)
         monkeypatch.setattr(estimators, "_CHUNK", n_steps)
-        occurred, idx, weight = detect(variant, levels, u, p, tilt)
+        occurred, idx, weight = detect(variant, levels, u, p, weigh)
         assert 0 < occurred.sum() < m
-        np.testing.assert_array_equal(
-            weight, np.where(occurred, np.exp(-tilt * levels[np.arange(m), idx]), 0.0)
-        )
+        want = conditioned_weights(variant, levels, u, p, occurred, idx, drift, tilt, delta)
+        np.testing.assert_allclose(weight, want, rtol=1e-12, atol=0.0)
         for chunk in (1, 7, 16):
             monkeypatch.setattr(estimators, "_CHUNK", chunk)
-            got = detect(variant, levels, u, p, tilt)
+            got = detect(variant, levels, u, p, weigh)
             for name, a, b in zip(("occurred", "idx", "weight"), got, (occurred, idx, weight)):
                 np.testing.assert_array_equal(a, b, err_msg=f"{name}, chunk {chunk}")
 
@@ -164,10 +182,27 @@ class TestEstimate:
         assert crude.value < 10 * tilted.value  # ~2e-9 event: crude sees nothing
 
     def test_tilted_weights_bounded(self):
+        # a classical ruin step ends above u, so its conditioned weight is below exp(-2cu)
         p, g = ModelParams(c=1.0, u=12.0), Grid(0.1)
         s, w = ruin_time_distribution("classical", p, g, n=20_000, seed=3)
         assert np.all(w > 0)
         assert np.all(w <= math.exp(-2 * p.c * p.u) * (1 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "variant, vp, value, std_error",
+        [
+            ("classical", None, 0.08945, 0.0020180274713194565),
+            ("reflected", VariantParams(gamma=0.5), 0.14675, 0.002502143456119173),
+            ("parisian", VariantParams(parisian_T=0.3), 0.0387, 0.0013638605133957063),
+            ("cumulative", VariantParams(cumulative_k=2), 0.05615, 0.0016278387128336761),
+        ],
+    )
+    def test_crude_estimate_pinned(self, variant, vp, value, std_error):
+        # crude weights are exactly 1, so these bits hold as long as the
+        # stream layout and the detectors do
+        p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
+        est = estimate(variant, p, g, vp, method="crude", n=20_000, seed=5)
+        assert (est.value, est.std_error) == (value, std_error)
 
     def test_thread_count_does_not_change_bits(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
@@ -239,9 +274,11 @@ class TestEstimate:
         cls = estimate("classical", p, g, **kw)
         par = estimate("parisian", p, g, VariantParams(parisian_T=0.3), **kw)
         ref = estimate("reflected", p, g, VariantParams(gamma=0.5), **kw)
-        # classical and reflected share the exact same path blocks, and the
-        # reflected weight dominates path by path; the Parisian run uses a
-        # longer block, so its comparison is statistical
+        # classical and reflected share the exact same path blocks, and a
+        # reflected path ruins no later, across a barrier no higher; its
+        # conditioned weight need not dominate path by path, but here the
+        # reflected estimate is 1.7 times the classical one, 50 standard
+        # errors apart.  The Parisian run uses a longer block
         assert cls.value <= ref.value
         assert par.value <= cls.value + 3 * math.hypot(par.std_error, cls.std_error)
 
@@ -258,6 +295,39 @@ class TestEstimate:
         lo, hi = e.ci95()
         assert lo == pytest.approx(0.5 - 1.96 * 0.1, abs=1e-3)
         assert hi == pytest.approx(0.5 + 1.96 * 0.1, abs=1e-3)
+
+
+class TestConditionedWeight:
+    """The tilted weight, the likelihood ratio conditioned on the path before ruin."""
+
+    @pytest.mark.parametrize(
+        "variant, p", [("classical", None), ("reflected", 0.25), ("parisian", 4), ("cumulative", 2)]
+    )
+    def test_unbiased_and_less_variable_than_the_plain_ratio(self, variant, p):
+        # both weigh the same tilted paths: the conditioned weight is the plain
+        # ratio's mean given the path before ruin, so their difference has mean
+        # 0 and the conditioned weight the smaller variance.  gamma 0.25: from
+        # gamma 0.5 on the plain ratio has infinite variance and sample
+        # variances need not order
+        u, delta, c, m = 10.0, 0.1, 1.0, 10_000
+        n_steps = Grid(delta).n_steps_for(default_horizon(ModelParams(c, u)))
+        paths = whole_paths(delta, c, n_steps, m, make_rng(30, 0))
+        weigh = estimators._ruin_weigher(c, 2 * c, delta)
+        occurred, idx, conditioned = detect(variant, paths, u, p, weigh)
+        plain = np.where(occurred, np.exp(-2 * c * paths[np.arange(m), idx]), 0.0)
+        diff = conditioned - plain
+        assert abs(diff.mean()) < 4 * diff.std() / math.sqrt(m)
+        assert conditioned.var() < plain.var()
+
+    @pytest.mark.parametrize(
+        "c, u, delta", [(1.0, 10.0, 0.1), (1.0, 2.0, 0.1), (0.5, 4.0, 0.5), (2.0, 3.0, 0.05), (1.0, 1.0, 1.0)]
+    )
+    def test_classical_matches_dp_oracle(self, c, u, delta):
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        n_steps = g.n_steps_for(default_horizon(p))
+        dp = dp_classical_ruin(p, g, n_steps)
+        est = estimate("classical", p, g, horizon=n_steps * delta, n=50_000, seed=21)
+        assert abs(est.value - dp) < 4 * est.std_error
 
 
 class TestRuinTimeDistribution:

@@ -119,6 +119,18 @@ class TestRng:
         ]
         assert outside == []
 
+    def test_no_python_call_per_element(self):
+        # np.frompyfunc and np.vectorize run a Python call per element while
+        # holding the GIL, so the estimate's worker threads would take turns
+        src = Path(model.__file__).parent
+        found = [
+            f"{path.relative_to(src)}:{lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"\b(frompyfunc|vectorize)\b", line)
+        ]
+        assert found == []
+
 
 def walk(drift, n_steps, m, rng, delta=0.1):
     """The (m, n_steps + 1) levels the ruin estimators' fill draws from ``rng``.
@@ -131,7 +143,7 @@ def walk(drift, n_steps, m, rng, delta=0.1):
 
     def record(levels, state, scratch):
         seen.append(levels.copy())
-        return np.zeros(levels.shape, bool), state
+        return np.zeros(levels.shape, bool), state, 0.0
 
     occurred, _, _ = estimators._weighted_block(record, 0, Grid(delta), 1.0, drift, n_steps, m, rng)
     assert not occurred.any()
