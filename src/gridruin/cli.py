@@ -213,13 +213,6 @@ def cmd_constant(args) -> int:
         "boundary_fraction": value.boundary_fraction,
         "cached": cached,
     }
-    if value.warn:
-        print(
-            f"warning: boundary_fraction={value.boundary_fraction:.3g} > "
-            f"{constants._BOUNDARY_WARN_FRACTION}; "
-            "truncation may bias the estimate",
-            file=sys.stderr,
-        )
     _emit(record, args.format, args.out)
     return EXIT_OK
 

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
-# Boundary fraction above which an estimate warns (ConstantValue.warn and the CLI).
+# Boundary fraction above which an estimate warns (ConstantValue.warn, resolve_constant).
 _BOUNDARY_WARN_FRACTION = 0.01
 
 
@@ -419,17 +419,26 @@ def berman(
 
 
 def resolve_constant(key: ConstantKey, cache: ConstantCache | None = None):
-    """Look the key up in the cache, estimate on miss.  Returns (value, cached)."""
-    if cache is not None:
-        hit = cache.lookup(key)
-        if hit is not None:
-            return hit, True
-    spec = _KINDS[key.kind]
-    param = () if spec.param is None else (getattr(key, spec.param),)
-    value = globals()[spec.driver](key.eta, *param, key.trunc, key.n_samples, key.seed)
-    if cache is not None:
-        cache.append(key, value)
-    return value, False
+    """Look the key up in the cache, estimate on miss.  Returns (value, cached).
+
+    Warns, on a hit as on a miss, when the value's boundary fraction is high
+    enough that the truncation may bias it.
+    """
+    value = None if cache is None else cache.lookup(key)
+    cached = value is not None
+    if not cached:
+        spec = _KINDS[key.kind]
+        param = () if spec.param is None else (getattr(key, spec.param),)
+        value = globals()[spec.driver](key.eta, *param, key.trunc, key.n_samples, key.seed)
+        if cache is not None:
+            cache.append(key, value)
+    if value.warn:
+        warnings.warn(
+            f"boundary_fraction={value.boundary_fraction:.3g} > {_BOUNDARY_WARN_FRACTION}; "
+            "truncation may bias the estimate",
+            stacklevel=2,
+        )
+    return value, cached
 
 
 def constant_keys_for_model(

@@ -22,6 +22,9 @@ the estimator exactly unbiased for the ruin-by-horizon probability, draws
 the same normals, and cuts the relative variance at u = 10, delta = 0.1 by
 a factor of 3.2 (classical) to 1.2 (reflected).  Crude sampling is the same
 weighted sampler at the true drift -c, where t = 0 and every weight is 1.
+The weights are carried relative to exp(-t u) and scaled back once per
+estimate, so that they stay normal doubles however small exp(-2cu) is; a
+result that would fall below the smallest normal double is refused.
 
 Each ruin variant is one row of ``_VARIANTS``: its ``VariantParams`` field,
 its detector, and the limiting constants of its large-capital prefactor.
@@ -44,12 +47,13 @@ request whose worst case, n paths all run to the horizon, exceeds
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import _erfc, _ruin_time_scale, crossing_after
+from .analytic import _ruin_time_scale, crossing_after, norm_sf
 from .model import (
     _MAX_NORMALS,
     Grid,
@@ -209,33 +213,50 @@ def _setup(variant, params, grid, variant_params, horizon, n):
 _WEIGHT_ROWS = 2048
 
 
-def _ruin_weigher(drift, tilt, delta):
-    """weigh(x, b): E[exp(-tilt S_tau) | S_{tau-1} = x, S_tau > b] for steps N(drift delta, delta).
+def _ruin_weigher(drift, tilt, delta, level):
+    """weigh(x, b): E[exp(-tilt (S_tau - level)) | S_{tau-1} = x, S_tau > b], steps N(drift delta, delta).
 
-    The weight of a path ruined by crossing b from x; see the module
-    docstring.  For drift = +-c and tilt = drift + c, exp(-tilt S_tau) is
-    the likelihood ratio of the drift -c model at ruin (at any other drift
-    it lacks the steps' drift terms), so this is that ratio conditioned on
-    the path before ruin.  tilt = 0 (crude sampling) weighs every ruined
-    path 1.  x and b hold at most ``_WEIGHT_ROWS`` paths.
+    The weight of a path ruined by crossing b from x, relative to
+    exp(-tilt level); see the module docstring.  For drift = +-c and tilt =
+    drift + c, exp(-tilt S_tau) is the likelihood ratio of the drift -c
+    model at ruin (at any other drift it lacks the steps' drift terms), so
+    this is that ratio conditioned on the path before ruin.  With level = u
+    the weights stay of order 1 where exp(-tilt u) itself would leave the
+    normal doubles.  tilt = 0 (crude sampling) weighs every ruined path 1.
+    x and b hold at most ``_WEIGHT_ROWS`` paths.
     """
     if tilt == 0.0:
         return lambda x, b: 1.0
-    sd = math.sqrt(2.0 * delta)
-    shift = (0.5 * tilt - drift) * tilt * delta
+    sd = math.sqrt(delta)
+    shift = (0.5 * tilt - drift) * tilt * delta + tilt * level
     scaled = np.empty((2, _WEIGHT_ROWS))
 
     def weigh(x, b):
-        # Phi-bar(y) = erfc(y / sqrt 2) / 2: the erfc arguments of the two tails
+        # the Phi-bar arguments y = (b - x - drift delta) / sqrt(delta) and y + tilt sqrt(delta)
         args = scaled[:, : x.size]
         np.subtract(b, x, out=args[0])
         args[0] -= drift * delta
         args[0] /= sd
-        np.add(args[0], 0.5 * tilt * sd, out=args[1])
-        tails = _erfc(args)
+        np.add(args[0], tilt * sd, out=args[1])
+        tails = norm_sf(args)
         return np.exp(shift - tilt * x) * tails[1] / tails[0]
 
     return weigh
+
+
+def _unscaled(x, log_scale):
+    """x * exp(log_scale): weights carried relative to exp(log_scale) put back on their scale.
+
+    Raises RuntimeError where a positive entry would fall below the smallest
+    normal double, rather than report a subnormal or zero value.
+    """
+    out = x * math.exp(log_scale)
+    if np.any((out < sys.float_info.min) & (x > 0.0)):
+        raise RuntimeError(
+            f"double-precision underflow: the weights' scale exp({log_scale:.6g}) takes them "
+            f"below {sys.float_info.min:.3g}"
+        )
+    return out
 
 
 def _run_chunks(step, state, n_steps, fill, weigh):
@@ -284,11 +305,12 @@ def _run_chunks(step, state, n_steps, fill, weigh):
     return occurred, idx, w
 
 
-def _weighted_block(detect, initial, grid, c, drift, n_steps, m, rng):
+def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng):
     """(occurred, idx, w) of a block under ``drift``; see ``_run_chunks`` for w.
 
     drift -c is crude sampling (every weight is exactly 1); drift +c is the
-    tilted sampler, whose likelihood ratio at ruin is exp(-2c S_tau).  Each
+    tilted sampler, whose likelihood ratio at ruin is exp(-2c S_tau), and
+    whose w is carried relative to exp(-2cu).  Each
     chunk draws (live paths, chunk steps) normals from ``rng`` in row order
     into one buffer reused for the whole block, so the block's stream is
     consumed chunk by chunk and no chunk allocates a path matrix.
@@ -306,7 +328,7 @@ def _weighted_block(detect, initial, grid, c, drift, n_steps, m, rng):
             prev = np.add(prev, z[:, j], out=row)
         level[rows] = prev
 
-    weigh = _ruin_weigher(drift, drift + c, grid.delta)
+    weigh = _ruin_weigher(drift, drift + params.c, grid.delta, params.u)
     return _run_chunks(detect, np.full(m, initial), n_steps, fill, weigh)
 
 
@@ -331,6 +353,8 @@ def estimate(
     one-sided (the infinite-horizon probability is underestimated) and
     bounded by ``horizon_bias_bound``.  ``threads`` workers run the blocks, one per
     available core when None; the estimate is the same for any count.
+    Raises RuntimeError when the value or its standard error would underflow
+    to a subnormal or zero double.
     """
     drifts = {"crude": -params.c, "tilted": params.c}
     if method not in drifts:
@@ -339,13 +363,14 @@ def estimate(
     detect, initial, n_steps = _setup(variant, params, grid, variant_params, horizon, n)
 
     def worker(m, rng):
-        _, _, w = _weighted_block(detect, initial, grid, params.c, drifts[method], n_steps, m, rng)
+        _, _, w = _weighted_block(detect, initial, grid, params, drifts[method], n_steps, m, rng)
         return float(w.sum()), float((w * w).sum())
 
-    value, std_error = _mean_se(_run_blocks(n, seed, worker, threads), n)
+    mean_se = np.array(_mean_se(_run_blocks(n, seed, worker, threads), n))
+    value, std_error = _unscaled(mean_se, -(drifts[method] + params.c) * params.u)
     return Estimate(
-        value=value,
-        std_error=std_error,
+        value=float(value),
+        std_error=float(std_error),
         n=n,
         method=method,
         horizon_bias_bound=crossing_after(horizon, params),
@@ -367,7 +392,8 @@ def ruin_time_distribution(
     detected replicate and w its weight, as in the tilted estimate; the
     weighted empirical CDF estimates P(normalized ruin time <= s | ruin).
     Paths run to ``default_horizon(params, 1.5)``.  The blocks run on every available
-    core; the sample is the same for any count.
+    core; the sample is the same for any count.  Raises RuntimeError when a
+    weight would underflow to a subnormal or zero double.
     """
     to_s = _ruin_time_scale(params)
     if params.u < 10:
@@ -381,14 +407,14 @@ def ruin_time_distribution(
     )
 
     def worker(m, rng):
-        occurred, idx, w = _weighted_block(detect, initial, grid, params.c, params.c, n_steps, m, rng)
+        occurred, idx, w = _weighted_block(detect, initial, grid, params, params.c, n_steps, m, rng)
         rows = np.flatnonzero(occurred)
         return to_s(idx[rows] * grid.delta), w[rows]
 
     s, w = (np.concatenate(half) for half in zip(*_run_blocks(n, seed, worker)))
     if s.size == 0:
         raise RuntimeError("no ruin detected in any tilted replicate")
-    return s, w
+    return s, _unscaled(w, -2.0 * params.c * params.u)
 
 
 def weighted_ks(s: np.ndarray, w: np.ndarray, cdf) -> float:

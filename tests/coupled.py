@@ -65,5 +65,5 @@ def detect(variant, levels, u, p=None, weigh=None):
         np.full(len(levels), initial),
         levels.shape[1] - 1,
         fill,
-        weigh or estimators._ruin_weigher(0.0, 0.0, 1.0),
+        weigh or estimators._ruin_weigher(0.0, 0.0, 1.0, 0.0),
     )

@@ -420,6 +420,19 @@ class TestLibraryWarnings:
         assert "UserWarning" not in proc.stderr and ".py" not in proc.stderr
         assert proc.stdout.splitlines()[0].startswith("kind,eta,a,")
 
+    def test_boundary_fraction_warning_comes_from_the_library(self, capsys):
+        status, out, err = run(
+            capsys, "constant", "--kind", "pickands_dy", "--eta", "0.2", "--trunc", "5", "--n", "20000"
+        )
+        assert status == cli.EXIT_OK
+        assert out == (
+            "kind,eta,a,T,k,trunc,n,seed,estimate,std_error,boundary_fraction,cached\n"
+            "pickands_dy,0.2,,,,5,20000,0,0.736359153856,0.00197012838297,0.0309,False\n"
+        )
+        lines = err.splitlines()
+        assert lines[:-1] == ["warning: boundary_fraction=0.0309 > 0.01; truncation may bias the estimate"]
+        assert lines[-1].startswith("wall_time_s=")
+
     def test_printed_before_a_failure(self, capsys):
         # the small-u warning of ruin-time, then the refusal of the misaligned window
         status, out, err = run(
@@ -432,6 +445,15 @@ class TestLibraryWarnings:
             "warning: u=2.0 is small; the normal approximation window is only meaningful for large u"
         )
         assert lines[-1].startswith("error: 0.35 must be")
+
+
+@pytest.mark.parametrize("command", ["estimate", "ruin-time"])
+@pytest.mark.parametrize("u", ["360", "400"])
+def test_underflowing_weights_exit_numerical(command, u, capsys):
+    # exp(-2cu) is subnormal at c u = 360 and 0 at 400: refused, not printed as 0 or nan
+    status, out, err = run(capsys, command, "--c", "1", "--u", u, "--delta", "0.1", "--n", "1000")
+    assert status == cli.EXIT_NUMERICAL and out == ""
+    assert "double-precision underflow" in err
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

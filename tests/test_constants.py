@@ -424,6 +424,18 @@ class TestCache:
         assert (cached1, cached2) == (False, True)
         assert first == second
 
+    def test_high_boundary_fraction_warns_on_miss_and_hit(self, tmp_path):
+        # trunc 5 at eta 0.2 leaves 3.09% of the maxima at the boundary (seed 0)
+        path = tmp_path / "cache.jsonl"
+        key = ConstantKey("pickands_dy", 0.2, 5.0, 20_000, seed=0)
+        for cached in (False, True):
+            with pytest.warns(UserWarning) as caught:
+                value, hit = resolve_constant(key, ConstantCache(path))
+            assert hit is cached and value.warn
+            assert [str(w.message) for w in caught] == [
+                "boundary_fraction=0.0309 > 0.01; truncation may bias the estimate"
+            ]
+
     def test_persists_across_instances(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         key = ConstantKey("pickands_dy", 0.5, 10.0, 2000, seed=3)

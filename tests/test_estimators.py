@@ -143,11 +143,13 @@ class TestChunkCarry:
         # the weights take several slices of _WEIGHT_ROWS
         m, n_steps, u, tilt, delta = 10_000, 60, 1.0, drift + 1.0, 0.1
         levels = whole_paths(delta, drift, n_steps, m, make_rng(12, 0))
-        weigh = estimators._ruin_weigher(drift, tilt, delta)
+        # weights relative to exp(-tilt u), as the estimators carry them
+        weigh = estimators._ruin_weigher(drift, tilt, delta, u)
         monkeypatch.setattr(estimators, "_CHUNK", n_steps)
         occurred, idx, weight = detect(variant, levels, u, p, weigh)
         assert 0 < occurred.sum() < m
         want = conditioned_weights(variant, levels, u, p, occurred, idx, drift, tilt, delta)
+        want *= math.exp(tilt * u)
         np.testing.assert_allclose(weight, want, rtol=1e-12, atol=0.0)
         for chunk in (1, 7, 16):
             monkeypatch.setattr(estimators, "_CHUNK", chunk)
@@ -180,6 +182,16 @@ class TestEstimate:
         assert tilted.std_error / tilted.value < 0.02
         crude = estimate("classical", p, g, method="crude", n=20_000, seed=2)
         assert crude.value < 10 * tilted.value  # ~2e-9 event: crude sees nothing
+
+    def test_weights_stay_normal_at_large_cu(self):
+        # sum w^2 of the unscaled weights underflows from c u ~ 185: the weights are
+        # carried relative to exp(-2cu), so the relative SE does not notice the scale
+        rel_se = {}
+        for u in (150.0, 200.0):
+            est = estimate("classical", ModelParams(c=1.0, u=u), Grid(0.1), n=16384, seed=0)
+            assert est.std_error > 0
+            rel_se[u] = est.std_error / est.value
+        assert rel_se[200.0] == pytest.approx(rel_se[150.0], rel=0.2)
 
     def test_tilted_weights_bounded(self):
         # a classical ruin step ends above u, so its conditioned weight is below exp(-2cu)
@@ -312,7 +324,7 @@ class TestConditionedWeight:
         u, delta, c, m = 10.0, 0.1, 1.0, 10_000
         n_steps = Grid(delta).n_steps_for(default_horizon(ModelParams(c, u)))
         paths = whole_paths(delta, c, n_steps, m, make_rng(30, 0))
-        weigh = estimators._ruin_weigher(c, 2 * c, delta)
+        weigh = estimators._ruin_weigher(c, 2 * c, delta, 0.0)
         occurred, idx, conditioned = detect(variant, paths, u, p, weigh)
         plain = np.where(occurred, np.exp(-2 * c * paths[np.arange(m), idx]), 0.0)
         diff = conditioned - plain

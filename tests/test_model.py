@@ -145,7 +145,9 @@ def walk(drift, n_steps, m, rng, delta=0.1):
         seen.append(levels.copy())
         return np.zeros(levels.shape, bool), state, 0.0
 
-    occurred, _, _ = estimators._weighted_block(record, 0, Grid(delta), 1.0, drift, n_steps, m, rng)
+    occurred, _, _ = estimators._weighted_block(
+        record, 0, Grid(delta), ModelParams(1.0, 0.0), drift, n_steps, m, rng
+    )
     assert not occurred.any()
     return np.concatenate(seen).T
 
