@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analytic import psi_inf
 from .cache import ConstantCache
 from .constants import ConstantValue, constant_for_model
-from .estimators import _variant_value, estimate
+from .estimators import _unscaled, _variant_value, estimate
 from .model import Grid, ModelParams, VariantParams, default_horizon
 
 __all__ = ["Approximation", "RatioRow", "approx", "validate_ratio"]
@@ -56,16 +55,18 @@ def approx(
     otherwise the required constants are estimated via
     :func:`gridruin.constants.constant_for_model`.  Either way the variant
     must be known and ``variant_params`` must set its parameter and no other.
+    Raises RuntimeError when the value or its standard error would underflow
+    to a subnormal or zero double.
     """
     _variant_value(variant, variant_params)
     if constant is None:
         constant = constant_for_model(
             variant, params, grid, variant_params, n=n, seed=seed, cache=cache
         )
-    base = psi_inf(params)
+    log_base = -2.0 * params.c * params.u
     return Approximation(
-        value=constant.estimate * base,
-        std_error=constant.std_error * base,
+        value=_unscaled(constant.estimate, log_base),
+        std_error=_unscaled(constant.std_error, log_base),
         constant_used=constant,
         formula=variant,
     )
@@ -111,8 +112,6 @@ def validate_ratio(
     for u in u_values:
         params = ModelParams(c=c, u=u)
         ap = approx(variant, params, grid, variant_params, constant=constant)
-        if ap.value == 0.0:
-            raise RuntimeError(f"the approximation is 0 at u={u}; the ratio is undefined")
         mc = estimate(
             variant,
             params,

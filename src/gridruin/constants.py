@@ -247,32 +247,27 @@ class _Kind:
     trunc: float  # default truncation radius
     min_trunc: float  # plus the window p for a windowed kind
     param: str | None  # the ConstantKey field holding p
-    driver: str  # the public function that estimates the kind
     values: Callable  # (field, eta, p, scratch) -> per-sample values
     slope: Callable | None = None
     windowed: bool = False
     positive_edge: bool = False
 
 
-# The lambdas and driver names are looked up when called.
+# The lambdas look the functionals up when called.
 _KINDS = {
-    "pickands_dy": _Kind(
-        20.0, 5.0, None, "pickands_dy", lambda f, eta, _, s: pickands_ratio_values(f, eta, s)
-    ),
+    "pickands_dy": _Kind(20.0, 5.0, None, lambda f, eta, _, s: pickands_ratio_values(f, eta, s)),
     "pickands_diff": _Kind(
-        20.0, 5.0, None, "pickands_diff", lambda f, eta, _, s: pickands_diff_values(f, eta, s),
+        20.0, 5.0, None, lambda f, eta, _, s: pickands_diff_values(f, eta, s),
         slope=lambda _: 1.0,
     ),
     "piterbarg": _Kind(
-        30.0, 5.0, "a", "piterbarg", lambda f, eta, _, s: piterbarg_values(f),
-        slope=lambda a: 1.0 + a,
+        30.0, 5.0, "a", lambda f, eta, _, s: piterbarg_values(f), slope=lambda a: 1.0 + a
     ),
     "parisian": _Kind(
-        20.0, 5.0, "T", "parisian_constant",
-        lambda f, eta, T, s: parisian_window_values(f, eta, T, s), windowed=True,
+        20.0, 5.0, "T", lambda f, eta, T, s: parisian_window_values(f, eta, T, s), windowed=True
     ),
     "berman": _Kind(
-        40.0, 10.0, "k", "berman", lambda f, eta, k, s: berman_count_values(f, eta, k, s),
+        40.0, 10.0, "k", lambda f, eta, k, s: berman_count_values(f, eta, k, s),
         positive_edge=True,
     ),
 }
@@ -288,7 +283,7 @@ _TILE = 512
 
 
 def _estimate(key: ConstantKey):
-    """Shared body of the drivers: the mean of the kind's functional over sampled fields.
+    """A key's value on a miss: the mean of the kind's functional over sampled fields.
 
     Unbiased for the truncated expectation; the boundary fraction is the
     share of samples near the edge of the window.  This is the only field
@@ -352,14 +347,14 @@ def pickands_dy(
     Simulates the two-sided field on [-trunc, trunc].  In every driver
     ``trunc=None`` picks the kind's default window.
     """
-    return _estimate(ConstantKey("pickands_dy", eta, trunc, n, seed))
+    return resolve_constant(ConstantKey("pickands_dy", eta, trunc, n, seed))[0]
 
 
 def pickands_diff(
     eta: float, trunc: float | None = None, n: int = 200_000, seed: int = 0
 ) -> ConstantValue:
     """Difference-of-maxima estimator of H_eta; one-sided grid [0, trunc]."""
-    return _estimate(ConstantKey("pickands_diff", eta, trunc, n, seed))
+    return resolve_constant(ConstantKey("pickands_diff", eta, trunc, n, seed))[0]
 
 
 def piterbarg(
@@ -370,14 +365,7 @@ def piterbarg(
     seed: int = 0,
 ) -> ConstantValue:
     """E sup exp(sqrt(2) B(t) - t(1+a)) over the one-sided grid [0, trunc]."""
-    key = ConstantKey("piterbarg", eta, trunc, n, seed, a=a)
-    if a <= 1:
-        warnings.warn(
-            f"a={a} <= 1: e^M has a Pareto tail of exponent 1 + a and infinite variance, "
-            "so the standard error does not measure the error",
-            stacklevel=2,
-        )
-    return _estimate(key)
+    return resolve_constant(ConstantKey("piterbarg", eta, trunc, n, seed, a=a))[0]
 
 
 def parisian_constant(
@@ -393,7 +381,7 @@ def parisian_constant(
     same (eta, trunc, n, seed) are coupled pathwise and the
     dominance parisian <= pickands holds sample by sample.
     """
-    return _estimate(ConstantKey("parisian", eta, trunc, n, seed, T=T))
+    return resolve_constant(ConstantKey("parisian", eta, trunc, n, seed, T=T))[0]
 
 
 def berman(
@@ -411,7 +399,7 @@ def berman(
     for eta >= 0.1.  The boundary diagnostic counts samples with a positive
     point in the outer 10% of the window.
     """
-    return _estimate(ConstantKey("berman", eta, trunc, n, seed, k=k))
+    return resolve_constant(ConstantKey("berman", eta, trunc, n, seed, k=k))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -421,17 +409,23 @@ def berman(
 def resolve_constant(key: ConstantKey, cache: ConstantCache | None = None):
     """Look the key up in the cache, estimate on miss.  Returns (value, cached).
 
-    Warns, on a hit as on a miss, when the value's boundary fraction is high
-    enough that the truncation may bias it.
+    The one route from a key to its value; the drivers above call it too.
+    On a hit as on a miss it warns when the key's estimator has infinite
+    variance (Piterbarg with a <= 1), and when the value's boundary
+    fraction is high enough that the truncation may bias it.
     """
     value = None if cache is None else cache.lookup(key)
     cached = value is not None
     if not cached:
-        spec = _KINDS[key.kind]
-        param = () if spec.param is None else (getattr(key, spec.param),)
-        value = globals()[spec.driver](key.eta, *param, key.trunc, key.n_samples, key.seed)
+        value = _estimate(key)
         if cache is not None:
             cache.append(key, value)
+    if key.kind == "piterbarg" and key.a <= 1:
+        warnings.warn(
+            f"a={key.a} <= 1: e^M has a Pareto tail of exponent 1 + a and infinite variance, "
+            "so the standard error does not measure the error",
+            stacklevel=2,
+        )
     if value.warn:
         warnings.warn(
             f"boundary_fraction={value.boundary_fraction:.3g} > {_BOUNDARY_WARN_FRACTION}; "

@@ -245,7 +245,7 @@ def _ruin_weigher(drift, tilt, delta, level):
 
 
 def _unscaled(x, log_scale):
-    """x * exp(log_scale): weights carried relative to exp(log_scale) put back on their scale.
+    """x * exp(log_scale): values carried relative to exp(log_scale) put back on their scale.
 
     Raises RuntimeError where a positive entry would fall below the smallest
     normal double, rather than report a subnormal or zero value.
@@ -253,7 +253,7 @@ def _unscaled(x, log_scale):
     out = x * math.exp(log_scale)
     if np.any((out < sys.float_info.min) & (x > 0.0)):
         raise RuntimeError(
-            f"double-precision underflow: the weights' scale exp({log_scale:.6g}) takes them "
+            f"double-precision underflow: the scale exp({log_scale:.6g}) takes a positive value "
             f"below {sys.float_info.min:.3g}"
         )
     return out
@@ -353,6 +353,8 @@ def estimate(
     one-sided (the infinite-horizon probability is underestimated) and
     bounded by ``horizon_bias_bound``.  ``threads`` workers run the blocks, one per
     available core when None; the estimate is the same for any count.
+    Warns for tilted sampling of the reflected variant at gamma >= 1/2, whose
+    weight has infinite variance (a dip to depth m weighs e^{-2c(u - gamma m)}).
     Raises RuntimeError when the value or its standard error would underflow
     to a subnormal or zero double.
     """
@@ -361,6 +363,12 @@ def estimate(
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
     detect, initial, n_steps = _setup(variant, params, grid, variant_params, horizon, n)
+    if method == "tilted" and variant == "reflected" and variant_params.gamma >= 0.5:
+        warnings.warn(
+            f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
+            "variance, so the standard error does not measure the error",
+            stacklevel=2,
+        )
 
     def worker(m, rng):
         _, _, w = _weighted_block(detect, initial, grid, params, drifts[method], n_steps, m, rng)

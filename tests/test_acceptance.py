@@ -183,6 +183,8 @@ def test_09_classical_asymptotic_ratio():
     )
 
 
+# reflected gamma = 0.5 reaches both infinite-variance caveats: Piterbarg's a = 1 and the tilted weight
+@pytest.mark.filterwarnings("ignore:.*infinite variance:UserWarning")
 def test_10_variant_asymptotic_ratios():
     g = Grid(0.1)
     results = {}

@@ -24,6 +24,14 @@ class TestApprox:
         assert ap.value == psi_inf(p)
         assert ap.std_error == 0.0
 
+    @pytest.mark.parametrize("u", [355.0, 400.0])
+    def test_underflow_refused(self, u):
+        # exp(-2cu) is subnormal at c u = 355 and 0 at 400: refused, not reported as 0 +- 0
+        with pytest.raises(RuntimeError, match="double-precision underflow"):
+            approx(
+                "classical", ModelParams(1.0, u), Grid(0.1), constant=ConstantValue(0.69, 0.001, 0.0, 1000)
+            )
+
     @pytest.mark.parametrize(
         "variant, vp, match",
         [("upside-down", None, "unknown variant"), ("classical", VariantParams(gamma=0.5), "does not read")],
@@ -66,7 +74,8 @@ class TestApprox:
     def test_reflected_dominates_classical(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
         cls = approx("classical", p, g, n=20_000, seed=7)
-        ref = approx("reflected", p, g, VariantParams(gamma=0.5), n=20_000, seed=7)
+        with pytest.warns(UserWarning, match="infinite variance"):  # Piterbarg's a = 1
+            ref = approx("reflected", p, g, VariantParams(gamma=0.5), n=20_000, seed=7)
         # the Piterbarg factor is >= 1, so the product can only grow
         assert ref.value >= cls.value * (1 - 3 * ref.std_error / ref.value)
 

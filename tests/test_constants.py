@@ -7,11 +7,10 @@ import warnings
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import integrate
-from scipy.stats import norm
 
 from coupled import whole_field_one_sided, whole_field_two_sided
-from gridruin import constants, model
+from gridruin import cli, constants, model
+from gridruin.asymptotics import approx
 from gridruin.cache import ConstantCache, _checksum
 from gridruin.constants import (
     ConstantKey,
@@ -35,6 +34,45 @@ from gridruin.model import Grid, ModelParams, VariantParams, make_rng
 
 def combined_se(a: ConstantValue, b: ConstantValue) -> float:
     return math.hypot(a.std_error, b.std_error)
+
+
+DRIVERS = {
+    "pickands_dy": pickands_dy,
+    "pickands_diff": pickands_diff,
+    "piterbarg": piterbarg,
+    "parisian": parisian_constant,
+    "berman": berman,
+}
+
+
+def call_driver(key: ConstantKey) -> ConstantValue:
+    """The public driver of ``key.kind`` called with the key's fields."""
+    param = [v for v in (key.a, key.T, key.k) if v is not None]
+    return DRIVERS[key.kind](key.eta, *param, key.trunc, key.n_samples, key.seed)
+
+
+def three_point_oracle(eta: float, nodes: int) -> float:
+    """H_eta's ratio functional on the grid {-eta, 0, eta} by Gauss-Legendre quadrature.
+
+    The expectation is a 2-D Gaussian integral over the normals z1, z2 of the
+    two steps, with e_i = exp(sqrt(2 eta) z_i - eta).  The integrand is
+    symmetric, so it is twice the integral over z2 < z1, where the maximum
+    is max(e1, 1): smooth in z2 on [-8, z1], with one kink in z1 at e1 = 1.
+    A tensor rule split at that kink converges geometrically in ``nodes``.
+    """
+    s = math.sqrt(2 * eta)
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    kink = eta / s
+    total = 0.0
+    for lo, hi in ((-8.0, kink), (kink, 8.0)):
+        z1 = (hi + lo) / 2 + (hi - lo) / 2 * x
+        half = (z1[:, None] + 8.0) / 2  # z2 on [-8, z1]
+        z2 = half * (x + 1.0) - 8.0
+        e1, e2 = np.exp(s * z1[:, None] - eta), np.exp(s * z2 - eta)
+        pdf = np.exp(-(z1[:, None] ** 2 + z2**2) / 2) / (2 * math.pi)
+        f = np.maximum(e1, 1.0) / (eta * (e1 + 1.0 + e2)) * pdf
+        total += ((hi - lo) / 2 * w[:, None] * half * w * f).sum()
+    return 2 * total
 
 
 class TestKeyAndValue:
@@ -128,16 +166,11 @@ class TestPickands:
 
     def test_three_point_grid_against_quadrature(self):
         # independent oracle: on the grid {-eta, 0, eta} the expectation is a
-        # 2-D Gaussian integral, evaluated here by adaptive quadrature
+        # 2-D Gaussian integral, evaluated here by Gauss-Legendre quadrature;
+        # two node counts agree far below the MC standard error (7e-4)
         eta = 0.5
-        s = math.sqrt(2 * eta)
-
-        def integrand(z2, z1):
-            e1, e2 = math.exp(s * z1 - eta), math.exp(s * z2 - eta)
-            return max(e1, 1.0, e2) / (eta * (e1 + 1.0 + e2)) * norm.pdf(z1) * norm.pdf(z2)
-
-        oracle, err = integrate.dblquad(integrand, -8, 8, -8, 8, epsabs=1e-9)
-        assert err < 1e-8
+        oracle = three_point_oracle(eta, 64)
+        assert abs(oracle - three_point_oracle(eta, 32)) < 1e-10
         # the window [-eta, eta] is below the drivers' minimum trunc, so the
         # pickands_dy estimator body runs directly on the block runner
 
@@ -157,7 +190,8 @@ class TestPickands:
 
 class TestPiterbarg:
     def test_at_least_one(self):
-        p = piterbarg(1.0, 1.0, trunc=30.0, n=20_000, seed=5)
+        with pytest.warns(UserWarning, match="infinite variance"):
+            p = piterbarg(1.0, 1.0, trunc=30.0, n=20_000, seed=5)
         assert p.estimate >= 1.0 - 3 * p.std_error
 
     def test_pathwise_nonincreasing_in_a(self):
@@ -278,7 +312,8 @@ def whole_block_reference(key: ConstantKey) -> ConstantValue:
 KIND_EXTRAS = [
     ("pickands_dy", {}),
     ("pickands_diff", {}),
-    ("piterbarg", {"a": 1.0}),
+    # a = 1 meets Piterbarg's infinite-variance caveat on purpose
+    pytest.param("piterbarg", {"a": 1.0}, marks=pytest.mark.filterwarnings("ignore:a=1.0 <= 1")),
     ("parisian", {"T": 1.0}),
     ("berman", {"k": 1}),
     ("parisian", {"T": 3.0}),  # three window-minimum passes, an odd number
@@ -297,10 +332,14 @@ def traced_peak(fn) -> int:
 class TestTiledDrivers:
     @pytest.mark.parametrize("kind, extra", KIND_EXTRAS)
     @pytest.mark.parametrize("n", [1000, model.BLOCK_SIZE + 1])
-    def test_equals_whole_block_fields(self, kind, extra, n):
-        # n = 1000 ends in a partial tile; 8193 adds a one-row block
+    def test_equals_whole_block_fields(self, kind, extra, n, tmp_path):
+        # n = 1000 ends in a partial tile; 8193 adds a one-row block.  The
+        # driver, a cache miss and a cache hit all give the reference value
         key = ConstantKey(kind, 0.5, None, n, 11, **extra)
-        assert resolve_constant(key)[0] == whole_block_reference(key)
+        miss, cached_miss = resolve_constant(key, ConstantCache(tmp_path / "c.jsonl"))
+        hit, cached_hit = resolve_constant(key, ConstantCache(tmp_path / "c.jsonl"))
+        assert (cached_miss, cached_hit) == (False, True)
+        assert call_driver(key) == miss == hit == whole_block_reference(key)
 
     @pytest.mark.parametrize("kind, extra", KIND_EXTRAS)
     def test_same_bits_for_any_worker_count(self, kind, extra, monkeypatch):
@@ -323,7 +362,8 @@ class TestTiledDrivers:
 
     def test_one_sided_memory_is_a_few_tiles(self):
         # 601 window points: one whole block's field is 8192 x 601 floats (39 MB)
-        peak = traced_peak(lambda: piterbarg(0.05, 1.0, n=model.BLOCK_SIZE))
+        with pytest.warns(UserWarning, match="infinite variance"):
+            peak = traced_peak(lambda: piterbarg(0.05, 1.0, n=model.BLOCK_SIZE))
         assert peak < 3 * constants._TILE * 601 * 8
 
     def test_two_sided_memory_is_a_few_tiles(self):
@@ -355,7 +395,8 @@ class TestRegressionFixtures:
         assert f.std_error < 0.003
 
     def test_piterbarg_fixture(self):
-        f = piterbarg(1.0, 1.0, trunc=30.0, n=200_000, seed=3)
+        with pytest.warns(UserWarning, match="infinite variance"):
+            f = piterbarg(1.0, 1.0, trunc=30.0, n=200_000, seed=3)
         assert f.estimate == pytest.approx(1.1429170137405416, rel=1e-9)
         assert f.std_error < 0.005
 
@@ -406,16 +447,100 @@ class TestModelCoupling:
         cache = ConstantCache(tmp_path / "c.jsonl")
         params, grid = ModelParams(1.0, 1.0), Grid(0.1)
         vp = VariantParams(gamma=0.5)
-        combo = constant_for_model("reflected", params, grid, vp, n=5000, seed=1, cache=cache)
-        keys = constant_keys_for_model("reflected", params, grid, vp, n=5000, seed=1)
-        parts = [resolve_constant(k, cache)[0] for k in keys]
+        with pytest.warns(UserWarning, match="infinite variance"):  # Piterbarg's a = 1
+            combo = constant_for_model("reflected", params, grid, vp, n=5000, seed=1, cache=cache)
+            keys = constant_keys_for_model("reflected", params, grid, vp, n=5000, seed=1)
+            parts = [resolve_constant(k, cache)[0] for k in keys]
         prod = parts[0].estimate * parts[1].estimate
         assert combo.estimate == pytest.approx(prod, rel=1e-12)
         rel = math.hypot(*(p.std_error / p.estimate for p in parts))
         assert combo.std_error == pytest.approx(prod * rel, rel=1e-12)
 
 
+# Each caveat on a key that has it: a window too narrow for eta (3.09% of
+# the maxima at its edge, seed 0), and Piterbarg's infinite variance at
+# a <= 1.  The model of each: c = 1, delta = 0.1, and for the reflected
+# variant gamma = 1/3, so a = gamma / (1 - gamma) = 0.5.
+CAVEATS = {
+    "boundary": (
+        ConstantKey("pickands_dy", 0.2, 5.0, 20_000),
+        "boundary_fraction=0.0309 > 0.01",
+        ("classical", None),
+    ),
+    "piterbarg": (
+        ConstantKey("piterbarg", 0.5, None, 1000, a=0.5),
+        "a=0.5 <= 1: e^M has a Pareto tail",
+        ("reflected", VariantParams(gamma=1 / 3)),
+    ),
+}
+
+
+def quietly(fn, *args, **kwargs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return fn(*args, **kwargs)
+
+
+def messages(fn, *args, **kwargs) -> list[str]:
+    """The warnings ``fn(*args, **kwargs)`` issues, every one of them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(*args, **kwargs)
+    return [str(w.message) for w in caught]
+
+
+def resolve_hit(key, path):
+    """Warnings of ``resolve_constant`` on a hit: the cache at ``path`` is filled first."""
+    quietly(resolve_constant, key, ConstantCache(path))
+    return messages(resolve_constant, key, ConstantCache(path))
+
+
+def approx_warm(key, path, model):
+    """Warnings of ``approx`` for ``model``, its cache holding ``key``'s value under its own key.
+
+    The model's other key holds a value with no caveat.
+    """
+    variant, vp = model
+    params, grid = ModelParams(1.0, 10.0), Grid(0.1)
+    value = quietly(resolve_constant, key)[0]
+    cache = ConstantCache(path)
+    for k in constant_keys_for_model(variant, params, grid, vp, n=key.n_samples, seed=key.seed):
+        cache.append(k, value if k.kind == key.kind else ConstantValue(1.0, 0.01, 0.0, k.n_samples))
+    return messages(
+        approx, variant, params, grid, vp, n=key.n_samples, seed=key.seed, cache=ConstantCache(path)
+    )
+
+
+def cli_second_run(key, path, capsys):
+    """The ``warning:`` lines of the second of two ``constant --cache`` runs of ``key``."""
+    argv = ["constant", "--kind", key.kind, "--eta", str(key.eta), "--trunc", str(key.trunc),
+            "--n", str(key.n_samples), "--seed", str(key.seed), "--cache", str(path)]
+    if key.a is not None:
+        argv += ["--a", str(key.a)]
+    for _ in range(2):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    return [line.removeprefix("warning: ") for line in lines if line.startswith("warning: ")]
+
+
+ROUTES = {
+    "driver": lambda key, path, model, capsys: messages(call_driver, key),
+    "miss": lambda key, path, model, capsys: messages(resolve_constant, key, ConstantCache(path)),
+    "hit": lambda key, path, model, capsys: resolve_hit(key, path),
+    "approx-warm": lambda key, path, model, capsys: approx_warm(key, path, model),
+    "cli-second-run": lambda key, path, model, capsys: cli_second_run(key, path, capsys),
+}
+
+
 class TestCache:
+    @pytest.mark.parametrize("caveat", CAVEATS)
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_caveat_once_on_every_route(self, route, caveat, tmp_path, capsys):
+        key, text, model = CAVEATS[caveat]
+        caught = ROUTES[route](key, tmp_path / "cache.jsonl", model, capsys)
+        assert sum(text in m for m in caught) == 1, caught
+
     def test_miss_then_hit(self, tmp_path):
         cache = ConstantCache(tmp_path / "cache.jsonl")
         key = ConstantKey("pickands_dy", 0.5, 10.0, 2000, seed=3)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -234,7 +235,27 @@ class TestEstimate:
             estimate("classical", p, g, horizon=1.0, n=1000, seed=0)
         assert caught[0].filename == __file__  # points at the caller of estimate
 
-    @pytest.mark.parametrize("variant, vp", [("classical", None), ("reflected", VariantParams(gamma=0.5))])
+    @pytest.mark.parametrize("gamma, method, warns", [
+        (0.5, "tilted", True),
+        (0.25, "tilted", False),  # below 1/2 the tilted weight has a finite second moment
+        (0.5, "crude", False),  # a crude weight is 0 or 1
+    ])
+    def test_reflected_infinite_variance_warns(self, gamma, method, warns):
+        p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            estimate("reflected", p, g, VariantParams(gamma=gamma), method=method, n=1000, seed=0)
+        assert [(str(w.message), w.filename) for w in caught] == warns * [(
+            f"gamma={gamma} >= 1/2: the tilted reflected weight has infinite variance, "
+            "so the standard error does not measure the error",
+            __file__,  # points at the caller of estimate
+        )]
+
+    @pytest.mark.parametrize("variant, vp", [
+        ("classical", None),
+        pytest.param("reflected", VariantParams(gamma=0.5),
+                     marks=pytest.mark.filterwarnings("ignore:gamma=0.5 >= 1/2:UserWarning")),
+    ])
     def test_memory_independent_of_horizon(self, variant, vp):
         # 3884 steps: a whole-horizon block of 8192 paths would be 254 MB
         p, g = ModelParams(c=1.0, u=50.0), Grid(0.02)
@@ -285,7 +306,8 @@ class TestEstimate:
         kw = dict(method="tilted", n=30_000, seed=6)
         cls = estimate("classical", p, g, **kw)
         par = estimate("parisian", p, g, VariantParams(parisian_T=0.3), **kw)
-        ref = estimate("reflected", p, g, VariantParams(gamma=0.5), **kw)
+        with pytest.warns(UserWarning, match="infinite variance"):
+            ref = estimate("reflected", p, g, VariantParams(gamma=0.5), **kw)
         # classical and reflected share the exact same path blocks, and a
         # reflected path ruins no later, across a barrier no higher; its
         # conditioned weight need not dominate path by path, but here the
