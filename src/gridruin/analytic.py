@@ -238,7 +238,7 @@ def dp_classical_ruin(
         raise ValueError("n_steps must be nonnegative")
     u, c, delta = params.u, params.c, grid.delta
     horizon = n_steps * delta
-    _check_horizon(params, horizon, stacklevel=3)
+    _check_horizon(params, horizon)
     if n_steps == 0:
         return 0.0
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .model import _STREAM_LAYOUT
+from .model import _STREAM_LAYOUT, _warn
 
 if TYPE_CHECKING:
     from .constants import ConstantKey, ConstantValue
@@ -57,10 +56,9 @@ class ConstantCache:
                     raise ValueError("checksum mismatch")
                 stream = rec.get("stream")
                 if stream != _STREAM_LAYOUT:
-                    warnings.warn(
+                    _warn(
                         f"{self.path}:{lineno}: skipping cache line from another random-stream "
-                        f"layout ({stream!r}, this version draws {_STREAM_LAYOUT!r})",
-                        stacklevel=2,
+                        f"layout ({stream!r}, this version draws {_STREAM_LAYOUT!r})"
                     )
                     continue
                 key = ConstantKey(**{f.name: rec[f.name] for f in fields(ConstantKey)})
@@ -71,10 +69,7 @@ class ConstantCache:
                     n=rec["n_samples"],
                 )
             except (ValueError, KeyError, TypeError) as exc:
-                warnings.warn(
-                    f"{self.path}:{lineno}: skipping corrupt cache line ({exc})",
-                    stacklevel=2,
-                )
+                _warn(f"{self.path}:{lineno}: skipping corrupt cache line ({exc})")
                 continue
             self._records[key] = value
 

@@ -26,7 +26,6 @@ draw.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +42,7 @@ from .model import (
     _run_blocks,
     _Scratch,
     _steps_in,
+    _warn,
 )
 
 __all__ = [
@@ -84,7 +84,8 @@ class ConstantKey:
     picks the kind's default, snapped to a multiple of ``eta``.  ``eta``,
     ``trunc``, ``a`` and ``T`` must be finite and are rounded to 12
     significant digits.  A key that cannot be estimated (a <= 0, T or k < 0,
-    trunc below the kind's minimum, plus T if windowed) is rejected.
+    k not whole, T not a multiple of eta, trunc below the kind's minimum,
+    plus T if windowed) is rejected.
     """
 
     kind: str
@@ -118,6 +119,10 @@ class ConstantKey:
             raise ValueError(f"a must be positive, got {p}")
         if spec.param in ("T", "k") and not p >= 0:
             raise ValueError(f"{spec.param} must be nonnegative, got {p}")
+        if spec.param == "k" and not float(p).is_integer():
+            raise ValueError(f"k must be a whole number, got {p}")
+        if spec.windowed:
+            Grid(self.eta).points(p)  # T must be a multiple of eta
         minimum = spec.min_trunc + (p if spec.windowed else 0.0)
         if self.trunc < minimum:
             rule = f"{spec.min_trunc:g} + {spec.param} = {minimum:g}" if spec.windowed else minimum
@@ -421,16 +426,14 @@ def resolve_constant(key: ConstantKey, cache: ConstantCache | None = None):
         if cache is not None:
             cache.append(key, value)
     if key.kind == "piterbarg" and key.a <= 1:
-        warnings.warn(
+        _warn(
             f"a={key.a} <= 1: e^M has a Pareto tail of exponent 1 + a and infinite variance, "
-            "so the standard error does not measure the error",
-            stacklevel=2,
+            "so the standard error does not measure the error"
         )
     if value.warn:
-        warnings.warn(
+        _warn(
             f"boundary_fraction={value.boundary_fraction:.3g} > {_BOUNDARY_WARN_FRACTION}; "
-            "truncation may bias the estimate",
-            stacklevel=2,
+            "truncation may bias the estimate"
         )
     return value, cached
 
@@ -470,10 +473,17 @@ def constant_for_model(
     """Full asymptotic prefactor of the variant (product over required keys).
 
     Standard errors of the factors are combined to first order; the cache,
-    when given, is consulted per key and appended to on miss.
+    when given, is consulted per key and appended to on miss.  Raises
+    RuntimeError when a factor is estimated as 0.
     """
     keys = constant_keys_for_model(variant, params, grid, variant_params, n=n, seed=seed)
     values = [resolve_constant(key, cache)[0] for key in keys]
+    for key, value in zip(keys, values):
+        if value.estimate == 0.0:
+            raise RuntimeError(
+                f"the {key.kind} constant is estimated as 0 from n={key.n_samples} samples, "
+                "so its relative error is undefined"
+            )
     prod = math.prod(v.estimate for v in values)
     rel_var = sum((v.std_error / v.estimate) ** 2 for v in values)
     se = prod * math.sqrt(rel_var)

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -63,6 +62,7 @@ from .model import (
     _Scratch,
     _mean_se,
     _run_blocks,
+    _warn,
     default_horizon,
 )
 
@@ -182,19 +182,19 @@ def _variant_value(variant: str, variant_params: VariantParams | None):
 _CHUNK = 16
 
 
-def _setup(variant, params, grid, variant_params, horizon, n):
+def _setup(variant, params, grid, variant_params, horizon, n, tilted):
     """The variant's step bound to u and its parameter, its state at point 0, and the path's steps.
 
     The one gate for every simulated horizon: it must be finite and cover a
-    grid step, one below ``default_horizon`` warns at the caller of the
-    public estimator, and n paths of that length may draw at most
-    ``_MAX_NORMALS`` normals.
+    grid step, one below ``default_horizon`` warns, and n paths of that
+    length may draw at most ``_MAX_NORMALS`` normals.  ``tilted`` sampling of
+    the reflected variant at gamma >= 1/2 warns here, for both tilted routes.
     """
     p = _variant_value(variant, variant_params)
     _, step, initial, windowed, _ = _VARIANTS[variant]
     if math.isfinite(horizon) and grid.n_steps_for(horizon) < 1:
         raise ValueError(f"horizon {horizon} covers no grid step of {grid.delta}")
-    _check_horizon(params, horizon, stacklevel=4)
+    _check_horizon(params, horizon)
     n_steps = grid.n_steps_for(horizon)
     if windowed:
         p = grid.points(p) + 1
@@ -203,6 +203,11 @@ def _setup(variant, params, grid, variant_params, horizon, n):
         raise ValueError(
             f"{n} paths of {n_steps:.3g} steps may draw {n * float(n_steps):.3g} normals, "
             f"more than the limit of {_MAX_NORMALS:.3g}"
+        )
+    if tilted and variant == "reflected" and variant_params.gamma >= 0.5:
+        _warn(
+            f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
+            "variance, so the standard error does not measure the error"
         )
     return (lambda levels, state, scratch: step(levels, params.u, p, state, scratch)), initial, n_steps
 
@@ -362,13 +367,9 @@ def estimate(
     if method not in drifts:
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
-    detect, initial, n_steps = _setup(variant, params, grid, variant_params, horizon, n)
-    if method == "tilted" and variant == "reflected" and variant_params.gamma >= 0.5:
-        warnings.warn(
-            f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
-            "variance, so the standard error does not measure the error",
-            stacklevel=2,
-        )
+    detect, initial, n_steps = _setup(
+        variant, params, grid, variant_params, horizon, n, tilted=method == "tilted"
+    )
 
     def worker(m, rng):
         _, _, w = _weighted_block(detect, initial, grid, params, drifts[method], n_steps, m, rng)
@@ -400,18 +401,17 @@ def ruin_time_distribution(
     detected replicate and w its weight, as in the tilted estimate; the
     weighted empirical CDF estimates P(normalized ruin time <= s | ruin).
     Paths run to ``default_horizon(params, 1.5)``.  The blocks run on every available
-    core; the sample is the same for any count.  Raises RuntimeError when a
-    weight would underflow to a subnormal or zero double.
+    core; the sample is the same for any count.  Warns below u = 10, and for
+    the reflected variant at gamma >= 1/2 as ``estimate`` does.  Raises
+    RuntimeError when a weight would underflow to a subnormal or zero double.
     """
     to_s = _ruin_time_scale(params)
     if params.u < 10:
-        warnings.warn(
-            f"u={params.u} is small; the normal approximation window is "
-            "only meaningful for large u",
-            stacklevel=2,
+        _warn(
+            f"u={params.u} is small; the normal approximation window is only meaningful for large u"
         )
     detect, initial, n_steps = _setup(
-        variant, params, grid, variant_params, default_horizon(params, 1.5), n
+        variant, params, grid, variant_params, default_horizon(params, 1.5), n, tilted=True
     )
 
     def worker(m, rng):

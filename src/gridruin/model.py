@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -121,8 +122,9 @@ class VariantParams:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.parisian_T is not None and not (0.0 <= self.parisian_T < math.inf):
             raise ValueError(f"parisian_T must be nonnegative and finite, got {self.parisian_T}")
-        if self.cumulative_k is not None and self.cumulative_k < 0:
-            raise ValueError(f"cumulative_k must be nonnegative, got {self.cumulative_k}")
+        k = self.cumulative_k
+        if k is not None and not (k >= 0 and float(k).is_integer()):
+            raise ValueError(f"cumulative_k must be a nonnegative whole number, got {k}")
 
 
 def make_rng(seed: int, replicate_id: int) -> np.random.Generator:
@@ -231,17 +233,21 @@ def default_horizon(params: ModelParams, window_mult: float = 1.0) -> float:
     return max(params.u / params.c + window_mult * math.sqrt(ug) * math.log(ug), 10.0 / params.c)
 
 
-def _check_horizon(params: ModelParams, horizon: float, stacklevel: int) -> None:
-    """Reject a negative or non-finite horizon; warn when it is below ``default_horizon``.
+def _warn(message: str) -> None:
+    """Warn with ``message`` at the first frame outside this package: the caller's line."""
+    package = os.path.join(os.path.dirname(__file__), "")
+    frame, level = sys._getframe(1), 2  # level 2 is the frame that called _warn
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, UserWarning, stacklevel=level)
 
-    ``stacklevel`` goes to ``warnings.warn``; each caller picks it so that
-    the warning points at the line that called the public function.
-    """
+
+def _check_horizon(params: ModelParams, horizon: float) -> None:
+    """Reject a negative or non-finite horizon; warn when it is below ``default_horizon``."""
     if not 0.0 <= horizon < math.inf:
         raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     if horizon < default_horizon(params) - 1e-9:
-        warnings.warn(
+        _warn(
             f"horizon {horizon:.3g} is below the recommended {default_horizon(params):.3g}; "
-            "the result understates the infinite-horizon probability",
-            stacklevel=stacklevel,
+            "the result understates the infinite-horizon probability"
         )

@@ -344,6 +344,9 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
           "--delta", "0.1", "--method", "crude", "--n", "1000"], None),
         (["validate", "--variant", "classical", "--k", "3", "--c", "1", "--u", "4",
           "--delta", "0.1", "--n", "1000", "--constant-n", "1000"], None),
+        # no sample of 100 has exactly 300 positives: a constant estimated as 0
+        (["validate", "--variant", "cumulative", "--k", "300", "--c", "1", "--u", "4",
+          "--delta", "0.1", "--n", "1000", "--constant-n", "100"], None),
     ],
     ids=[
         "zero-n",
@@ -378,6 +381,7 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "subnormal-eta",
         "classical-with-gamma",
         "classical-validate-with-k",
+        "zero-constant-estimate",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):
@@ -432,6 +436,18 @@ class TestLibraryWarnings:
         lines = err.splitlines()
         assert lines[:-1] == ["warning: boundary_fraction=0.0309 > 0.01; truncation may bias the estimate"]
         assert lines[-1].startswith("wall_time_s=")
+
+    def test_reflected_ruin_time_caveat(self, capsys):
+        # the ruin-time sample is weighted as the tilted estimate is
+        status, _, err = run(
+            capsys, "ruin-time", "--variant", "reflected", "--gamma", "0.5", "--c", "1",
+            "--u", "10", "--delta", "0.1", "--n", "1000",
+        )
+        assert status == cli.EXIT_OK
+        assert err.splitlines()[:-1] == [
+            "warning: gamma=0.5 >= 1/2: the tilted reflected weight has infinite variance, "
+            "so the standard error does not measure the error"
+        ]
 
     def test_printed_before_a_failure(self, capsys):
         # the small-u warning of ruin-time, then the refusal of the misaligned window

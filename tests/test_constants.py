@@ -98,6 +98,14 @@ class TestKeyAndValue:
             ConstantKey("parisian", 0.5, 20.0, 1000, T=-1.0)
         with pytest.raises(ValueError, match="k must be nonnegative"):
             ConstantKey("berman", 0.5, 40.0, 1000, k=-1)
+        # exactly 2.5 positives never happens, so the key would read 0 +- 0
+        for bad in (2.5, math.inf):
+            with pytest.raises(ValueError, match="k must be a whole number"):
+                ConstantKey("berman", 0.5, 40.0, 1000, k=bad)
+        # a window that is no whole number of field steps
+        with pytest.raises(ValueError, match="0.7 must be a nonnegative integer multiple"):
+            ConstantKey("parisian", 0.2, None, 20_000, T=0.7)
+        assert ConstantKey("parisian", 0.2, None, 20_000, T=0.6).T == 0.6
 
     def test_warn_flag(self):
         assert ConstantValue(1.0, 0.01, 0.02, 100).warn
@@ -456,6 +464,13 @@ class TestModelCoupling:
         rel = math.hypot(*(p.std_error / p.estimate for p in parts))
         assert combo.std_error == pytest.approx(prod * rel, rel=1e-12)
 
+    def test_zero_factor_refused(self):
+        # no sample of 100 has exactly 300 positive points, so the berman
+        # factor reads 0 +- 0 and the product has no relative error
+        params, grid, vp = ModelParams(1.0, 4.0), Grid(0.1), VariantParams(cumulative_k=300)
+        with pytest.raises(RuntimeError, match="berman constant is estimated as 0 from n=100"):
+            constant_for_model("cumulative", params, grid, vp, n=100)
+
 
 # Each caveat on a key that has it: a window too narrow for eta (3.09% of
 # the maxima at its edge, seed 0), and Piterbarg's infinite variance at
@@ -481,12 +496,12 @@ def quietly(fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def messages(fn, *args, **kwargs) -> list[str]:
-    """The warnings ``fn(*args, **kwargs)`` issues, every one of them."""
+def messages(fn, *args, **kwargs) -> list[tuple[str, str]]:
+    """The warnings ``fn(*args, **kwargs)`` issues, every one of them, with the file each names."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         fn(*args, **kwargs)
-    return [str(w.message) for w in caught]
+    return [(str(w.message), w.filename) for w in caught]
 
 
 def resolve_hit(key, path):
@@ -512,7 +527,10 @@ def approx_warm(key, path, model):
 
 
 def cli_second_run(key, path, capsys):
-    """The ``warning:`` lines of the second of two ``constant --cache`` runs of ``key``."""
+    """The ``warning:`` lines of the second of two ``constant --cache`` runs of ``key``.
+
+    A CLI warning line names no file.
+    """
     argv = ["constant", "--kind", key.kind, "--eta", str(key.eta), "--trunc", str(key.trunc),
             "--n", str(key.n_samples), "--seed", str(key.seed), "--cache", str(path)]
     if key.a is not None:
@@ -521,7 +539,7 @@ def cli_second_run(key, path, capsys):
         capsys.readouterr()
         assert cli.main(argv) == cli.EXIT_OK
     lines = capsys.readouterr().err.splitlines()
-    return [line.removeprefix("warning: ") for line in lines if line.startswith("warning: ")]
+    return [(line.removeprefix("warning: "), None) for line in lines if line.startswith("warning: ")]
 
 
 ROUTES = {
@@ -539,7 +557,10 @@ class TestCache:
     def test_caveat_once_on_every_route(self, route, caveat, tmp_path, capsys):
         key, text, model = CAVEATS[caveat]
         caught = ROUTES[route](key, tmp_path / "cache.jsonl", model, capsys)
-        assert sum(text in m for m in caught) == 1, caught
+        assert sum(text in m for m, _ in caught) == 1, caught
+        # a library warning names the line that called the library
+        named = None if route == "cli-second-run" else __file__
+        assert all(filename == named for _, filename in caught), caught
 
     def test_miss_then_hit(self, tmp_path):
         cache = ConstantCache(tmp_path / "cache.jsonl")
@@ -588,9 +609,10 @@ class TestCache:
         resolve_constant(key, ConstantCache(path))
         text = path.read_text()
         path.write_text(text.replace('"estimate":', '"estimate_x":', 1))
-        with pytest.warns(UserWarning, match="corrupt"):
+        with pytest.warns(UserWarning, match="corrupt") as caught:
             tampered = ConstantCache(path)
         assert tampered.lookup(key) is None
+        assert [w.filename for w in caught] == [__file__]  # names the caller's line
 
     @pytest.mark.parametrize("stream", [None, "philox"])
     def test_line_from_another_stream_layout_skipped_with_warning(self, tmp_path, stream):
@@ -605,15 +627,19 @@ class TestCache:
             rec["stream"] = stream
         rec["checksum"] = _checksum(rec)  # a valid record in every other respect
         path.write_text(json.dumps(rec) + "\n")
-        with pytest.warns(UserWarning, match=":1: skipping cache line from another random-stream"):
+        with pytest.warns(
+            UserWarning, match=":1: skipping cache line from another random-stream"
+        ) as caught:
             reloaded = ConstantCache(path)
         assert reloaded.lookup(key) is None
+        assert [w.filename for w in caught] == [__file__]
 
     def test_non_object_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text("[1, 2]\n")
-        with pytest.warns(UserWarning, match="corrupt"):
+        with pytest.warns(UserWarning, match="corrupt") as caught:
             assert len(ConstantCache(path)) == 0
+        assert [w.filename for w in caught] == [__file__]
 
     def test_line_missing_a_key_field_skipped_with_warning(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -623,8 +649,9 @@ class TestCache:
         del rec["k"], rec["checksum"]
         rec["checksum"] = _checksum(rec)  # a valid checksum over the short record
         path.write_text(json.dumps(rec) + "\n")
-        with pytest.warns(UserWarning, match="corrupt"):
+        with pytest.warns(UserWarning, match="corrupt") as caught:
             assert len(ConstantCache(path)) == 0
+        assert [w.filename for w in caught] == [__file__]
 
     def test_append_after_a_line_cut_short_is_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -633,12 +660,13 @@ class TestCache:
         resolve_constant(k1, ConstantCache(path))
         text = path.read_text()
         path.write_text(text[: len(text) // 2])  # a write cut short: no newline at the end
-        with pytest.warns(UserWarning, match="corrupt"):
+        with pytest.warns(UserWarning, match="corrupt") as first:
             value, cached = resolve_constant(k2, ConstantCache(path))
         assert not cached
-        with pytest.warns(UserWarning, match=":1: skipping corrupt"):
+        with pytest.warns(UserWarning, match=":1: skipping corrupt") as second:
             reloaded = ConstantCache(path)
         assert len(reloaded) == 1 and reloaded.lookup(k2) == value
+        assert [w.filename for w in [*first, *second]] == [__file__, __file__]
 
     def test_non_utf8_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -646,9 +674,10 @@ class TestCache:
         value, _ = resolve_constant(key, ConstantCache(path))
         with path.open("ab") as fh:
             fh.write(b"\xff\xfe\n")
-        with pytest.warns(UserWarning, match=":2: skipping corrupt"):
+        with pytest.warns(UserWarning, match=":2: skipping corrupt") as caught:
             reloaded = ConstantCache(path)
         assert reloaded.lookup(key) == value
+        assert [w.filename for w in caught] == [__file__]
 
     def test_distinct_keys_do_not_collide(self, tmp_path):
         cache = ConstantCache(tmp_path / "cache.jsonl")

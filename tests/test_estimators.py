@@ -235,20 +235,25 @@ class TestEstimate:
             estimate("classical", p, g, horizon=1.0, n=1000, seed=0)
         assert caught[0].filename == __file__  # points at the caller of estimate
 
-    @pytest.mark.parametrize("gamma, method, warns", [
+    @pytest.mark.parametrize("gamma, route, warns", [
         (0.5, "tilted", True),
         (0.25, "tilted", False),  # below 1/2 the tilted weight has a finite second moment
         (0.5, "crude", False),  # a crude weight is 0 or 1
+        (0.5, "ruin-time", True),  # the ruin-time sample carries the tilted weights
+        (0.25, "ruin-time", False),
     ])
-    def test_reflected_infinite_variance_warns(self, gamma, method, warns):
-        p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
+    def test_reflected_infinite_variance_warns(self, gamma, route, warns):
+        p, g, vp = ModelParams(c=1.0, u=10.0), Grid(0.1), VariantParams(gamma=gamma)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            estimate("reflected", p, g, VariantParams(gamma=gamma), method=method, n=1000, seed=0)
+            if route == "ruin-time":
+                ruin_time_distribution("reflected", p, g, vp, n=1000, seed=0)
+            else:
+                estimate("reflected", p, g, vp, method=route, n=1000, seed=0)
         assert [(str(w.message), w.filename) for w in caught] == warns * [(
             f"gamma={gamma} >= 1/2: the tilted reflected weight has infinite variance, "
             "so the standard error does not measure the error",
-            __file__,  # points at the caller of estimate
+            __file__,  # points at the caller of the estimator
         )]
 
     @pytest.mark.parametrize("variant, vp", [

@@ -78,6 +78,11 @@ class TestParams:
         VariantParams(cumulative_k=0)
         with pytest.raises(ValueError, match="cumulative_k"):
             VariantParams(cumulative_k=-1)
+        # the estimators read k as "more than k points", the berman key as
+        # "exactly k positives": a fraction means different things to each
+        for bad in (2.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="cumulative_k must be a nonnegative whole number"):
+                VariantParams(cumulative_k=bad)
 
 
 class TestRng:
@@ -116,6 +121,22 @@ class TestRng:
             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
             if re.search(r"\b(np|numpy)\.random\b", line)
             and not (path.name == "model.py" and fn.lineno <= lineno <= fn.end_lineno)
+        ]
+        assert outside == []
+
+    def test_one_warning_path(self):
+        # every library warning goes through model._warn, which alone picks
+        # the frame a warning names: the first one outside the package
+        src = Path(model.__file__).parent
+        tree = ast.parse((src / "model.py").read_text())
+        fn = next((n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_warn"), None)
+        inside = range(fn.lineno, fn.end_lineno + 1) if fn else range(0)
+        outside = [
+            f"{path.relative_to(src)}:{lineno}"
+            for path in sorted(src.rglob("*.py"))
+            for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(r"\bwarnings\.warn\b|\bstacklevel\b", line)
+            and not (path.name == "model.py" and lineno in inside)
         ]
         assert outside == []
 
