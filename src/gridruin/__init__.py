@@ -20,7 +20,6 @@ from .constants import (
     berman,
     constant_for_model,
     parisian_constant,
-    pickands_diff,
     pickands_dy,
     piterbarg,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ConstantValue",
     "ConstantCache",
     "pickands_dy",
-    "pickands_diff",
     "piterbarg",
     "parisian_constant",
     "berman",

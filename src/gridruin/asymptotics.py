@@ -79,13 +79,12 @@ def validate_ratio(
     grid: Grid,
     variant_params: VariantParams | None = None,
     *,
-    method: str = "tilted",
     n: int = 200_000,
     seed: int = 0,
     constant_n: int = 200_000,
     cache: ConstantCache | None = None,
 ) -> list[RatioRow]:
-    """MC estimate vs asymptotic approximation over increasing u.
+    """Tilted MC estimate vs asymptotic approximation over increasing u.
 
     No pass/fail decision is made here; ratios are reported with a combined
     first-order standard error so callers can apply their own thresholds.
@@ -117,7 +116,6 @@ def validate_ratio(
             params,
             grid,
             variant_params,
-            method=method,
             horizon=default_horizon(params, 2.0),
             n=n,
             seed=seed,

@@ -128,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--c", type=float, required=True)
     pv.add_argument("--u", required=True, help="comma-separated increasing list, e.g. 4,6,8,10")
     pv.add_argument("--delta", type=float, required=True)
-    pv.add_argument("--method", choices=("crude", "tilted"), default="tilted")
     pv.add_argument("--n", type=int, default=200_000)
     pv.add_argument("--constant-n", type=int, default=200_000)
     pv.add_argument("--cache", default=None, help="constant cache file path")
@@ -231,7 +230,6 @@ def cmd_validate(args) -> int:
         args.c,
         grid,
         vp,
-        method=args.method,
         n=args.n,
         seed=args.seed,
         constant_n=args.constant_n,

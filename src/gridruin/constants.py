@@ -5,7 +5,6 @@ expectations of functionals of the drifted field W(t) = sqrt(2) B(t) - |t|
 restricted to a uniform grid of step ``eta``:
 
 * ``pickands_dy``      -- ratio representation sup e^W / (eta * sum e^W)
-* ``pickands_diff``    -- difference of maxima over t >= 0 vs t >= eta
 * ``piterbarg``        -- E sup exp(sqrt(2) B(t) - t(1+a)) on [0, inf)
 * ``parisian_constant``-- windowed-infimum variant of the ratio form
 * ``berman``           -- exceedance-count constant of cumulative ruin
@@ -49,12 +48,10 @@ __all__ = [
     "ConstantKey",
     "ConstantValue",
     "pickands_ratio_values",
-    "pickands_diff_values",
     "piterbarg_values",
     "parisian_window_values",
     "berman_count_values",
     "pickands_dy",
-    "pickands_diff",
     "piterbarg",
     "parisian_constant",
     "berman",
@@ -84,8 +81,8 @@ class ConstantKey:
     picks the kind's default, snapped to a multiple of ``eta``.  ``eta``,
     ``trunc``, ``a`` and ``T`` must be finite and are rounded to 12
     significant digits.  A key that cannot be estimated (a <= 0, T or k < 0,
-    k not whole, T not a multiple of eta, trunc below the kind's minimum,
-    plus T if windowed) is rejected.
+    k not whole, trunc or T not a multiple of eta, trunc below the kind's
+    minimum, plus T if windowed) is rejected.
     """
 
     kind: str
@@ -114,6 +111,10 @@ class ConstantKey:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{field} must be finite, got {value}")
             object.__setattr__(self, field, _normalise(value))
+        try:
+            Grid(self.eta).points(self.trunc)
+        except ValueError as exc:
+            raise ValueError(f"trunc: {exc}") from None
         p = None if spec.param is None else getattr(self, spec.param)
         if spec.param == "a" and not p > 0:
             raise ValueError(f"a must be positive, got {p}")
@@ -179,12 +180,6 @@ def pickands_ratio_values(field: np.ndarray, eta: float, scratch=_fresh) -> np.n
     """Per-path value of the ratio representation, any grid of step eta."""
     e = np.exp(field, out=scratch("exp", field.shape))
     return e.max(axis=1) / (eta * e.sum(axis=1))
-
-
-def pickands_diff_values(field: np.ndarray, eta: float, scratch=_fresh) -> np.ndarray:
-    """Per-path difference of maxima; ``field`` must start at t = 0."""
-    e = np.exp(field, out=scratch("exp", field.shape))
-    return (e.max(axis=1) - e[:, 1:].max(axis=1)) / eta
 
 
 def piterbarg_values(field: np.ndarray) -> np.ndarray:
@@ -261,10 +256,6 @@ class _Kind:
 # The lambdas look the functionals up when called.
 _KINDS = {
     "pickands_dy": _Kind(20.0, 5.0, None, lambda f, eta, _, s: pickands_ratio_values(f, eta, s)),
-    "pickands_diff": _Kind(
-        20.0, 5.0, None, lambda f, eta, _, s: pickands_diff_values(f, eta, s),
-        slope=lambda _: 1.0,
-    ),
     "piterbarg": _Kind(
         30.0, 5.0, "a", lambda f, eta, _, s: piterbarg_values(f), slope=lambda a: 1.0 + a
     ),
@@ -353,13 +344,6 @@ def pickands_dy(
     ``trunc=None`` picks the kind's default window.
     """
     return resolve_constant(ConstantKey("pickands_dy", eta, trunc, n, seed))[0]
-
-
-def pickands_diff(
-    eta: float, trunc: float | None = None, n: int = 200_000, seed: int = 0
-) -> ConstantValue:
-    """Difference-of-maxima estimator of H_eta; one-sided grid [0, trunc]."""
-    return resolve_constant(ConstantKey("pickands_diff", eta, trunc, n, seed))[0]
 
 
 def piterbarg(

@@ -277,7 +277,10 @@ def _run_chunks(step, state, n_steps, fill, weigh):
     live.  After the last chunk, a ruined path weighs w = weigh(S_{tau-1},
     b), the conditional mean of its likelihood ratio given the path before
     tau (see the module docstring), evaluated ``_WEIGHT_ROWS`` paths at a
-    time; w = 0 for a path that never qualifies.
+    time; w = 0 for a path that never qualifies.  Raises RuntimeError where
+    a weight is not a finite double, or where every ruined path weighs 0
+    (both happen when c sqrt(delta) is large: the tilted weight's exponent
+    overflows, or its ratio of normal tails underflows).
     """
     m = state.size
     occurred, idx, w = np.zeros(m, bool), np.zeros(m, np.int64), np.zeros(m)
@@ -303,10 +306,14 @@ def _run_chunks(step, state, n_steps, fill, weigh):
             rows, state = rows[live], state[live]
         start = stop
     ruined = np.flatnonzero(occurred)
-    for lo in range(0, ruined.size, _WEIGHT_ROWS):
-        r = ruined[lo : lo + _WEIGHT_ROWS]
-        w[r] = weigh(before[r], barrier[r])
-    assert np.isfinite(w).all()
+    with np.errstate(all="ignore"):  # a weight out of range is refused below
+        for lo in range(0, ruined.size, _WEIGHT_ROWS):
+            r = ruined[lo : lo + _WEIGHT_ROWS]
+            w[r] = weigh(before[r], barrier[r])
+    if not np.isfinite(w).all():
+        raise RuntimeError("double-precision overflow: a ruined path's weight is not finite")
+    if ruined.size and not w.any():
+        raise RuntimeError("double-precision underflow: every ruined path of a block weighs 0")
     return occurred, idx, w
 
 
@@ -361,7 +368,7 @@ def estimate(
     Warns for tilted sampling of the reflected variant at gamma >= 1/2, whose
     weight has infinite variance (a dip to depth m weighs e^{-2c(u - gamma m)}).
     Raises RuntimeError when the value or its standard error would underflow
-    to a subnormal or zero double.
+    to a subnormal or zero double, or the tilted weights leave double range.
     """
     drifts = {"crude": -params.c, "tilted": params.c}
     if method not in drifts:
@@ -403,7 +410,8 @@ def ruin_time_distribution(
     Paths run to ``default_horizon(params, 1.5)``.  The blocks run on every available
     core; the sample is the same for any count.  Warns below u = 10, and for
     the reflected variant at gamma >= 1/2 as ``estimate`` does.  Raises
-    RuntimeError when a weight would underflow to a subnormal or zero double.
+    RuntimeError when a weight would underflow to a subnormal or zero double,
+    or the weights leave double range as in ``estimate``.
     """
     to_s = _ruin_time_scale(params)
     if params.u < 10:

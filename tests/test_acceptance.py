@@ -19,7 +19,6 @@ from gridruin.asymptotics import validate_ratio
 from gridruin.constants import (
     berman,
     parisian_window_values,
-    pickands_diff,
     pickands_dy,
     pickands_ratio_values,
 )
@@ -93,39 +92,28 @@ def test_03_crude_and_tilted_agree_over_seeds():
 
 
 @pytest.fixture(scope="module")
-def pickands_pairs():
-    out = {}
-    for i, eta in enumerate((0.25, 0.5, 1.0)):
-        out[eta] = (
-            pickands_dy(eta, trunc=20.0, n=200_000, seed=300 + i),
-            pickands_diff(eta, trunc=20.0, n=200_000, seed=400 + i),
-        )
-    return out
+def pickands_values():
+    return {
+        eta: pickands_dy(eta, trunc=20.0, n=200_000, seed=300 + i)
+        for i, eta in enumerate((0.25, 0.5, 1.0))
+    }
 
 
-def test_04_pickands_representations_agree(pickands_pairs):
-    ok = True
-    worst = worst_exact = 0.0
-    for eta, (dy, diff) in pickands_pairs.items():
-        z = abs(dy.estimate - diff.estimate) / math.hypot(dy.std_error, diff.std_error)
-        worst = max(worst, z)
-        ok &= z < 3.0
-        exact = reference.pickands_exact(eta)
-        for est in (dy, diff):
-            z = abs(est.estimate - exact) / est.std_error
-            worst_exact = max(worst_exact, z)
-            ok &= z < 3.0
+def test_04_pickands_representations_agree(pickands_values):
+    worst = 0.0
+    for eta, dy in pickands_values.items():
+        worst = max(worst, abs(dy.estimate - reference.pickands_exact(eta)) / dy.std_error)
     report(
         4,
-        ok,
-        f"dy vs diff at eta in (0.25, 0.5, 1.0): worst |z|={worst:.2f} (<3); "
-        f"each vs the exact Spitzer series: worst |z|={worst_exact:.2f} (<3)",
+        worst < 3.0,
+        f"pickands_dy vs the exact Spitzer series at eta in (0.25, 0.5, 1.0): "
+        f"worst |z|={worst:.2f} (<3)",
     )
 
 
-def test_05_pickands_bounds(pickands_pairs):
+def test_05_pickands_bounds(pickands_values):
     ok = True
-    for eta, (dy, _) in pickands_pairs.items():
+    for dy in pickands_values.values():
         ok &= dy.estimate <= 1.0 + 3 * dy.std_error
     small = pickands_dy(0.01, trunc=10.0, n=50_000, seed=6)
     ok &= small.estimate <= 1.0 + 3 * small.std_error

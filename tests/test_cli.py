@@ -347,6 +347,11 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         # no sample of 100 has exactly 300 positives: a constant estimated as 0
         (["validate", "--variant", "cumulative", "--k", "300", "--c", "1", "--u", "4",
           "--delta", "0.1", "--n", "1000", "--constant-n", "100"], None),
+        # tilted weights out of double range: the exponent overflows while the
+        # tail ratio underflows, or every ruined path's weight underflows
+        (["estimate", "--c", "1000", "--u", "10", "--delta", "0.1", "--n", "10"], None),
+        (["ruin-time", "--c", "150", "--u", "10", "--delta", "0.1", "--n", "100"], None),
+        (["estimate", "--c", "150", "--u", "1", "--delta", "0.1", "--n", "100"], None),
     ],
     ids=[
         "zero-n",
@@ -382,6 +387,9 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "classical-with-gamma",
         "classical-validate-with-k",
         "zero-constant-estimate",
+        "overflowing-weight",
+        "ruin-time-overflowing-weight",
+        "underflowing-weights",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):
@@ -470,6 +478,43 @@ def test_underflowing_weights_exit_numerical(command, u, capsys):
     status, out, err = run(capsys, command, "--c", "1", "--u", u, "--delta", "0.1", "--n", "1000")
     assert status == cli.EXIT_NUMERICAL and out == ""
     assert "double-precision underflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate", "--c", "1000", "--u", "10", "--delta", "0.1", "--n", "10"],
+        ["ruin-time", "--c", "150", "--u", "10", "--delta", "0.1", "--n", "100"],
+        ["estimate", "--c", "150", "--u", "1", "--delta", "0.1", "--n", "100"],
+        ["validate", "--c", "150", "--u", "1,2", "--delta", "0.1", "--n", "100",
+         "--constant-n", "1000"],
+    ],
+    ids=["overflow", "ruin-time-overflow", "underflow", "validate-underflow"],
+)
+def test_weights_out_of_double_range_exit_numerical(argv, capsys):
+    # a large c sqrt(delta): refused, not a traceback nor a printed 0 +- 0
+    status, out, err = run(capsys, *argv)
+    assert status == cli.EXIT_NUMERICAL and out == ""
+    assert err.startswith("numerical failure: double-precision")
+    assert err.count("\n") == 1  # one line: no numpy warning lines
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["constant", "--kind", "pickands_diff", "--eta", "0.5", "--n", "100"], None),
+        (["validate", "--c", "1", "--u", "4", "--delta", "0.1", "--method", "tilted"], None),
+        (["validate", "--c", "1", "--u", "4", "--delta", "0.1"], "method = tilted\n"),
+    ],
+    ids=["constant-kind", "validate-flag", "validate-config-key"],
+)
+def test_removed_options_are_config_errors(argv, config, tmp_path):
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    proc = _python(tmp_path, "-m", "gridruin.cli", *argv)
+    assert proc.returncode == cli.EXIT_CONFIG and proc.stdout == "", proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -21,8 +21,6 @@ from gridruin.constants import (
     constant_keys_for_model,
     parisian_constant,
     parisian_window_values,
-    pickands_diff,
-    pickands_diff_values,
     pickands_dy,
     pickands_ratio_values,
     piterbarg,
@@ -38,7 +36,6 @@ def combined_se(a: ConstantValue, b: ConstantValue) -> float:
 
 DRIVERS = {
     "pickands_dy": pickands_dy,
-    "pickands_diff": pickands_diff,
     "piterbarg": piterbarg,
     "parisian": parisian_constant,
     "berman": berman,
@@ -106,6 +103,9 @@ class TestKeyAndValue:
         with pytest.raises(ValueError, match="0.7 must be a nonnegative integer multiple"):
             ConstantKey("parisian", 0.2, None, 20_000, T=0.7)
         assert ConstantKey("parisian", 0.2, None, 20_000, T=0.6).T == 0.6
+        # an explicit window that is no whole number of field steps
+        with pytest.raises(ValueError, match="trunc: 20.0 must be a nonnegative integer multiple"):
+            ConstantKey("pickands_dy", 0.3, 20.0, 100)
 
     def test_warn_flag(self):
         assert ConstantValue(1.0, 0.01, 0.02, 100).warn
@@ -136,7 +136,7 @@ class TestSamplers:
         np.testing.assert_array_equal(f[:, 10], 0.0)
 
     def test_one_sided_shape_and_origin(self, monkeypatch):
-        f = tile_fields(ConstantKey("pickands_diff", 0.5, 5.0, 7), monkeypatch)
+        f = tile_fields(ConstantKey("piterbarg", 0.5, 5.0, 7, a=2.0), monkeypatch)
         assert f.shape == (7, 11)
         np.testing.assert_array_equal(f[:, 0], 0.0)
 
@@ -152,25 +152,14 @@ class TestSamplers:
 
 
 class TestPickands:
-    def test_representation_equivalence(self):
-        dy = pickands_dy(0.5, trunc=20.0, n=50_000, seed=1)
-        diff = pickands_diff(0.5, trunc=20.0, n=50_000, seed=2)
-        assert abs(dy.estimate - diff.estimate) < 3 * combined_se(dy, diff)
-
     @pytest.mark.parametrize("eta", [0.25, 1.0])
     def test_bounded_by_continuous_constant(self, eta):
         h = pickands_dy(eta, trunc=20.0, n=50_000, seed=3)
         assert 0 < h.estimate <= 1.0 + 3 * h.std_error
 
-    def test_diff_integrand_nonnegative(self):
-        field = whole_field_one_sided(0.5, 10.0, 1000, make_rng(4, 0))
-        assert np.all(pickands_diff_values(field, 0.5) >= 0.0)
-
     def test_small_trunc_rejected(self):
         with pytest.raises(ValueError, match="trunc"):
             pickands_dy(0.5, trunc=2.0, n=100)
-        with pytest.raises(ValueError):
-            pickands_diff(0.5, trunc=2.0, n=100)
 
     def test_three_point_grid_against_quadrature(self):
         # independent oracle: on the grid {-eta, 0, eta} the expectation is a
@@ -292,16 +281,14 @@ def whole_block_reference(key: ConstantKey) -> ConstantValue:
     parts = []
     for b, start in enumerate(range(0, n, model.BLOCK_SIZE)):
         m, rng = min(model.BLOCK_SIZE, n - start), make_rng(key.seed, b)
-        if key.kind in ("pickands_diff", "piterbarg"):
-            slope = 1.0 + key.a if key.kind == "piterbarg" else 1.0
-            field = whole_field_one_sided(eta, trunc, m, rng, slope=slope)
+        if key.kind == "piterbarg":
+            field = whole_field_one_sided(eta, trunc, m, rng, slope=1.0 + key.a)
             t = eta * np.arange(field.shape[1])
         else:
             field = whole_field_two_sided(eta, trunc, m, rng)
             t = eta * np.arange(field.shape[1]) - trunc
         vals = {
             "pickands_dy": lambda: pickands_ratio_values(field, eta),
-            "pickands_diff": lambda: pickands_diff_values(field, eta),
             "piterbarg": lambda: piterbarg_values(field),
             "parisian": lambda: parisian_window_values(field, eta, key.T),
             "berman": lambda: berman_count_values(field, eta, key.k),
@@ -316,10 +303,11 @@ def whole_block_reference(key: ConstantKey) -> ConstantValue:
     return ConstantValue(mean, se, sum(part[2] for part in parts) / n, n)
 
 
-# One key per kind at eta = 0.5 and its default window.
+# One key per kind at eta = 0.5 and its default window, and a second
+# one-sided key, at an a without Piterbarg's infinite-variance caveat.
 KIND_EXTRAS = [
     ("pickands_dy", {}),
-    ("pickands_diff", {}),
+    ("piterbarg", {"a": 2.0}),
     # a = 1 meets Piterbarg's infinite-variance caveat on purpose
     pytest.param("piterbarg", {"a": 1.0}, marks=pytest.mark.filterwarnings("ignore:a=1.0 <= 1")),
     ("parisian", {"T": 1.0}),
@@ -396,11 +384,6 @@ class TestRegressionFixtures:
     The estimators are deterministic given (seed, n), so exact reproduction is
     part of the contract; the looser band guards the statistical value itself.
     """
-
-    def test_pickands_diff_fixture(self):
-        f = pickands_diff(0.5, trunc=20.0, n=200_000, seed=2)
-        assert f.estimate == pytest.approx(0.559246893448119, rel=1e-9)
-        assert f.std_error < 0.003
 
     def test_piterbarg_fixture(self):
         with pytest.warns(UserWarning, match="infinite variance"):
@@ -651,6 +634,23 @@ class TestCache:
         path.write_text(json.dumps(rec) + "\n")
         with pytest.warns(UserWarning, match="corrupt") as caught:
             assert len(ConstantCache(path)) == 0
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_line_of_a_removed_kind_skipped_with_warning(self, tmp_path):
+        # a checksummed record of pickands_diff, a kind earlier versions estimated
+        path = tmp_path / "cache.jsonl"
+        key = ConstantKey("pickands_dy", 0.5, 10.0, 2000, seed=3)
+        ConstantCache(path).append(key, ConstantValue(0.56, 0.003, 0.0, 2000))
+        rec = json.loads(path.read_text())
+        del rec["checksum"]
+        rec["kind"] = "pickands_diff"
+        rec["checksum"] = _checksum(rec)
+        path.write_text(json.dumps(rec) + "\n")
+        with pytest.warns(UserWarning) as caught:
+            assert len(ConstantCache(path)) == 0
+        assert [str(w.message) for w in caught] == [
+            f"{path}:1: skipping corrupt cache line (unknown constant kind 'pickands_diff')"
+        ]
         assert [w.filename for w in caught] == [__file__]
 
     def test_append_after_a_line_cut_short_is_kept(self, tmp_path):

@@ -194,6 +194,17 @@ class TestEstimate:
             rel_se[u] = est.std_error / est.value
         assert rel_se[200.0] == pytest.approx(rel_se[150.0], rel=0.2)
 
+    def test_weights_out_of_double_range_refused(self):
+        # c sqrt(delta) large: exp(-tilt x) overflows where the tail ratio
+        # underflows (inf * 0), or every ruined path's weight underflows to 0
+        g = Grid(0.1)
+        with pytest.raises(RuntimeError, match="weight is not finite"):
+            estimate("classical", ModelParams(c=1000.0, u=10.0), g, n=10)
+        with pytest.raises(RuntimeError, match="every ruined path of a block weighs 0"):
+            estimate("classical", ModelParams(c=150.0, u=1.0), g, n=100)
+        # crude weights are exactly 1; here no crude path is ruined at all
+        assert estimate("classical", ModelParams(c=150.0, u=1.0), g, method="crude", n=100).value == 0
+
     def test_tilted_weights_bounded(self):
         # a classical ruin step ends above u, so its conditioned weight is below exp(-2cu)
         p, g = ModelParams(c=1.0, u=12.0), Grid(0.1)

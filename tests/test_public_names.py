@@ -1,14 +1,17 @@
-"""No public function whose only caller is its own unit test.
+"""No public function or constant kind whose only caller is its own unit test.
 
 Every name in a ``gridruin`` module's ``__all__`` must be re-exported by
 the package or referenced as code (a name or an attribute, not a docstring
-mention) somewhere in the library.
+mention) somewhere in the library.  Every kind of ``constants._KINDS``
+must be a constant of some ruin variant's prefactor.
 """
 
 import ast
 from pathlib import Path
 
 import gridruin
+from gridruin.constants import _KINDS
+from gridruin.estimators import _VARIANTS
 
 PACKAGE = Path(gridruin.__file__).resolve().parent
 
@@ -38,3 +41,9 @@ def test_every_public_name_is_exported_or_used_by_the_library():
         if name not in gridruin.__all__ and name not in used
     ]
     assert unused == []
+
+
+def test_every_constant_kind_is_a_model_constant():
+    # every key builder reads its parameter as a number; 0.25 suits them all
+    used = {kind for *_, keys in _VARIANTS.values() for kind, _, _ in keys(1.0, 0.1, 0.25)}
+    assert set(_KINDS) == used
