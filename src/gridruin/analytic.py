@@ -5,7 +5,12 @@ sub-density of the random walk restricted below the barrier, which gives an
 independent deterministic cross-check for the Monte Carlo estimators.  On its
 uniform state grid the one-step kernel is a Toeplitz matrix times the
 quadrature weights, so each step is one FFT convolution with a fixed kernel
-row: O(N log N) time per step and O(N) memory for N state points.
+row: O(N log N) time per step and O(N) memory for N state points.  The row
+keeps only the K lags whose weight exceeds ``_ROW_CUT`` of its peak, within
+about 9.6 standard deviations of the increment's mean, so a step transforms
+N + K - 1 points rather than 2N - 1.  The state floor depends on u and c
+only, not on the horizon, and a result below ``_RESOLVED_FLOOR``, where the
+FFT's round-off is no longer small against it, is refused.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
 truncation bound and the tilted weight share, rest on one lower tail,
@@ -176,6 +181,20 @@ def _ruin_time_scale(params: ModelParams):
 # Largest |total probability - 1| the DP oracle accepts.
 _MASS_TOLERANCE = 1e-7
 
+# Kernel-row entries at or below this share of the row's peak are dropped.  A
+# dropped entry lies beyond sqrt(2 ln 1e20) = 9.6 standard deviations of the
+# increment's mean, so one step moves at most 2 Phi-bar(9.6) = 8.5e-22 of the
+# surviving mass, and n steps change the result by at most n * 8.5e-22 (4e-19
+# at 400 steps).  The FFT's own round-off, measured against the dense kernel,
+# is 1-2e-16 absolute: the cut sits far below it.
+_ROW_CUT = 1e-20
+
+# Smallest ruin probability the recursion reports.  Its absolute round-off,
+# measured against the dense kernel at u = 8-20 (c = 1, delta = 0.1), is at
+# most 2e-16, so a result above this floor carries at most 2e-4 of relative
+# round-off; below it the value can be meaningless or even negative.
+_RESOLVED_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class DpOracleConfig:
@@ -189,19 +208,23 @@ class DpOracleConfig:
 
 
 class QuadratureMassError(RuntimeError):
-    """Raised when the DP state grid loses probability mass beyond tolerance."""
+    """Raised when the DP oracle's result cannot be trusted.
 
-
-def _default_state_lo(params: ModelParams, horizon: float) -> float:
-    """Lower truncation of the walk state, always below the barrier u.
-
-    Mass leaking below it is counted as survival, which biases the ruin
-    probability down by at most exp(-2c(u - state_lo)); the floor sits far
-    enough below the drifted mean that the bias is negligible.
+    Either the state grid lost probability mass beyond tolerance, or the ruin
+    probability is below what the recursion's round-off lets it resolve.
     """
-    drift_low = -params.c * horizon - 8.0 * math.sqrt(horizon)
-    tilt_low = params.u - 25.0 / params.c - 5.0
-    return min(drift_low, tilt_low)
+
+
+def _default_state_lo(params: ModelParams) -> float:
+    """Lower truncation of the walk state, u - 25/c - 5, always below the barrier u.
+
+    Mass leaving below it is counted as survival.  Since exp(2c S_n) is a
+    martingale, a path from the floor reaches u with probability at most
+    exp(-2c(u - state_lo)) = exp(-50 - 10c) < 2e-22, which bounds the bias of
+    the ruin probability whatever the horizon.  The floor does not move with
+    the horizon, so neither does the node spacing.
+    """
+    return params.u - 25.0 / params.c - 5.0
 
 
 def _fft_length(n: int) -> int:
@@ -229,21 +252,24 @@ def dp_classical_ruin(
     grid with composite Simpson weights.  The kernel entry for states x_i, x_j
     depends only on i - j, so a step is the convolution of the weighted
     density with one kernel row, done by FFT with the row's transform computed
-    once per call: O(N log N) per step and O(N) memory, no N x N matrix.
+    once per call: O(N log N) per step and O(N) memory, no N x N matrix.  The
+    row is cut to the K lags whose weight exceeds ``_ROW_CUT`` of its peak
+    (widened to lag 0), so each transform has length N + K - 1 or just above.
     Mass crossing the barrier accumulates into the ruin probability; mass
-    leaving through the floor is tracked and the total balance is checked
-    against ``_MASS_TOLERANCE``.
+    leaving through the horizon-free floor ``_default_state_lo`` is tracked
+    and the total balance is checked against ``_MASS_TOLERANCE``.  Raises
+    ``QuadratureMassError`` if the balance fails, or if a result the
+    recursion produced (more than one step) is below ``_RESOLVED_FLOOR``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
     u, c, delta = params.u, params.c, grid.delta
-    horizon = n_steps * delta
-    _check_horizon(params, horizon)
+    _check_horizon(params, n_steps * delta)
     if n_steps == 0:
         return 0.0
 
     sigma = math.sqrt(delta)
-    lo = _default_state_lo(params, horizon)
+    lo = _default_state_lo(params)
     # Composite Simpson weights (odd node count).  Trapezoid weights leave an
     # O(h^2) error from the positive density at the barrier endpoint, too
     # coarse for the 1e-6 self-convergence contract at feasible node counts.
@@ -254,13 +280,21 @@ def dp_classical_ruin(
     w[1::2] = 4.0 * h / 3.0
     w[0] = w[-1] = h / 3.0
 
-    # One-step transition f_i <- sum_j row[i - j] w_j f_j over the 2N - 1 lags
-    # i - j = -(N-1) .. N-1: a linear convolution whose middle N outputs are
-    # free of wrap-around for any FFT length >= 2N - 1.
-    row = norm_pdf((np.arange(1 - n_nodes, n_nodes) * h + c * delta) / sigma) / sigma
-    n_fft = _fft_length(2 * n_nodes - 1)
+    # One-step transition f_i <- sum_j row[i - j] w_j f_j over the lags
+    # i - j = -(N-1) .. N-1, keeping the contiguous run first .. last above
+    # the cut, widened to take in lag 0 so that all N outputs lie inside the
+    # convolution (a drift of over 9.6 sd per step, or a row underflowing to
+    # 0, would leave lag 0 out).  Output i is element i - first of the linear
+    # convolution of w f with the K kept entries, free of wrap-around for any
+    # FFT length >= N + K - 1.
+    lags = np.arange(1 - n_nodes, n_nodes)
+    row = norm_pdf((lags * h + c * delta) / sigma) / sigma
+    kept = np.flatnonzero((row > _ROW_CUT * row.max()) | (lags == 0))
+    row = row[kept[0]:kept[-1] + 1]
+    first = lags[kept[0]]
+    n_fft = _fft_length(n_nodes + row.size - 1)
     row_hat = np.fft.rfft(row, n_fft)
-    middle = slice(n_nodes - 1, 2 * n_nodes - 1)
+    middle = slice(-first, n_nodes - first)
     p_ruin_from = norm_sf((u - x + c * delta) / sigma) * w
     p_floor_from = norm_cdf((lo - x + c * delta) / sigma) * w
 
@@ -279,5 +313,11 @@ def dp_classical_ruin(
     if abs(balance - 1.0) > _MASS_TOLERANCE:
         raise QuadratureMassError(
             f"probability mass balance off by {balance - 1.0:.3e}; increase state_points"
+        )
+    # one step is the closed form above; later steps carry the FFT's round-off
+    if n_steps > 1 and ruin < _RESOLVED_FLOOR:
+        raise QuadratureMassError(
+            f"ruin probability {ruin:.3e} is below {_RESOLVED_FLOOR:g}, where the "
+            "recursion's round-off is no longer small against it"
         )
     return ruin

@@ -162,7 +162,7 @@ def _dense_dp_ruin(params, grid, n_steps, state_points):
     """Reference oracle: the same recursion with the one-step kernel as a dense matrix."""
     u, c, delta = params.u, params.c, grid.delta
     sigma = math.sqrt(delta)
-    x = np.linspace(_default_state_lo(params, n_steps * delta), u, state_points | 1)
+    x = np.linspace(_default_state_lo(params), u, state_points | 1)
     h = x[1] - x[0]
     w = np.full(x.size, 2.0 * h / 3.0)
     w[1::2] = 4.0 * h / 3.0
@@ -187,24 +187,31 @@ class TestDpOracle:
     @pytest.mark.parametrize(
         "u, c, delta, n_steps, recorded",
         [
-            (4.0, 1.0, 0.1, 100, 0.00022832562677911844),
-            (2.0, 1.0, 0.05, 200, 0.014091234598164318),
+            (4.0, 1.0, 0.1, 100, 0.000228325615053529),
+            (2.0, 1.0, 0.05, 200, 0.014091232676201257),
             (1.0, 0.5, 0.05, 400, 0.32172711806984566),
         ],
     )
     def test_recorded_values(self, u, c, delta, n_steps, recorded):
-        # perfbench/reference.py's DP_RECORDED, computed with a dense kernel;
-        # a wrong lag sign or slice offset in the FFT step moves them by far
-        # more than 1e-9
+        # _dense_dp_ruin at 2048 nodes on the horizon-free floor; the first two
+        # sit up to 1.9e-9 from perfbench/reference.py's DP_RECORDED, which was
+        # taken on the older, horizon-dependent floor.  A wrong lag sign or
+        # slice offset in the FFT step moves them by far more than 1e-9
         val = dp_classical_ruin(ModelParams(c=c, u=u), Grid(delta), n_steps)
         assert abs(val - recorded) < 1e-9
 
     @pytest.mark.parametrize(
         "u, c, delta, state_points",
-        [(0.5, 1.0, 0.2, 1024), (2.0, 2.0, 0.1, 512), (3.0, 2.0, 0.05, 512)],
+        [
+            (0.5, 1.0, 0.2, 1024),
+            (2.0, 2.0, 0.1, 512),
+            (3.0, 2.0, 0.05, 512),
+            (1.0, 0.5, 0.05, 2048),  # the widest cut row of the benchmark's cases
+        ],
     )
     def test_matches_dense_kernel(self, u, c, delta, state_points):
-        # FFT round-off is a few ulp of the largest term, far below 1e-12
+        # FFT round-off is a few ulp of the largest term, and the cut row's
+        # dropped entries move the result by under 1e-18: far below 1e-12
         p, g = ModelParams(c=c, u=u), Grid(delta)
         n = g.n_steps_for(default_horizon(p))
         val = dp_classical_ruin(p, g, n, DpOracleConfig(state_points=state_points))
@@ -221,6 +228,34 @@ class TestDpOracle:
         finally:
             tracemalloc.stop()
         assert peak < 100 * 8 * 4097
+
+    def test_long_horizon_converges_in_state_points(self):
+        # the floor does not move with the horizon, so 1000 steps keep the
+        # node spacing of 100 (a horizon-dependent floor failed the mass
+        # check here at 4096 nodes)
+        p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
+        a = dp_classical_ruin(p, g, 1000, DpOracleConfig(state_points=4096))
+        b = dp_classical_ruin(p, g, 1000, DpOracleConfig(state_points=8192))
+        assert abs(a - b) < 1e-9
+
+    @pytest.mark.parametrize("u, c, delta", [(20.0, 1.0, 0.1), (1.0, 20.0, 1.0)])
+    def test_unresolved_probability_raises(self, u, c, delta):
+        # at u = 20 the recursion's round-off (about 2e-16) swamps the value;
+        # at c = 20, delta = 1 the cut row leaves out lag 0 unless widened
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        with pytest.raises(QuadratureMassError, match="below 1e-12"):
+            dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
+
+    def test_resolved_small_probability_returned(self):
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        val = dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
+        assert 1e-12 < val < psi_inf(p)
+
+    def test_single_step_below_floor_is_closed_form(self):
+        # one step runs no recursion, so its exact tail value is returned
+        with pytest.warns(UserWarning):
+            val = dp_classical_ruin(ModelParams(c=1.0, u=4.0), Grid(0.05), 1)
+        assert val == float(norm_sf(4.05 / math.sqrt(0.05)))
 
     def test_zero_steps(self):
         with pytest.warns(UserWarning):
