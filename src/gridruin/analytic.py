@@ -10,11 +10,15 @@ keeps only the K lags whose weight exceeds ``_ROW_CUT`` of its peak, within
 about 9.6 standard deviations of the increment's mean, so a step transforms
 N + K - 1 points rather than 2N - 1.  The state floor depends on u and c
 only, not on the horizon, and a result below ``_RESOLVED_FLOOR``, where the
-FFT's round-off is no longer small against it, is refused.
+FFT's round-off is no longer small against it, is refused.  The same
+quadrature, run under drift +c, tabulates the law of the first crossing of
+u and the level before it (``_FirstCrossing``), from which the tilted
+Parisian and cumulative estimators start their paths.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
 truncation bound and the tilted weight share, rest on one lower tail,
-Cody's rational approximations of Phi(-y) (see ``_lower_tail``).
+Cody's rational approximations of Phi(-y) (see ``_lower_tail``); the
+first-crossing sampler inverts Phi-bar by Wichura's AS 241 (``_norm_isf``).
 """
 
 from __future__ import annotations
@@ -123,6 +127,49 @@ def _log_ndtr(x):
     x = np.asarray(x, dtype=float)
     y = np.abs(x)
     return np.where(x > 0.0, np.log1p(-_lower_tail(y)), _lower_tail(y, log=True))
+
+
+# M. J. Wichura's algorithm AS 241 (PPND16; Appl. Statist. 37 (1988) 477-484),
+# the inverse of Phi to about 1e-16 relative, in three regions: |p - 1/2| <=
+# 0.425, then r = sqrt(-log min(p, 1 - p)) up to 5, and beyond.  Highest power
+# first, as for Cody's tail above.
+_ISF_A = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+          4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+          1.3314166789178437745e+2, 3.3871328727963666080e0)
+_ISF_B = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+          2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+          4.2313330701600911252e+1, 1.0)
+_ISF_C = (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+          1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+          4.63033784615654529590e0, 1.42343711074968357734e0)
+_ISF_D = (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+          1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+          2.05319162663775882187e0, 1.0)
+_ISF_E = (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+          2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+          5.46378491116411436990e0, 6.65790464350110377720e0)
+_ISF_F = (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+          7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+          5.99832206555887937690e-1, 1.0)
+
+
+def _norm_isf(p):
+    """Phi-bar^{-1}(p), the y with Phi-bar(y) = p, for 0 < p < 1, elementwise (AS 241 above).
+
+    The tails are computed from p itself where p < 1/2 and from 1 - p above,
+    so a small p keeps its relative accuracy; every region is evaluated on
+    every point and selected point by point.
+    """
+    p = np.asarray(p, dtype=float)
+    q = 0.5 - p
+    with np.errstate(all="ignore"):  # the regions a point is not in may overflow
+        s = 0.180625 - q * q
+        central = q * _horner(_ISF_A, s) / _horner(_ISF_B, s)
+        r = np.sqrt(-np.log(np.minimum(p, 1.0 - p)))
+        near, far = r - 1.6, r - 5.0
+        tail = np.where(r <= 5.0, _horner(_ISF_C, near) / _horner(_ISF_D, near),
+                        _horner(_ISF_E, far) / _horner(_ISF_F, far))
+    return np.where(np.abs(q) <= 0.425, central, np.where(q < 0.0, -tail, tail))
 
 
 def norm_pdf(x):
@@ -239,6 +286,66 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
+@dataclass(frozen=True)
+class _Quadrature:
+    """One DP step on a node grid: its nodes and weights, FFT kernel, exit masses and first step."""
+
+    x: np.ndarray  # the nodes, lo .. u
+    w: np.ndarray  # composite Simpson weights
+    n_fft: int
+    row_hat: np.ndarray  # the transform of the cut kernel row
+    middle: slice  # the convolution's outputs that fall on the nodes
+    p_ruin_from: np.ndarray  # w times P(one step from x ends above u)
+    p_floor_from: np.ndarray  # w times P(one step from x ends below lo)
+    ruin: float  # P(S_1 > u)
+    below: float  # P(S_1 < lo)
+    f: np.ndarray  # the density of S_1 at the nodes
+
+
+def _quadrature(u, lo, drift, delta, n_nodes) -> _Quadrature:
+    """The quadrature of one step N(drift delta, delta) on ``n_nodes`` (odd) nodes of [lo, u].
+
+    A step pushes a sub-density f at the nodes forward as
+    ``irfft(rfft(w * f, n_fft) * row_hat, n_fft)[middle]``.
+    """
+    sigma = math.sqrt(delta)
+    # Composite Simpson weights (odd node count).  Trapezoid weights leave an
+    # O(h^2) error from the positive density at the barrier endpoint, too
+    # coarse for the 1e-6 self-convergence contract at feasible node counts.
+    x = np.linspace(lo, u, n_nodes)
+    h = x[1] - x[0]
+    w = np.full(n_nodes, 2.0 * h / 3.0)
+    w[1::2] = 4.0 * h / 3.0
+    w[0] = w[-1] = h / 3.0
+
+    # One-step transition f_i <- sum_j row[i - j] w_j f_j over the lags
+    # i - j = -(N-1) .. N-1, keeping the contiguous run first .. last above
+    # the cut, widened to take in lag 0 so that all N outputs lie inside the
+    # convolution (a drift of over 9.6 sd per step, or a row underflowing to
+    # 0, would leave lag 0 out).  Output i is element i - first of the linear
+    # convolution of w f with the K kept entries, free of wrap-around for any
+    # FFT length >= N + K - 1.
+    lags = np.arange(1 - n_nodes, n_nodes)
+    row = norm_pdf((lags * h - drift * delta) / sigma) / sigma
+    kept = np.flatnonzero((row > _ROW_CUT * row.max()) | (lags == 0))
+    row = row[kept[0]:kept[-1] + 1]
+    first = lags[kept[0]]
+    n_fft = _fft_length(n_nodes + row.size - 1)
+    return _Quadrature(
+        x=x,
+        w=w,
+        n_fft=n_fft,
+        row_hat=np.fft.rfft(row, n_fft),
+        middle=slice(-first, n_nodes - first),
+        p_ruin_from=norm_sf((u - x - drift * delta) / sigma) * w,
+        p_floor_from=norm_cdf((lo - x - drift * delta) / sigma) * w,
+        # the first step starts from the point mass at 0, no quadrature needed
+        ruin=float(norm_sf((u - drift * delta) / sigma)),
+        below=float(norm_cdf((lo - drift * delta) / sigma)),
+        f=norm_pdf((x - drift * delta) / sigma) / sigma,
+    )
+
+
 def dp_classical_ruin(
     params: ModelParams,
     grid: Grid,
@@ -268,40 +375,10 @@ def dp_classical_ruin(
     if n_steps == 0:
         return 0.0
 
-    sigma = math.sqrt(delta)
-    lo = _default_state_lo(params)
-    # Composite Simpson weights (odd node count).  Trapezoid weights leave an
-    # O(h^2) error from the positive density at the barrier endpoint, too
-    # coarse for the 1e-6 self-convergence contract at feasible node counts.
-    n_nodes = cfg.state_points | 1
-    x = np.linspace(lo, u, n_nodes)
-    h = x[1] - x[0]
-    w = np.full(n_nodes, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-
-    # One-step transition f_i <- sum_j row[i - j] w_j f_j over the lags
-    # i - j = -(N-1) .. N-1, keeping the contiguous run first .. last above
-    # the cut, widened to take in lag 0 so that all N outputs lie inside the
-    # convolution (a drift of over 9.6 sd per step, or a row underflowing to
-    # 0, would leave lag 0 out).  Output i is element i - first of the linear
-    # convolution of w f with the K kept entries, free of wrap-around for any
-    # FFT length >= N + K - 1.
-    lags = np.arange(1 - n_nodes, n_nodes)
-    row = norm_pdf((lags * h + c * delta) / sigma) / sigma
-    kept = np.flatnonzero((row > _ROW_CUT * row.max()) | (lags == 0))
-    row = row[kept[0]:kept[-1] + 1]
-    first = lags[kept[0]]
-    n_fft = _fft_length(n_nodes + row.size - 1)
-    row_hat = np.fft.rfft(row, n_fft)
-    middle = slice(-first, n_nodes - first)
-    p_ruin_from = norm_sf((u - x + c * delta) / sigma) * w
-    p_floor_from = norm_cdf((lo - x + c * delta) / sigma) * w
-
-    # First step starts from the point mass at 0, no quadrature needed.
-    ruin = float(norm_sf((u + c * delta) / sigma))
-    below = float(norm_cdf((lo + c * delta) / sigma))
-    f = norm_pdf((x + c * delta) / sigma) / sigma
+    q = _quadrature(u, _default_state_lo(params), -c, delta, cfg.state_points | 1)
+    w, n_fft, row_hat, middle = q.w, q.n_fft, q.row_hat, q.middle
+    p_ruin_from, p_floor_from = q.p_ruin_from, q.p_floor_from
+    ruin, below, f = q.ruin, q.below, q.f
 
     for _ in range(n_steps - 1):
         ruin += float(p_ruin_from @ f)
@@ -321,3 +398,104 @@ def dp_classical_ruin(
             "recursion's round-off is no longer small against it"
         )
     return ruin
+
+
+# Node spacing of the first-crossing table's state grid, as a share of the
+# step's standard deviation.  On fixed 2048-node grids the drift +c mass
+# balance met ``_MASS_TOLERANCE`` wherever h / sqrt(delta) <= 0.07, and failed
+# it (by 2e-7 to 3.7e-6) wherever h / sqrt(delta) >= 0.085.
+_CROSSING_SPACING = 1.0 / 16.0
+
+# Standard deviations of a step within which a node can send mass across u:
+# the kernel row's cut, sqrt(2 ln 1e20) = 9.6.  A node further below u - c
+# delta sends less than Phi-bar(9.6) = 4e-22 of its mass across.
+_CROSSING_REACH = math.sqrt(2.0 * math.log(1.0 / _ROW_CUT))
+
+
+def _crossing_grid(params: ModelParams, grid: Grid) -> tuple[float, int, int]:
+    """(floor, nodes, kept nodes) of the first-crossing table's state grid, known before it is built.
+
+    The floor is -25/c - 5 (S_0 = 0 <= u): under drift +c, exp(-2c S_n) is a
+    martingale, so the walk dips below it with probability at most
+    exp(-50 - 10c).  The node count is the least odd one whose spacing is at
+    most ``_CROSSING_SPACING`` sqrt(delta); the kept nodes are those within
+    ``_CROSSING_REACH`` sqrt(delta) of u - c delta (and at most u).
+    """
+    lo = -25.0 / params.c - 5.0
+    sigma = math.sqrt(grid.delta)
+    intervals = 2 * math.ceil((params.u - lo) / (2.0 * _CROSSING_SPACING * sigma))
+    h = (params.u - lo) / intervals
+    reach = _CROSSING_REACH * sigma + params.c * grid.delta
+    return lo, intervals + 1, min(intervals, math.floor(reach / h)) + 1
+
+
+def _crossing_table_work(params: ModelParams, grid: Grid, n_steps: int) -> tuple[float, float]:
+    """(FFT points transformed, bytes held) of the ``_FirstCrossing`` table, known before it is built.
+
+    Each of its n_steps - 1 steps transforms N + K - 1 points, K the kept
+    lags of a kernel row cut at ``_CROSSING_REACH`` standard deviations; it
+    holds its cells and a dozen arrays of that length.
+    """
+    _, n_nodes, n_kept = _crossing_grid(params, grid)
+    points = n_nodes + 2.0 * _CROSSING_REACH / _CROSSING_SPACING
+    return (n_steps - 1) * points, 8.0 * ((n_steps - 1) * n_kept + 12 * points)
+
+
+class _FirstCrossing:
+    """The law of (tau_1, S_{tau_1 - 1}) of the drift +c walk up to step n_steps, and its sampler.
+
+    tau_1 is the walk's first step above u, from S_0 = 0.  Its cells are the
+    DP's own crossing integrand under drift +c: step 1 from the point mass
+    at 0, then for each later step n the kept Simpson nodes x_j,
+    ``p_ruin_from[j] * f[j]`` with f the sub-density of S_{n-1} below u.  x is
+    drawn from these nodes as a discrete law, so the sampler's bias is
+    Simpson's quadrature error of a smooth integrand (summing the cells
+    times the classical conditioned weight gave exp(2cu) times the
+    8192-node ``dp_classical_ruin`` to within 2.4e-7 at u = 10, c = 1,
+    delta = 0.1).  Raises ``QuadratureMassError`` if the walk's mass balance
+    fails ``_MASS_TOLERANCE``.
+    """
+
+    def __init__(self, params: ModelParams, grid: Grid, n_steps: int):
+        u, c, delta = params.u, params.c, grid.delta
+        lo, n_nodes, n_kept = _crossing_grid(params, grid)
+        q = _quadrature(u, lo, c, delta, n_nodes)
+        kept = slice(n_nodes - n_kept, None)
+        p_cross = q.p_ruin_from[kept]
+        self.u, self.mean_step, self.sigma = u, c * delta, math.sqrt(delta)
+        self.x = q.x[kept]
+        # cell 0 is (1, 0); cell 1 + i K + j is (i + 2, x_j), K kept nodes
+        self.cum = np.empty(1 + (n_steps - 1) * n_kept)
+        self.cum[0] = q.ruin
+        cells = self.cum[1:].reshape(n_steps - 1, n_kept)
+        ruin, below, f = q.ruin, q.below, q.f
+        for cell in cells:
+            np.multiply(p_cross, f[kept], out=cell)
+            ruin += float(q.p_ruin_from @ f)
+            below += float(q.p_floor_from @ f)
+            f = np.fft.irfft(np.fft.rfft(q.w * f, q.n_fft) * q.row_hat, q.n_fft)[q.middle]
+        balance = ruin + below + float(q.w @ f)
+        if abs(balance - 1.0) > _MASS_TOLERANCE:
+            raise QuadratureMassError(
+                f"first-crossing table's mass balance off by {balance - 1.0:.3e}"
+            )
+        np.maximum(cells, 0.0, out=cells)  # the FFT's round-off can leave a cell below 0
+        np.cumsum(self.cum, out=self.cum)
+
+    def sample(self, v_cell, v_over):
+        """(tau_1, S_{tau_1 - 1}, S_{tau_1}) of paths from two arrays of uniforms on [0, 1).
+
+        ``v_cell`` picks the cells by inverse CDF; tau_1 = n_steps + 1 where
+        the walk does not cross by n_steps.  The cell uniforms are sorted
+        first, so path r takes the r-th smallest: a sorted search is three
+        times faster, and the paths are exchangeable, so a sum over them has
+        the same law.  ``v_over[r]`` draws path r's S_{tau_1} from
+        N(x + c delta, delta) conditioned to exceed u, by inverse CDF.
+        """
+        i = np.searchsorted(self.cum, np.sort(v_cell), side="right")
+        k = self.x.size
+        tau = np.where(i == 0, 1, (i - 1) // k + 2)
+        before = np.where(i == 0, 0.0, self.x[(i - 1) % k])
+        mean = before + self.mean_step
+        z = _norm_isf(norm_sf((self.u - mean) / self.sigma) * (1.0 - v_over))
+        return tau, before, np.maximum(mean + self.sigma * z, np.nextafter(self.u, math.inf))

@@ -36,12 +36,28 @@ level and detector state (running minimum, run length, exceedance count)
 from one chunk to the next.  A path is dropped as soon as it is detected,
 with its ruin index, S_{tau-1} and barrier recorded (its weight is
 evaluated once per block), so the tilted sampler, which ruins nearly every
-path around the middle of the horizon, draws no normals past ruin.  Each chunk draws (live paths, chunk steps) normals from the
-block's stream in row order, so every estimate is a pure function of
-``(seed, n, params)`` for any thread count.  A block holds
-O(BLOCK_SIZE x _CHUNK) values whatever the horizon or grid step, and a
-request whose worst case, n paths all run to the horizon, exceeds
-``_MAX_NORMALS`` normals is refused before the first draw.
+path around the middle of the horizon, draws no normals past ruin.  Each
+chunk draws (live paths, chunk steps) normals from the block's stream in
+row order, so every estimate is a pure function of ``(seed, n, params)``
+for any thread count.  A block holds O(BLOCK_SIZE x _CHUNK) values whatever
+the horizon or grid step, and a request whose worst case, n paths all run
+to the horizon, exceeds ``_MAX_NORMALS`` normals is refused before the
+first draw.
+
+Tilted Parisian and cumulative paths start at their first crossing tau_1
+of u.  Until then their detectors keep the state of point 0 and their
+barrier is u, so the path before tau_1 counts only through tau_1 and
+S_{tau_1 - 1}.  The law of that pair under drift +c, up to the path's last
+step, is tabulated once per call on the DP oracle's quadrature
+(``analytic._FirstCrossing``).  A path draws its cell and its level
+S_{tau_1} from it with two uniforms, is examined at tau_1 from the
+detector's state at point 0, and walks on from there: at u = 10, c = 1,
+delta = 0.1 it draws about 17 normals instead of about 113.  The estimate is
+then unbiased up to the table's quadrature error, Simpson's error on a
+smooth integrand (2.4e-7 of the classical value there).  The table is built
+where it costs less than the walk it replaces.  Elsewhere paths walk from
+S_0 = 0, as do classical paths (the Monte Carlo check on that DP),
+reflected ones (which can ruin before tau_1) and every crude run.
 """
 
 from __future__ import annotations
@@ -52,7 +68,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import _ruin_time_scale, crossing_after, norm_sf
+from .analytic import (
+    QuadratureMassError,
+    _crossing_table_work,
+    _FirstCrossing,
+    _ruin_time_scale,
+    crossing_after,
+    norm_sf,
+)
 from .model import (
     _MAX_NORMALS,
     Grid,
@@ -139,20 +162,25 @@ def _cumulative_step(levels, u, k, count, scratch):
 
 
 # variant -> (the VariantParams field it reads, its detector step, the step's
-# state after S_0 = 0 <= u, windowed, its prefactor's constant keys).  A
-# windowed variant's parameter is its window in grid points, T/delta + 1, and
-# its paths run window - 1 steps past the horizon so that a run starting
-# there can end.  The keys map (c, delta, p), p the variant's parameter, to
-# [(kind, eta, extra key fields)], eta = 2 c^2 delta the limit field's step.
+# state after S_0 = 0 <= u, windowed, starts at the first crossing, its
+# prefactor's constant keys).  A windowed variant's parameter is its window in
+# grid points, T/delta + 1, and its paths run window - 1 steps past the horizon
+# so that a run starting there can end.  A variant that starts at the first
+# crossing has barrier u and keeps its state at point 0 until S first exceeds
+# u, so its tilted paths may start there, drawn from ``_FirstCrossing``;
+# classical has both properties but keeps its walk, the Monte Carlo check on
+# the DP whose law the table is.  The keys map (c, delta, p), p the variant's
+# parameter, to [(kind, eta, extra key fields)], eta = 2 c^2 delta the limit
+# field's step.
 _VARIANTS = {
-    "classical": (None, _classical_step, 0, False,
+    "classical": (None, _classical_step, 0, False, False,
                   lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})]),
-    "reflected": ("gamma", _reflected_step, 0.0, False, lambda c, delta, g: [
+    "reflected": ("gamma", _reflected_step, 0.0, False, False, lambda c, delta, g: [
         ("piterbarg", 2.0 * c * c * (1.0 - g) ** 2 * delta, {"a": g / (1.0 - g)}),
         ("pickands_dy", 2.0 * c * c * delta, {})]),
-    "parisian": ("parisian_T", _parisian_step, 0, True,
+    "parisian": ("parisian_T", _parisian_step, 0, True, True,
                  lambda c, delta, T: [("parisian", 2.0 * c * c * delta, {"T": 2.0 * c * c * T})]),
-    "cumulative": ("cumulative_k", _cumulative_step, 0, False,
+    "cumulative": ("cumulative_k", _cumulative_step, 0, False, True,
                    lambda c, delta, k: [("berman", 2.0 * c * c * delta, {"k": k})]),
 }
 VARIANTS = tuple(_VARIANTS)
@@ -182,16 +210,32 @@ def _variant_value(variant: str, variant_params: VariantParams | None):
 _CHUNK = 16
 
 
+# Estimated one-core seconds per path step of the walk to the first
+# crossing, and per FFT point of one step of the first-crossing table; they
+# decide which of the two a tilted run uses.  Measured on a 2-vCPU VM: 31-51
+# ns per walked step (Parisian and cumulative, u = 3-30, c = 1, delta = 0.1)
+# and 25-57 ns per table point (u = 0-50, c = 0.5-2, delta = 0.05-0.1).
+_WALK_STEP_S = 35e-9
+_TABLE_POINT_S = 40e-9
+# Most bytes a first-crossing table may take.
+_TABLE_MAX_BYTES = 2**25
+
+
 def _setup(variant, params, grid, variant_params, horizon, n, tilted):
-    """The variant's step bound to u and its parameter, its state at point 0, and the path's steps.
+    """The variant's step bound to u and its parameter, its state at point 0, steps and table.
 
     The one gate for every simulated horizon: it must be finite and cover a
     grid step, one below ``default_horizon`` warns, and n paths of that
     length may draw at most ``_MAX_NORMALS`` normals.  ``tilted`` sampling of
     the reflected variant at gamma >= 1/2 warns here, for both tilted routes.
+    A ``tilted`` run of a variant whose barrier is u, whose weights relative to
+    exp(-2cu) are at most 1, is refused where exp(-2cu) is below the smallest
+    normal double.  The table is the ``_FirstCrossing`` law its tilted paths
+    start from, or None where they walk from point 0 (see
+    ``_crossing_table``).
     """
     p = _variant_value(variant, variant_params)
-    _, step, initial, windowed, _ = _VARIANTS[variant]
+    _, step, initial, windowed, crossing_start, _ = _VARIANTS[variant]
     if math.isfinite(horizon) and grid.n_steps_for(horizon) < 1:
         raise ValueError(f"horizon {horizon} covers no grid step of {grid.delta}")
     _check_horizon(params, horizon)
@@ -204,12 +248,44 @@ def _setup(variant, params, grid, variant_params, horizon, n, tilted):
             f"{n} paths of {n_steps:.3g} steps may draw {n * float(n_steps):.3g} normals, "
             f"more than the limit of {_MAX_NORMALS:.3g}"
         )
+    log_scale = -2.0 * params.c * params.u
+    if tilted and variant != "reflected" and math.exp(log_scale) < sys.float_info.min:
+        raise RuntimeError(
+            f"double-precision underflow: a tilted {variant} result is at most "
+            f"exp({log_scale:.6g}), below {sys.float_info.min:.3g}"
+        )
     if tilted and variant == "reflected" and variant_params.gamma >= 0.5:
         _warn(
             f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
             "variance, so the standard error does not measure the error"
         )
-    return (lambda levels, state, scratch: step(levels, params.u, p, state, scratch)), initial, n_steps
+    table = _crossing_table(params, grid, n_steps, n) if tilted and crossing_start else None
+
+    def detect(levels, state, scratch):
+        return step(levels, params.u, p, state, scratch)
+
+    return detect, initial, n_steps, table
+
+
+def _crossing_table(params, grid, n_steps, n):
+    """The ``_FirstCrossing`` table for n tilted paths of n_steps, or None where they walk.
+
+    Before building, the table's time and memory are estimated from u, c,
+    delta and the horizon (its time grows as u^2 / delta^1.5), and the time
+    of the walk it replaces from n as well (n u / (c delta) steps).  The
+    walk's blocks share the cores while the table is built on one, so the
+    table is built where it takes under half the walk's time, and at most
+    ``_TABLE_MAX_BYTES``.  The choice depends on the request alone, never on
+    the thread count.  A table whose mass balance fails is not used either.
+    """
+    points, nbytes = _crossing_table_work(params, grid, n_steps)
+    walk_steps = n * min(n_steps, params.u / (params.c * grid.delta) + 1.0)
+    if 2.0 * points * _TABLE_POINT_S >= walk_steps * _WALK_STEP_S or nbytes > _TABLE_MAX_BYTES:
+        return None
+    try:
+        return _FirstCrossing(params, grid, n_steps)
+    except QuadratureMassError:
+        return None
 
 
 # Ruined paths whose weights are evaluated at once.  Every temporary of a
@@ -264,14 +340,20 @@ def _unscaled(x, log_scale):
     return out
 
 
-def _run_chunks(step, state, n_steps, fill, weigh):
-    """(occurred, idx, w) of paths over grid points 1..n_steps, advanced a chunk at a time.
+def _run_chunks(step, state, n_steps, fill, weigh, start=1, crossing=None):
+    """(occurred, idx, w) of paths over grid points start..n_steps, advanced a chunk at a time.
 
-    ``state`` holds the step's state after point 0, one entry per path.
-    ``fill(rows, start, out)`` writes the levels of the paths ``rows`` at
-    grid points start - 1, start, ... into the time-major ``out`` (one row
-    per point), the first row being where the chunk starts from.  Each
-    chunk covers the next _CHUNK steps.  A path that first qualifies at
+    ``start`` is the first point each path examines, 1 or one per path (a
+    path starting past n_steps is never ruined), and ``state`` holds the
+    step's state before it, one entry per path.  ``crossing`` is None, or
+    (x, s): each path's levels at points start - 1 and start, already drawn,
+    and point start is examined from them before the first chunk.
+    ``fill(rows, at, out)`` writes the levels of the paths ``rows`` at their
+    points at - 1, at, ... into the time-major ``out`` (one row per point),
+    the first row being each path's current level; ``at`` is an int where
+    ``start`` is, else one per path.  Each chunk covers the next _CHUNK
+    points of every live path, fewer if all of them end sooner; a point past
+    n_steps never qualifies.  A path that first qualifies at
     point tau records tau, S_{tau-1} and the barrier b its ruin step
     cleared, and is dropped, so later chunks fill only the paths still
     live.  After the last chunk, a ruined path weighs w = weigh(S_{tau-1},
@@ -285,26 +367,47 @@ def _run_chunks(step, state, n_steps, fill, weigh):
     m = state.size
     occurred, idx, w = np.zeros(m, bool), np.zeros(m, np.int64), np.zeros(m)
     before, barrier = np.zeros(m), np.zeros(m)
-    rows = np.arange(m)
+    # the next point each live path examines: one shared int, or one per path
+    shared = np.isscalar(start)
+    rows, at = np.arange(m), start
+    if not shared:
+        rows = np.flatnonzero(start <= n_steps)
+        at, state = start[rows], state[rows]
     scratch = _Scratch(m * (_CHUNK + 1))
-    start = 1
-    while rows.size and start <= n_steps:
-        stop = min(start + _CHUNK, n_steps + 1)
-        path = scratch("level", (stop - start + 1, rows.size))
-        fill(rows, start, path)
+
+    def examine(path):
+        # path[j] holds the live paths' levels at points at - 1 + j
+        nonlocal rows, at, state
+        k = len(path) - 1
         qualifies, state, bar = step(path[1:], state, scratch)
+        live = True
+        if not shared:
+            late = np.flatnonzero(at > n_steps + 1 - k)
+            if late.size:
+                qualifies[:, late] &= np.add.outer(np.arange(k), at[late]) <= n_steps
+            live = at + k <= n_steps
         hit = qualifies.any(axis=0)
         if hit.any():
             j = qualifies[:, hit].argmax(axis=0)
             cols = np.flatnonzero(hit)
             ruined = rows[hit]
             occurred[ruined] = True
-            idx[ruined] = start + j
+            idx[ruined] = (at if shared else at[hit]) + j
             before[ruined] = path[j, cols]
             barrier[ruined] = bar[j, cols] if isinstance(bar, np.ndarray) else bar
-            live = ~hit
+            live = ~hit & live
+        if live is not True:
             rows, state = rows[live], state[live]
-        start = stop
+            if not shared:
+                at = at[live]
+        at = at + k
+
+    if crossing is not None:
+        examine(np.stack([level[rows] for level in crossing]))
+    while rows.size and np.min(at) <= n_steps:
+        path = scratch("level", (min(_CHUNK, n_steps + 1 - int(np.min(at))) + 1, rows.size))
+        fill(rows, at, path)
+        examine(path)
     ruined = np.flatnonzero(occurred)
     with np.errstate(all="ignore"):  # a weight out of range is refused below
         for lo in range(0, ruined.size, _WEIGHT_ROWS):
@@ -317,20 +420,30 @@ def _run_chunks(step, state, n_steps, fill, weigh):
     return occurred, idx, w
 
 
-def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng):
+def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng, table=None):
     """(occurred, idx, w) of a block under ``drift``; see ``_run_chunks`` for w.
 
     drift -c is crude sampling (every weight is exactly 1); drift +c is the
     tilted sampler, whose likelihood ratio at ruin is exp(-2c S_tau), and
-    whose w is carried relative to exp(-2cu).  Each
+    whose w is carried relative to exp(-2cu).  Without a ``table`` every
+    path walks from S_0 = 0.  With one (a ``_FirstCrossing``), the block
+    first draws m uniforms for the paths' first-crossing cells, then m for
+    their crossing levels, and each path starts at its first crossing tau_1
+    in the detector's state at point 0: point tau_1 is examined from
+    S_{tau_1 - 1} and S_{tau_1}, and the walk continues from there.  Each
     chunk draws (live paths, chunk steps) normals from ``rng`` in row order
     into one buffer reused for the whole block, so the block's stream is
     consumed chunk by chunk and no chunk allocates a path matrix.
     """
     level = np.zeros(m)
+    start, crossing = 1, None
+    if table is not None:
+        v_cell = rng.random(m)
+        start, before, level = table.sample(v_cell, rng.random(m))
+        crossing = (before, level)
     normals = np.empty(m * _CHUNK)
 
-    def fill(rows, start, out):
+    def fill(rows, _at, out):
         prev = np.take(level, rows, out=out[0])
         z = normals[: rows.size * (len(out) - 1)].reshape(rows.size, len(out) - 1)
         rng.standard_normal(out=z)
@@ -341,7 +454,7 @@ def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng):
         level[rows] = prev
 
     weigh = _ruin_weigher(drift, drift + params.c, grid.delta, params.u)
-    return _run_chunks(detect, np.full(m, initial), n_steps, fill, weigh)
+    return _run_chunks(detect, np.full(m, initial), n_steps, fill, weigh, start, crossing)
 
 
 def estimate(
@@ -356,7 +469,11 @@ def estimate(
     seed: int = 0,
     threads: int | None = None,
 ) -> Estimate:
-    """Unbiased Monte Carlo estimate of the ruin-by-horizon probability.
+    """Monte Carlo estimate of the ruin-by-horizon probability, unbiased.
+
+    Tilted Parisian and cumulative estimates that start their paths at the
+    first crossing of u are unbiased up to the first-crossing table's
+    quadrature error (see the module docstring).
 
     ``method='crude'`` averages plain indicators under the true drift -c;
     ``method='tilted'`` simulates with drift +c and weights each ruined path
@@ -368,18 +485,22 @@ def estimate(
     Warns for tilted sampling of the reflected variant at gamma >= 1/2, whose
     weight has infinite variance (a dip to depth m weighs e^{-2c(u - gamma m)}).
     Raises RuntimeError when the value or its standard error would underflow
-    to a subnormal or zero double, or the tilted weights leave double range.
+    to a subnormal or zero double (for a tilted run of a variant whose
+    barrier is u, before any draw where exp(-2cu) itself does), or the
+    tilted weights leave double range.
     """
     drifts = {"crude": -params.c, "tilted": params.c}
     if method not in drifts:
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
-    detect, initial, n_steps = _setup(
+    detect, initial, n_steps, table = _setup(
         variant, params, grid, variant_params, horizon, n, tilted=method == "tilted"
     )
 
     def worker(m, rng):
-        _, _, w = _weighted_block(detect, initial, grid, params, drifts[method], n_steps, m, rng)
+        _, _, w = _weighted_block(
+            detect, initial, grid, params, drifts[method], n_steps, m, rng, table
+        )
         return float(w.sum()), float((w * w).sum())
 
     mean_se = np.array(_mean_se(_run_blocks(n, seed, worker, threads), n))
@@ -407,23 +528,27 @@ def ruin_time_distribution(
     Returns ``(s, w)`` with s = c^(3/2) (tau - u/c) / sqrt(u) for each
     detected replicate and w its weight, as in the tilted estimate; the
     weighted empirical CDF estimates P(normalized ruin time <= s | ruin).
-    Paths run to ``default_horizon(params, 1.5)``.  The blocks run on every available
-    core; the sample is the same for any count.  Warns below u = 10, and for
-    the reflected variant at gamma >= 1/2 as ``estimate`` does.  Raises
-    RuntimeError when a weight would underflow to a subnormal or zero double,
-    or the weights leave double range as in ``estimate``.
+    Paths run to ``default_horizon(params, 1.5)``; Parisian and cumulative
+    paths start at their first crossing of u as in ``estimate``.  The blocks
+    run on every available core; the sample is the same for any count.
+    Warns below u = 10, and for the reflected variant at gamma >= 1/2 as
+    ``estimate`` does.  Raises RuntimeError when a weight would underflow to
+    a subnormal or zero double, or the weights leave double range as in
+    ``estimate``.
     """
     to_s = _ruin_time_scale(params)
     if params.u < 10:
         _warn(
             f"u={params.u} is small; the normal approximation window is only meaningful for large u"
         )
-    detect, initial, n_steps = _setup(
+    detect, initial, n_steps, table = _setup(
         variant, params, grid, variant_params, default_horizon(params, 1.5), n, tilted=True
     )
 
     def worker(m, rng):
-        occurred, idx, w = _weighted_block(detect, initial, grid, params, params.c, n_steps, m, rng)
+        occurred, idx, w = _weighted_block(
+            detect, initial, grid, params, params.c, n_steps, m, rng, table
+        )
         rows = np.flatnonzero(occurred)
         return to_s(idx[rows] * grid.delta), w[rows]
 

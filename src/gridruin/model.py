@@ -34,13 +34,18 @@ _KEY_LIMIT = 1 << 64  # seeds and stream ids are 64-bit words (see make_rng)
 # Replicates per block of the stream layout: block b holds replicates
 # [b * BLOCK_SIZE, ...) on make_rng(seed, b).  The ruin estimators consume a
 # block's stream chunk by chunk, drawing (live paths, chunk steps) normals in
-# row order for the paths not yet ruined.  Every Monte Carlo output is a
+# row order for the paths not yet ruined; a block whose paths start at their
+# first crossing of u first draws one uniform per path for its cell, then
+# one per path for its crossing level.  Every Monte Carlo output is a
 # function of this layout, so changing it changes every printed number.
 BLOCK_SIZE = 8192
 
-# Name of the stream layout: the generator of make_rng, BLOCK_SIZE and the
-# samplers' draw orders.  The constant cache stores it with each record and
-# skips records written under another, so change it whenever they change.
+# Name of the layout of what the constant cache stores: the generator of
+# make_rng, BLOCK_SIZE and the constant drivers' field draw order.  The cache
+# stores it with each record and skips records written under another, so
+# change it whenever they change, and only then: a change of the path
+# samplers' draws alone leaves every cached constant valid, and is recorded
+# in CHANGES.md instead.
 _STREAM_LAYOUT = "sfc64-1"
 
 # Most normals one request may draw: n paths to the horizon (the ruin

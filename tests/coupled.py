@@ -6,15 +6,18 @@ matrix that several detectors or functionals all see, so the samplers here
 draw it whole from one stream: C-order normals, and for a two-sided field
 each row's right half, then its left half.  ``detect`` runs the rows of a
 path matrix through the production chunk runner, ``estimators._run_chunks``.
+``walked_estimate`` is the tilted estimate with every path walked from
+S_0 = 0, which the Parisian and cumulative variants replace by a start at
+the first crossing of u.
 """
 
 import math
 
 import numpy as np
 
-from gridruin import estimators
+from gridruin import estimators, model
 from gridruin.constants import _walk
-from gridruin.model import Grid
+from gridruin.model import Grid, default_horizon
 
 
 def whole_paths(delta, drift, n_steps, n_paths, rng):
@@ -45,20 +48,23 @@ def whole_field_one_sided(eta, length, m, rng, slope=1.0):
     return field
 
 
-def detect(variant, levels, u, p=None, weigh=None):
+def detect(variant, levels, u, p=None, weigh=None, start=1):
     """(occurred, idx, w) of each row of ``levels`` under the estimators' chunk runner.
 
     ``levels[r]`` is path r at grid points 0, 1, ..., with S_0 = 0 as in
-    every simulated path; the runner examines points 1, 2, ...  ``p`` is the
-    variant's detector parameter (gamma, the window in grid points, or k).
-    idx is the first qualifying point (0 where none).  A detected row weighs
-    ``weigh(S_{idx-1}, barrier)``, by default 1 (crude sampling), and any
-    other row 0.
+    every simulated path; the runner examines points start, start + 1, ...
+    (``start`` is 1 or one per row), from the detector's state at point 0.
+    ``p`` is the variant's detector parameter (gamma, the window in grid
+    points, or k).  idx is the first qualifying point (0 where none).  A
+    detected row weighs ``weigh(S_{idx-1}, barrier)``, by default 1 (crude
+    sampling), and any other row 0.
     """
-    _, step, initial, _, _ = estimators._VARIANTS[variant]
+    _, step, initial, *_ = estimators._VARIANTS[variant]
 
-    def fill(rows, start, out):
-        out[...] = levels[rows, start - 1 : start - 1 + len(out)].T
+    def fill(rows, at, out):
+        # a point past the last column is never examined; it repeats the last level
+        cols = np.minimum(np.reshape(at, (-1, 1)) - 1 + np.arange(len(out)), levels.shape[1] - 1)
+        out[...] = levels[rows[:, None], cols].T
 
     return estimators._run_chunks(
         lambda chunk, state, scratch: step(chunk, u, p, state, scratch),
@@ -66,4 +72,25 @@ def detect(variant, levels, u, p=None, weigh=None):
         levels.shape[1] - 1,
         fill,
         weigh or estimators._ruin_weigher(0.0, 0.0, 1.0, 0.0),
+        start,
     )
+
+
+def walked_estimate(variant, params, grid, variant_params, n, seed):
+    """(value, std_error) of the tilted estimate at the default horizon, every path walked from S_0 = 0.
+
+    The same blocks, streams and weights as ``estimators.estimate``, without
+    the first-crossing table: the sampler the Parisian and cumulative
+    variants used before their paths started at the first crossing of u.
+    """
+    detect, initial, n_steps, _ = estimators._setup(
+        variant, params, grid, variant_params, default_horizon(params), n, tilted=True
+    )
+
+    def worker(m, rng):
+        _, _, w = estimators._weighted_block(detect, initial, grid, params, params.c, n_steps, m, rng)
+        return float(w.sum()), float((w * w).sum())
+
+    mean, se = model._mean_se(model._run_blocks(n, seed, worker), n)
+    scale = math.exp(-2.0 * params.c * params.u)
+    return mean * scale, se * scale

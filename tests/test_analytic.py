@@ -5,11 +5,15 @@ import numpy as np
 import pytest
 from scipy import special
 
+from gridruin import analytic
 from gridruin.analytic import (
     DpOracleConfig,
     QuadratureMassError,
+    _crossing_grid,
     _default_state_lo,
+    _FirstCrossing,
     _log_ndtr,
+    _norm_isf,
     crossing_after,
     dp_classical_ruin,
     norm_cdf,
@@ -18,7 +22,7 @@ from gridruin.analytic import (
     psi_inf,
     ruin_time_cdf_approx,
 )
-from gridruin.estimators import estimate
+from gridruin.estimators import _WEIGHT_ROWS, _ruin_weigher, estimate
 from gridruin.model import Grid, ModelParams, default_horizon
 
 
@@ -83,6 +87,29 @@ class TestNormalToolsAgainstScipy:
         np.testing.assert_allclose(_log_ndtr(x), special.log_ndtr(x), rtol=1e-15)
         np.testing.assert_allclose(norm_cdf(x), special.ndtr(x), rtol=1e-12)
         np.testing.assert_allclose(norm_sf(x), special.ndtr(-x), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "p",
+        [np.geomspace(1e-300, 0.5, 100_001), np.linspace(1e-3, 0.5, 100_001),
+         np.linspace(0.5, 1.0 - 1e-12, 100_001)],
+        ids=["log-spaced", "linear", "above-one-half"],
+    )
+    def test_inverse_tail_matches_ndtri(self, p):
+        # Phi-bar^{-1}(p) = -ndtri(p); crosses the region edges p = 0.075 and
+        # p = exp(-25), and reaches 1e-300.  At p = 1/2 both are exactly 0
+        want = -special.ndtri(p)
+        got = _norm_isf(p)
+        assert np.all(got[want == 0.0] == 0.0)
+        assert self.rel_err(got[want != 0.0], want[want != 0.0]) <= 1e-14
+
+    def test_inverse_tail_inverts_the_tail(self):
+        y = np.linspace(-8.0, 37.0, 10_001)
+        assert self.rel_err(norm_sf(_norm_isf(norm_sf(y))), norm_sf(y)) <= 1e-12
+
+    def test_inverse_tail_region_edges_scalar_and_array_agree(self):
+        for edge in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+            for p in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)):
+                assert float(_norm_isf(p)) == _norm_isf(np.array([p, 0.5, 1e-200]))[0], p
 
     @pytest.mark.parametrize("fn", [norm_cdf, norm_sf, _log_ndtr])
     @pytest.mark.parametrize("x", [0.5, np.float64(-3.0), 2])
@@ -309,3 +336,75 @@ class TestDpOracle:
         y = norm_pdf(x)
         area = float(np.sum((y[1:] + y[:-1]) * np.diff(x)) / 2.0)
         assert area == pytest.approx(1.0, abs=1e-10)
+
+
+def _cells(table):
+    """The table's cells as (mass, S_{tau_1 - 1}) arrays, cell 0 first."""
+    mass = np.diff(table.cum, prepend=0.0)
+    x = np.concatenate(([0.0], np.tile(table.x, (table.cum.size - 1) // table.x.size)))
+    return mass, x
+
+
+class TestFirstCrossing:
+    """The law of (tau_1, S_{tau_1 - 1}) under drift +c, on the DP's quadrature."""
+
+    @pytest.mark.parametrize("u", [2.0, 5.0, 10.0])
+    @pytest.mark.parametrize("c", [0.5, 1.0])
+    @pytest.mark.parametrize("delta", [0.05, 0.1])
+    def test_weighted_cells_match_dp_oracle(self, u, c, delta):
+        # E+[w(S_{tau_1 - 1}); tau_1 <= N] = exp(2cu) psi_N with w the classical
+        # conditioned weight relative to exp(-2cu): the table's Simpson error
+        # read at most 2.4e-7 against the 8192-node oracle
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        n = g.n_steps_for(default_horizon(p))
+        mass, x = _cells(_FirstCrossing(p, g, n))
+        live = mass > 0.0  # step 1 from 0 can carry no mass, and a weight of nan there
+        mass, x = mass[live], x[live]
+        weigh = _ruin_weigher(c, 2.0 * c, delta, u)
+        w = np.concatenate([
+            weigh(x[i : i + _WEIGHT_ROWS], np.full(min(_WEIGHT_ROWS, x.size - i), u))
+            for i in range(0, x.size, _WEIGHT_ROWS)
+        ])
+        oracle = math.exp(2.0 * c * u) * dp_classical_ruin(p, g, n, DpOracleConfig(8192))
+        assert abs(float(mass @ w) - oracle) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "u, c, delta",
+        [(0.0, 0.5, 0.1), (0.0, 1.0, 0.05), (0.0, 2.0, 0.1), (10.0, 1.0, 0.05),
+         (30.0, 1.0, 0.1), (30.0, 0.5, 0.05)],
+    )
+    def test_mass_balance_under_the_spacing_rule(self, u, c, delta, monkeypatch):
+        # at h = sqrt(delta)/16 the balance holds; at sqrt(delta)/8 each of
+        # these fails it (by 1.4e-7 to 8.7e-7), so the rule is what holds it
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        n = g.n_steps_for(default_horizon(p))
+        table = _FirstCrossing(p, g, n)
+        assert 0.8 < table.cum[-1] <= 1.0 + 1e-7
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 8.0)
+        with pytest.raises(QuadratureMassError, match="mass balance"):
+            _FirstCrossing(p, g, n)
+
+    def test_grid_follows_the_spacing_rule(self):
+        # the benchmark's op: 40 units of state at h <= sqrt(0.1)/16 = 0.0198
+        lo, n_nodes, n_kept = _crossing_grid(ModelParams(c=1.0, u=10.0), Grid(0.1))
+        assert lo == -30.0 and n_nodes % 2 == 1
+        h = (10.0 - lo) / (n_nodes - 1)
+        assert h <= math.sqrt(0.1) / 16 < (10.0 - lo) / (n_nodes - 3)
+        assert (n_kept - 1) * h <= 9.6 * math.sqrt(0.1) + 0.1 < n_kept * h
+
+    def test_sample(self):
+        p, g = ModelParams(c=1.0, u=3.0), Grid(0.1)
+        n = 60
+        table = _FirstCrossing(p, g, n)
+        v = np.linspace(0.0, 1.0, 10_001, endpoint=False)
+        tau, before, level = table.sample(v[::-1], v)
+        assert np.all(np.diff(tau) >= 0)  # the cell uniforms are taken in sorted order
+        assert tau.min() >= 1 and tau.max() == n + 1  # the walk has not crossed by n
+        crossed = tau <= n
+        assert np.all(before[crossed] <= p.u) and np.all(level[crossed] > p.u)
+        # the overshoot is the tail of N(x + c delta, delta) above u
+        mean = before + p.c * g.delta
+        tail = norm_sf((p.u - mean) / math.sqrt(g.delta))
+        np.testing.assert_allclose(norm_sf((level - mean) / math.sqrt(g.delta)), tail * (1 - v),
+                                   rtol=1e-9)
+        assert np.mean(tau <= n) == pytest.approx(table.cum[-1], abs=2e-4)

@@ -352,6 +352,12 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         (["estimate", "--c", "1000", "--u", "10", "--delta", "0.1", "--n", "10"], None),
         (["ruin-time", "--c", "150", "--u", "10", "--delta", "0.1", "--n", "100"], None),
         (["estimate", "--c", "150", "--u", "1", "--delta", "0.1", "--n", "100"], None),
+        # exp(-2cu) far below the smallest normal double: refused before any draw
+        # (this ran past 30 s), for a Parisian run before its first-crossing table
+        (["estimate", "--c", "1", "--u", "1e6", "--delta", "0.1", "--n", "100", "--threads", "1"],
+         None),
+        (["estimate", "--variant", "parisian", "--T", "0.3", "--c", "1", "--u", "1e6",
+          "--delta", "0.1", "--n", "100000"], None),
     ],
     ids=[
         "zero-n",
@@ -390,6 +396,8 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "overflowing-weight",
         "ruin-time-overflowing-weight",
         "underflowing-weights",
+        "certain-underflow",
+        "certain-underflow-parisian",
     ],
 )
 def test_bad_input_exits_cleanly(argv, config, tmp_path):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from coupled import detect, whole_paths
-from gridruin import estimators, model
-from gridruin.analytic import dp_classical_ruin
+from coupled import detect, walked_estimate, whole_paths
+from gridruin import analytic, estimators, model
+from gridruin.analytic import _FirstCrossing, dp_classical_ruin
 from gridruin.constants import constant_keys_for_model
 from gridruin.estimators import (
     Estimate,
@@ -197,13 +197,47 @@ class TestEstimate:
     def test_weights_out_of_double_range_refused(self):
         # c sqrt(delta) large: exp(-tilt x) overflows where the tail ratio
         # underflows (inf * 0), or every ruined path's weight underflows to 0
+        # (the reflected variant: at c u = 10^4 a classical run is refused before
+        # its first draw, see test_certain_underflow_refused_before_drawing)
         g = Grid(0.1)
         with pytest.raises(RuntimeError, match="weight is not finite"):
-            estimate("classical", ModelParams(c=1000.0, u=10.0), g, n=10)
+            estimate("reflected", ModelParams(c=1000.0, u=10.0), g, VariantParams(gamma=0.2), n=10)
         with pytest.raises(RuntimeError, match="every ruined path of a block weighs 0"):
             estimate("classical", ModelParams(c=150.0, u=1.0), g, n=100)
         # crude weights are exactly 1; here no crude path is ruined at all
         assert estimate("classical", ModelParams(c=150.0, u=1.0), g, method="crude", n=100).value == 0
+
+    @pytest.mark.parametrize("variant, vp", [
+        ("classical", None),
+        ("parisian", VariantParams(parisian_T=0.3)),
+        ("cumulative", VariantParams(cumulative_k=2)),
+    ])
+    @pytest.mark.parametrize("route", ["estimate", "ruin-time"])
+    def test_certain_underflow_refused_before_drawing(self, variant, vp, route, monkeypatch):
+        # a weight relative to exp(-2cu) is at most 1 where the barrier is u, so
+        # at c u = 10^6 the result underflows for certain: refused before any
+        # stream or table is built (this request once ran past 30 s)
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a stream or table was built for a result certain to underflow")
+
+        monkeypatch.setattr(model, "make_rng", must_not_run)
+        monkeypatch.setattr(estimators, "_FirstCrossing", must_not_run)
+        p, g = ModelParams(c=1.0, u=1e6), Grid(0.1)
+        with pytest.raises(RuntimeError, match="double-precision underflow"):
+            if route == "estimate":
+                estimate(variant, p, g, vp, n=100, threads=1)
+            else:
+                ruin_time_distribution(variant, p, g, vp, n=100)
+
+    def test_reflected_is_not_refused_for_its_scale(self, monkeypatch):
+        # a reflected path can ruin below u and weigh more than exp(-2cu): it draws
+        def drew(*args, **kwargs):
+            raise LookupError("drew")
+
+        monkeypatch.setattr(model, "make_rng", drew)
+        with pytest.raises(LookupError, match="drew"):
+            estimate("reflected", ModelParams(c=1.0, u=400.0), Grid(0.1), VariantParams(gamma=0.2),
+                     n=100, threads=1)
 
     def test_tilted_weights_bounded(self):
         # a classical ruin step ends above u, so its conditioned weight is below exp(-2cu)
@@ -434,3 +468,124 @@ def test_tilted_estimate_matches_dp_oracle():
         "classical", p, g, method="tilted", horizon=n_steps * g.delta, n=50_000, seed=11
     )
     assert abs(est.value - dp) < 3 * est.std_error
+
+
+PARISIAN, CUMULATIVE = VariantParams(parisian_T=0.3), VariantParams(cumulative_k=2)
+
+
+class TestFirstCrossingStart:
+    """Tilted Parisian and cumulative paths start at their first crossing of u."""
+
+    @pytest.mark.parametrize("variant, vp", [
+        ("parisian", VariantParams(parisian_T=0.0)),
+        ("parisian", PARISIAN),
+        ("cumulative", VariantParams(cumulative_k=0)),
+        ("cumulative", CUMULATIVE),
+    ])
+    def test_agrees_with_the_full_walk(self, variant, vp):
+        p, g, n = ModelParams(c=1.0, u=5.0), Grid(0.1), 40_000
+        assert estimators._setup(variant, p, g, vp, default_horizon(p), n, True)[3] is not None
+        for seed in (31, 32, 33):
+            start = estimate(variant, p, g, vp, n=n, seed=seed)
+            walk = walked_estimate(variant, p, g, vp, n, seed + 100)
+            z = (start.value - walk[0]) / math.hypot(start.std_error, walk[1])
+            assert abs(z) <= 4.0, (seed, z)
+
+    @pytest.mark.parametrize("variant, vp", [
+        ("parisian", VariantParams(parisian_T=0.0)), ("cumulative", VariantParams(cumulative_k=0))
+    ])
+    def test_zero_window_and_count_match_dp_oracle(self, variant, vp):
+        # T = 0 and k = 0 ruin at tau_1 with S_{tau_1 - 1} from the table: the
+        # classical conditioned weight, whose mean is the DP value
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        dp = dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
+        est = estimate(variant, p, g, vp, n=50_000, seed=34)
+        assert abs(est.value - dp) < 4 * est.std_error
+
+    def test_thread_count_does_not_change_bits(self):
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        runs = [estimate("parisian", p, g, PARISIAN, n=30_000, seed=35, threads=t) for t in (1, 2, 8)]
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_served_variants_wait_for_u_at_barrier_u(self):
+        # the table serves exactly the variants whose state stays at point 0's
+        # while S <= u and whose barrier is u, less classical, which keeps its
+        # walk as the Monte Carlo check on the DP the table comes from
+        levels = whole_paths(0.1, 1.0, 30, 2000, make_rng(36, 0))[:, 1:].T
+        below = np.minimum(levels, 1.0)
+        waits = set()
+        for variant, (_, step, initial, *_rest, starts, _keys) in estimators._VARIANTS.items():
+            p = {"reflected": 0.5, "parisian": 4, "cumulative": 2}.get(variant)
+            scratch = model._Scratch(below.size)
+            state0 = np.full(below.shape[1], initial)
+            qualifies, state, _ = step(below, 1.0, p, state0.copy(), scratch)
+            quiet = not qualifies.any()  # before the next step reuses the scratch arrays
+            _, _, barrier = step(np.full((1, below.shape[1]), 2.0), 1.0, p, state.copy(), scratch)
+            if quiet and np.array_equal(state, state0) and np.all(barrier == 1.0):
+                waits.add(variant)
+        served = {v for v, row in estimators._VARIANTS.items() if row[4]}
+        assert waits == {"classical", "parisian", "cumulative"}
+        assert served == waits - {"classical"}
+
+    def test_stream_layout(self):
+        # a block draws its m cell uniforms, then its m crossing uniforms, then
+        # the chunk normals in row order, from the paths' crossing levels
+        p, g, m, n_steps = ModelParams(c=1.0, u=2.0), Grid(0.1), 50, 40
+        table = _FirstCrossing(p, g, n_steps)
+        seen = []
+
+        def record(levels, state, scratch):
+            seen.append(levels.copy())
+            return np.zeros(levels.shape, bool), state, p.u
+
+        estimators._weighted_block(record, 0, g, p, p.c, n_steps, m, make_rng(37, 2), table)
+        rng = make_rng(37, 2)
+        v_cell = rng.random(m)
+        tau, _, level = table.sample(v_cell, rng.random(m))
+        live = tau <= n_steps
+        np.testing.assert_array_equal(seen[0], level[live][None, :])
+        first = rng.standard_normal((live.sum(), seen[1].shape[0]))
+        z = first * math.sqrt(g.delta) + p.c * g.delta
+        want = np.cumsum(np.concatenate([level[live][:, None], z], axis=1), axis=1)[:, 1:]
+        np.testing.assert_array_equal(seen[1], want.T)
+
+    def test_rows_start_at_their_own_points(self, monkeypatch):
+        # a row examines points start.. from the state of point 0, and a
+        # point past the path's last step never qualifies
+        path = one_row(0.0, 2.0, 2.0, 0.0, 2.0, 2.0)
+        levels = np.repeat(path, 3, axis=0)
+        start = np.array([1, 2, 5])
+        for chunk in (1, 2, 16):
+            monkeypatch.setattr(estimators, "_CHUNK", chunk)
+            occurred, idx, _ = detect("parisian", levels, u=1.0, p=2, start=start)
+            np.testing.assert_array_equal(occurred, [True, True, False])
+            np.testing.assert_array_equal(idx, [2, 5, 0])
+
+    def test_walk_where_the_table_costs_more(self):
+        # at n = 100 the table (about 0.03 s) costs more than the walk: the rows
+        # start at point 0, and the output is that of the full walk, bit for bit
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        assert estimators._setup("parisian", p, g, PARISIAN, default_horizon(p), 100, True)[3] is None
+        est = estimate("parisian", p, g, PARISIAN, n=100, seed=38)
+        assert (est.value, est.std_error) == walked_estimate("parisian", p, g, PARISIAN, 100, 38)
+
+    def test_unbalanced_table_is_not_used(self):
+        # at c = 0.1, delta = 1, u = 1 the drift +c balance is off by 1.1e-7,
+        # beyond the DP's tolerance: the paths walk although a table costs less
+        p, g = ModelParams(c=0.1, u=1.0), Grid(1.0)
+        n_steps = g.n_steps_for(default_horizon(p))
+        with pytest.raises(analytic.QuadratureMassError):
+            _FirstCrossing(p, g, n_steps)
+        points, _ = analytic._crossing_table_work(p, g, n_steps)
+        assert 2 * points * estimators._TABLE_POINT_S < 100_000 * 11 * estimators._WALK_STEP_S
+        assert estimators._crossing_table(p, g, n_steps, 100_000) is None
+
+    def test_ruin_times_agree_with_the_full_walk(self, monkeypatch):
+        # the ruin index of a path started at tau_1 counts from point 0
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        s, w = ruin_time_distribution("cumulative", p, g, CUMULATIVE, n=20_000, seed=39)
+        monkeypatch.setattr(estimators, "_crossing_table", lambda *args: None)
+        s0, w0 = ruin_time_distribution("cumulative", p, g, CUMULATIVE, n=20_000, seed=40)
+        mean, mean0 = np.average(s, weights=w), np.average(s0, weights=w0)
+        se = math.hypot(s.std() / math.sqrt(s.size), s0.std() / math.sqrt(s0.size))
+        assert abs(mean - mean0) < 4 * se
