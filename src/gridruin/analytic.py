@@ -415,13 +415,14 @@ _CROSSING_REACH = math.sqrt(2.0 * math.log(1.0 / _ROW_CUT))
 def _crossing_grid(params: ModelParams, grid: Grid) -> tuple[float, int, int]:
     """(floor, nodes, kept nodes) of the first-crossing table's state grid, known before it is built.
 
-    The floor is -25/c - 5 (S_0 = 0 <= u): under drift +c, exp(-2c S_n) is a
+    The floor is -12/c (S_0 = 0 <= u): under drift +c, exp(-2c S_n) is a
     martingale, so the walk dips below it with probability at most
-    exp(-50 - 10c).  The node count is the least odd one whose spacing is at
+    exp(-24) = 3.8e-11; that mass is counted as leaving, not lost, in the
+    balance.  The node count is the least odd one whose spacing is at
     most ``_CROSSING_SPACING`` sqrt(delta); the kept nodes are those within
     ``_CROSSING_REACH`` sqrt(delta) of u - c delta (and at most u).
     """
-    lo = -25.0 / params.c - 5.0
+    lo = -12.0 / params.c
     sigma = math.sqrt(grid.delta)
     intervals = 2 * math.ceil((params.u - lo) / (2.0 * _CROSSING_SPACING * sigma))
     h = (params.u - lo) / intervals
@@ -464,6 +465,8 @@ class _FirstCrossing:
         p_cross = q.p_ruin_from[kept]
         self.u, self.mean_step, self.sigma = u, c * delta, math.sqrt(delta)
         self.x = q.x[kept]
+        # Phi-bar((u - x - c delta) / sqrt(delta)) from cell 0's x = 0, then each kept node
+        self.tail = norm_sf((u - (np.append(0.0, self.x) + self.mean_step)) / self.sigma)
         # cell 0 is (1, 0); cell 1 + i K + j is (i + 2, x_j), K kept nodes
         self.cum = np.empty(1 + (n_steps - 1) * n_kept)
         self.cum[0] = q.ruin
@@ -495,7 +498,8 @@ class _FirstCrossing:
         i = np.searchsorted(self.cum, np.sort(v_cell), side="right")
         k = self.x.size
         tau = np.where(i == 0, 1, (i - 1) // k + 2)
-        before = np.where(i == 0, 0.0, self.x[(i - 1) % k])
+        node = np.where(i == 0, 0, (i - 1) % k + 1)
+        before = np.where(i == 0, 0.0, self.x[node - 1])
         mean = before + self.mean_step
-        z = _norm_isf(norm_sf((self.u - mean) / self.sigma) * (1.0 - v_over))
+        z = _norm_isf(self.tail[node] * (1.0 - v_over))
         return tau, before, np.maximum(mean + self.sigma * z, np.nextafter(self.u, math.inf))

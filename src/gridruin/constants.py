@@ -16,10 +16,10 @@ truncation bias into an observable warning.
 
 The drivers run their blocks on every available core.  Each block is
 filled and reduced ``_TILE`` rows at a time, each tile drawing its own
-normals, so a worker holds a few ``_TILE`` x window arrays (a traced peak
-of 2.8 MB for the two-sided default window at eta = 0.2), never a whole
-(block, window) field.  A request for more than 2**40 normals is refused before the first
-draw.
+normals, so a worker thread holds a few ``_TILE`` x window arrays for all
+its blocks (a traced peak of 2.8 MB for the two-sided default window at
+eta = 0.2), never a whole (block, window) field.  A request for more than
+2**40 normals is refused before the first draw.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .model import (
     VariantParams,
     _mean_se,
     _run_blocks,
-    _Scratch,
     _steps_in,
     _warn,
 )
@@ -167,9 +166,9 @@ def _walk(out: np.ndarray, z: np.ndarray, eta: float, slope: float) -> None:
 
 
 # Each functional takes ``scratch(name, shape, dtype)``, which lends it its
-# tile-sized work arrays.  The drivers pass their worker's _Scratch, so a
-# block's tiles reuse them; the default allocates.  The values are the same
-# either way.
+# tile-sized work arrays.  The drivers pass their worker thread's _Scratch, so
+# every tile of its blocks reuses them; the default allocates.  The values are
+# the same either way.
 
 
 def _fresh(_name, shape, dtype=np.float64):
@@ -309,12 +308,11 @@ def _estimate(key: ConstantKey):
     outer = np.abs(levels) > 0.9 * trunc
     origin = n_side if two_sided else 0
 
-    def worker(m, rng):
+    def worker(m, rng, scratch):
         vals, near_edge = np.empty(m), np.empty(m, bool)
-        tile = np.empty((min(m, _TILE), levels.size))
+        tile = scratch("tile", (min(m, _TILE), levels.size))
         tile[:, origin] = 0.0
-        z = np.empty((len(tile), points))
-        scratch = _Scratch(tile.size)
+        z = scratch("z", (len(tile), points))
         for start in range(0, m, _TILE):
             rows = slice(start, min(start + _TILE, m))
             field, zt = tile[: rows.stop - start], rng.standard_normal(out=z[: rows.stop - start])

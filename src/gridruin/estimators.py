@@ -39,10 +39,10 @@ evaluated once per block), so the tilted sampler, which ruins nearly every
 path around the middle of the horizon, draws no normals past ruin.  Each
 chunk draws (live paths, chunk steps) normals from the block's stream in
 row order, so every estimate is a pure function of ``(seed, n, params)``
-for any thread count.  A block holds O(BLOCK_SIZE x _CHUNK) values whatever
-the horizon or grid step, and a request whose worst case, n paths all run
-to the horizon, exceeds ``_MAX_NORMALS`` normals is refused before the
-first draw.
+for any thread count.  A worker thread keeps O(BLOCK_SIZE x _CHUNK) values
+for all its blocks whatever the horizon or grid step, and a request whose
+worst case, n paths all run to the horizon, exceeds ``_MAX_NORMALS``
+normals is refused before the first draw.
 
 Tilted Parisian and cumulative paths start at their first crossing tau_1
 of u.  Until then their detectors keep the state of point 0 and their
@@ -51,8 +51,10 @@ S_{tau_1 - 1}.  The law of that pair under drift +c, up to the path's last
 step, is tabulated once per call on the DP oracle's quadrature
 (``analytic._FirstCrossing``).  A path draws its cell and its level
 S_{tau_1} from it with two uniforms, is examined at tau_1 from the
-detector's state at point 0, and walks on from there: at u = 10, c = 1,
-delta = 0.1 it draws about 17 normals instead of about 113.  The estimate is
+detector's state at point 0, and walks on from there, its first chunk
+spanning only the variant's lead, the fewest further points at which it
+can qualify: at u = 10, c = 1, delta = 0.1 it draws about 9 (Parisian, T =
+0.3) or 7 (cumulative, k = 2) normals instead of about 113.  The estimate is
 then unbiased up to the table's quadrature error, Simpson's error on a
 smooth integrand (2.4e-7 of the classical value there).  The table is built
 where it costs less than the walk it replaces.  Elsewhere paths walk from
@@ -82,7 +84,6 @@ from .model import (
     ModelParams,
     VariantParams,
     _check_horizon,
-    _Scratch,
     _mean_se,
     _run_blocks,
     _warn,
@@ -162,25 +163,26 @@ def _cumulative_step(levels, u, k, count, scratch):
 
 
 # variant -> (the VariantParams field it reads, its detector step, the step's
-# state after S_0 = 0 <= u, windowed, starts at the first crossing, its
-# prefactor's constant keys).  A windowed variant's parameter is its window in
-# grid points, T/delta + 1, and its paths run window - 1 steps past the horizon
-# so that a run starting there can end.  A variant that starts at the first
-# crossing has barrier u and keeps its state at point 0 until S first exceeds
-# u, so its tilted paths may start there, drawn from ``_FirstCrossing``;
-# classical has both properties but keeps its walk, the Monte Carlo check on
-# the DP whose law the table is.  The keys map (c, delta, p), p the variant's
-# parameter, to [(kind, eta, extra key fields)], eta = 2 c^2 delta the limit
-# field's step.
+# state after S_0 = 0 <= u, windowed, lead, its prefactor's constant keys).  A
+# windowed variant's parameter is its window in grid points, T/delta + 1, and
+# its paths run window - 1 steps past the horizon so that a run starting there
+# can end.  ``lead`` is None where tilted paths walk from point 0, else the
+# map from the parameter to the fewest points after the first crossing tau_1
+# of u at which a path can qualify: such a variant has barrier u and keeps its
+# state at point 0 until S first exceeds u, so its tilted paths may start at
+# tau_1, drawn from ``_FirstCrossing``.  Classical has both properties but
+# keeps its walk, the Monte Carlo check on the DP whose law the table is.  The
+# keys map (c, delta, p), p the variant's parameter, to [(kind, eta, extra key
+# fields)], eta = 2 c^2 delta the limit field's step.
 _VARIANTS = {
-    "classical": (None, _classical_step, 0, False, False,
+    "classical": (None, _classical_step, 0, False, None,
                   lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})]),
-    "reflected": ("gamma", _reflected_step, 0.0, False, False, lambda c, delta, g: [
+    "reflected": ("gamma", _reflected_step, 0.0, False, None, lambda c, delta, g: [
         ("piterbarg", 2.0 * c * c * (1.0 - g) ** 2 * delta, {"a": g / (1.0 - g)}),
         ("pickands_dy", 2.0 * c * c * delta, {})]),
-    "parisian": ("parisian_T", _parisian_step, 0, True, True,
+    "parisian": ("parisian_T", _parisian_step, 0, True, lambda window: window - 1,
                  lambda c, delta, T: [("parisian", 2.0 * c * c * delta, {"T": 2.0 * c * c * T})]),
-    "cumulative": ("cumulative_k", _cumulative_step, 0, False, True,
+    "cumulative": ("cumulative_k", _cumulative_step, 0, False, lambda k: k,
                    lambda c, delta, k: [("berman", 2.0 * c * c * delta, {"k": k})]),
 }
 VARIANTS = tuple(_VARIANTS)
@@ -201,12 +203,13 @@ def _variant_value(variant: str, variant_params: VariantParams | None):
     return value
 
 
-# Grid steps a block advances per chunk.  A block's work arrays hold
+# Grid steps a block advances per chunk.  A worker thread's arrays hold
 # BLOCK_SIZE x _CHUNK values whatever the horizon.  Shorter chunks pay
 # the fixed numpy calls of a chunk more often; in longer ones a ruined path
 # draws more steps past ruin ((_CHUNK - 1) / 2 on average) and the arrays
 # outgrow the cache.  Of 8, 16, 32 and 64, 16 was fastest on tilted
-# estimates, a ruin-time sample and a crude estimate (2-vCPU VM).
+# estimates, a ruin-time sample and a crude estimate (2-vCPU VM).  The first
+# chunk after a path's first crossing of u spans only its variant's lead.
 _CHUNK = 16
 
 
@@ -222,7 +225,7 @@ _TABLE_MAX_BYTES = 2**25
 
 
 def _setup(variant, params, grid, variant_params, horizon, n, tilted):
-    """The variant's step bound to u and its parameter, its state at point 0, steps and table.
+    """The variant's step bound to u and its parameter, its state at point 0, steps and start.
 
     The one gate for every simulated horizon: it must be finite and cover a
     grid step, one below ``default_horizon`` warns, and n paths of that
@@ -230,12 +233,12 @@ def _setup(variant, params, grid, variant_params, horizon, n, tilted):
     the reflected variant at gamma >= 1/2 warns here, for both tilted routes.
     A ``tilted`` run of a variant whose barrier is u, whose weights relative to
     exp(-2cu) are at most 1, is refused where exp(-2cu) is below the smallest
-    normal double.  The table is the ``_FirstCrossing`` law its tilted paths
-    start from, or None where they walk from point 0 (see
-    ``_crossing_table``).
+    normal double.  The start is None where the paths walk from point 0 (see
+    ``_crossing_table``), else (table, lead): the ``_FirstCrossing`` law its
+    tilted paths start from, and the variant's lead clamped to [1, _CHUNK].
     """
     p = _variant_value(variant, variant_params)
-    _, step, initial, windowed, crossing_start, _ = _VARIANTS[variant]
+    _, step, initial, windowed, lead, _ = _VARIANTS[variant]
     if math.isfinite(horizon) and grid.n_steps_for(horizon) < 1:
         raise ValueError(f"horizon {horizon} covers no grid step of {grid.delta}")
     _check_horizon(params, horizon)
@@ -259,12 +262,13 @@ def _setup(variant, params, grid, variant_params, horizon, n, tilted):
             f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
             "variance, so the standard error does not measure the error"
         )
-    table = _crossing_table(params, grid, n_steps, n) if tilted and crossing_start else None
+    table = _crossing_table(params, grid, n_steps, n) if tilted and lead else None
+    start = None if table is None else (table, min(max(lead(p), 1), _CHUNK))
 
     def detect(levels, state, scratch):
         return step(levels, params.u, p, state, scratch)
 
-    return detect, initial, n_steps, table
+    return detect, initial, n_steps, start
 
 
 def _crossing_table(params, grid, n_steps, n):
@@ -340,23 +344,24 @@ def _unscaled(x, log_scale):
     return out
 
 
-def _run_chunks(step, state, n_steps, fill, weigh, start=1, crossing=None):
+def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=None):
     """(occurred, idx, w) of paths over grid points start..n_steps, advanced a chunk at a time.
 
     ``start`` is the first point each path examines, 1 or one per path (a
     path starting past n_steps is never ruined), and ``state`` holds the
     step's state before it, one entry per path.  ``crossing`` is None, or
-    (x, s): each path's levels at points start - 1 and start, already drawn,
-    and point start is examined from them before the first chunk.
-    ``fill(rows, at, out)`` writes the levels of the paths ``rows`` at their
-    points at - 1, at, ... into the time-major ``out`` (one row per point),
-    the first row being each path's current level; ``at`` is an int where
-    ``start`` is, else one per path.  Each chunk covers the next _CHUNK
-    points of every live path, fewer if all of them end sooner; a point past
-    n_steps never qualifies.  A path that first qualifies at
-    point tau records tau, S_{tau-1} and the barrier b its ruin step
-    cleared, and is dropped, so later chunks fill only the paths still
-    live.  After the last chunk, a ruined path weighs w = weigh(S_{tau-1},
+    (x, s, lead): each path's levels at points start - 1 and start, already
+    drawn, from which point start is examined before the first chunk, and
+    that chunk's length.  ``fill(rows, at, out)`` writes the levels of the
+    paths ``rows`` at their points at - 1, at, ... into the time-major
+    ``out`` (one row per point), the first row being each path's current
+    level; ``at`` is an int where ``start`` is, else one per path.  Each
+    chunk covers the next _CHUNK points of every live path, fewer if all of
+    them end sooner; a point past n_steps never qualifies.  ``scratch`` (a
+    ``_Scratch``) lends the chunks and the step their work arrays.  A path
+    that first qualifies at point tau records tau, S_{tau-1} and the barrier
+    b its ruin step cleared, and is dropped, so later chunks fill only the
+    paths still live.  After the last chunk, a ruined path weighs w = weigh(S_{tau-1},
     b), the conditional mean of its likelihood ratio given the path before
     tau (see the module docstring), evaluated ``_WEIGHT_ROWS`` paths at a
     time; w = 0 for a path that never qualifies.  Raises RuntimeError where
@@ -373,7 +378,6 @@ def _run_chunks(step, state, n_steps, fill, weigh, start=1, crossing=None):
     if not shared:
         rows = np.flatnonzero(start <= n_steps)
         at, state = start[rows], state[rows]
-    scratch = _Scratch(m * (_CHUNK + 1))
 
     def examine(path):
         # path[j] holds the live paths' levels at points at - 1 + j
@@ -402,12 +406,15 @@ def _run_chunks(step, state, n_steps, fill, weigh, start=1, crossing=None):
                 at = at[live]
         at = at + k
 
+    span = _CHUNK
     if crossing is not None:
-        examine(np.stack([level[rows] for level in crossing]))
+        *levels, span = crossing
+        examine(np.stack([level[rows] for level in levels]))
     while rows.size and np.min(at) <= n_steps:
-        path = scratch("level", (min(_CHUNK, n_steps + 1 - int(np.min(at))) + 1, rows.size))
+        path = scratch("level", (min(span, n_steps + 1 - int(np.min(at))) + 1, rows.size))
         fill(rows, at, path)
         examine(path)
+        span = _CHUNK
     ruined = np.flatnonzero(occurred)
     with np.errstate(all="ignore"):  # a weight out of range is refused below
         for lo in range(0, ruined.size, _WEIGHT_ROWS):
@@ -420,32 +427,31 @@ def _run_chunks(step, state, n_steps, fill, weigh, start=1, crossing=None):
     return occurred, idx, w
 
 
-def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng, table=None):
+def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng, scratch, start=None):
     """(occurred, idx, w) of a block under ``drift``; see ``_run_chunks`` for w.
 
     drift -c is crude sampling (every weight is exactly 1); drift +c is the
     tilted sampler, whose likelihood ratio at ruin is exp(-2c S_tau), and
-    whose w is carried relative to exp(-2cu).  Without a ``table`` every
-    path walks from S_0 = 0.  With one (a ``_FirstCrossing``), the block
-    first draws m uniforms for the paths' first-crossing cells, then m for
-    their crossing levels, and each path starts at its first crossing tau_1
-    in the detector's state at point 0: point tau_1 is examined from
-    S_{tau_1 - 1} and S_{tau_1}, and the walk continues from there.  Each
-    chunk draws (live paths, chunk steps) normals from ``rng`` in row order
-    into one buffer reused for the whole block, so the block's stream is
-    consumed chunk by chunk and no chunk allocates a path matrix.
+    whose w is carried relative to exp(-2cu).  Without a ``start`` every
+    path walks from S_0 = 0.  With one, (table, lead) from ``_setup``, the
+    block first draws m uniforms for the paths' first-crossing cells, then m
+    for their crossing levels, and each path starts at its first crossing
+    tau_1 in the detector's state at point 0: point tau_1 is examined from
+    S_{tau_1 - 1} and S_{tau_1}, and the walk continues from there, its
+    first chunk spanning lead points.  Each chunk draws (live paths, chunk
+    steps) normals from ``rng`` in row order into the worker's ``scratch``,
+    so the block's stream is consumed chunk by chunk.
     """
-    level = np.zeros(m)
-    start, crossing = 1, None
-    if table is not None:
+    level, points, crossing = np.zeros(m), 1, None
+    if start is not None:
+        table, lead = start
         v_cell = rng.random(m)
-        start, before, level = table.sample(v_cell, rng.random(m))
-        crossing = (before, level)
-    normals = np.empty(m * _CHUNK)
+        points, before, level = table.sample(v_cell, rng.random(m))
+        crossing = (before, level, lead)
 
     def fill(rows, _at, out):
         prev = np.take(level, rows, out=out[0])
-        z = normals[: rows.size * (len(out) - 1)].reshape(rows.size, len(out) - 1)
+        z = scratch("normals", (rows.size, len(out) - 1))
         rng.standard_normal(out=z)
         z *= math.sqrt(grid.delta)
         z += drift * grid.delta
@@ -454,7 +460,7 @@ def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng, table
         level[rows] = prev
 
     weigh = _ruin_weigher(drift, drift + params.c, grid.delta, params.u)
-    return _run_chunks(detect, np.full(m, initial), n_steps, fill, weigh, start, crossing)
+    return _run_chunks(detect, np.full(m, initial), n_steps, fill, weigh, scratch, points, crossing)
 
 
 def estimate(
@@ -493,13 +499,13 @@ def estimate(
     if method not in drifts:
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
-    detect, initial, n_steps, table = _setup(
+    detect, initial, n_steps, start = _setup(
         variant, params, grid, variant_params, horizon, n, tilted=method == "tilted"
     )
 
-    def worker(m, rng):
+    def worker(m, rng, scratch):
         _, _, w = _weighted_block(
-            detect, initial, grid, params, drifts[method], n_steps, m, rng, table
+            detect, initial, grid, params, drifts[method], n_steps, m, rng, scratch, start
         )
         return float(w.sum()), float((w * w).sum())
 
@@ -541,13 +547,13 @@ def ruin_time_distribution(
         _warn(
             f"u={params.u} is small; the normal approximation window is only meaningful for large u"
         )
-    detect, initial, n_steps, table = _setup(
+    detect, initial, n_steps, start = _setup(
         variant, params, grid, variant_params, default_horizon(params, 1.5), n, tilted=True
     )
 
-    def worker(m, rng):
+    def worker(m, rng, scratch):
         occurred, idx, w = _weighted_block(
-            detect, initial, grid, params, params.c, n_steps, m, rng, table
+            detect, initial, grid, params, params.c, n_steps, m, rng, scratch, start
         )
         rows = np.flatnonzero(occurred)
         return to_s(idx[rows] * grid.delta), w[rows]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+import threading
 import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -165,14 +166,16 @@ def _cores() -> int:
 
 
 def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
-    """Run ``worker(m, rng)`` over the replicate blocks; results in block order.
+    """Run ``worker(m, rng, scratch)`` over the replicate blocks; results in block order.
 
     Block b covers replicates [b * BLOCK_SIZE, ...) and owns the stream
     ``make_rng(seed, b)``, so the results are the same for any ``threads``;
     None runs one worker per core the process may use.  A block's stream is
     built when the block is submitted, and at most ``threads + 1`` blocks
-    are in flight, so the streams held do not grow with n.  What a block in
-    flight holds depends on its worker, never on n:
+    are in flight, so the streams held do not grow with n.  Every block gets
+    one ``_Scratch`` for the whole call, whose arrays each worker thread
+    keeps for all its blocks, so a result must not be a view of them.  What
+    a block in flight holds depends on its worker, never on n:
 
     * the ruin estimators' worker, the only path sampler, advances its
       block a chunk of grid steps at a time and drops each path once it is
@@ -187,33 +190,36 @@ def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
         raise ValueError("n must be at least 1")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    results, pending = [], deque()
+    results, pending, scratch = [], deque(), _Scratch()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for b, start in enumerate(range(0, n, BLOCK_SIZE)):
             if len(pending) > threads:
                 results.append(pending.popleft().result())
-            pending.append(pool.submit(worker, min(BLOCK_SIZE, n - start), make_rng(seed, b)))
+            m = min(BLOCK_SIZE, n - start)
+            pending.append(pool.submit(worker, m, make_rng(seed, b), scratch))
         results.extend(future.result() for future in pending)
     return results
 
 
-class _Scratch:
-    """Work arrays a block worker reuses for each of its chunks or tiles.
+class _Scratch(threading.local):
+    """Work arrays each thread reuses for every chunk or tile of its blocks.
 
-    ``scratch(name, shape, dtype)`` returns the work array ``name``,
-    allocated at its first request, as a contiguous view of ``shape``;
-    ``size`` is the most elements a view may hold.  A fresh (16, 8192) float64 array is
-    1 MB, past glibc's default mmap threshold, so allocating one per chunk
-    would cost an mmap and its page faults each time.
+    ``scratch(name, shape, dtype)`` returns the calling thread's work array
+    ``name`` as a contiguous view of ``shape``, its contents left over from
+    its last use; a request larger than any before grows it.  A fresh
+    (16, 8192) float64 array is 1 MB, past glibc's default mmap threshold,
+    so allocating one per chunk or block would cost an mmap and its page
+    faults each time.
     """
 
-    def __init__(self, size):
-        self._size, self._flat = size, {}
+    def __init__(self):
+        self._flat = {}
 
     def __call__(self, name, shape, dtype=np.float64):
-        if name not in self._flat:
-            self._flat[name] = np.empty(self._size, dtype)
-        return self._flat[name][: shape[0] * shape[1]].reshape(shape)
+        size = math.prod(shape)
+        if name not in self._flat or self._flat[name].size < size:
+            self._flat[name] = np.empty(size, dtype)
+        return self._flat[name][:size].reshape(shape)
 
 
 def _mean_se(parts, n: int) -> tuple[float, float]:

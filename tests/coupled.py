@@ -72,6 +72,7 @@ def detect(variant, levels, u, p=None, weigh=None, start=1):
         levels.shape[1] - 1,
         fill,
         weigh or estimators._ruin_weigher(0.0, 0.0, 1.0, 0.0),
+        model._Scratch(),
         start,
     )
 
@@ -87,8 +88,10 @@ def walked_estimate(variant, params, grid, variant_params, n, seed):
         variant, params, grid, variant_params, default_horizon(params), n, tilted=True
     )
 
-    def worker(m, rng):
-        _, _, w = estimators._weighted_block(detect, initial, grid, params, params.c, n_steps, m, rng)
+    def worker(m, rng, scratch):
+        _, _, w = estimators._weighted_block(
+            detect, initial, grid, params, params.c, n_steps, m, rng, scratch
+        )
         return float(w.sum()), float((w * w).sum())
 
     mean, se = model._mean_se(model._run_blocks(n, seed, worker), n)

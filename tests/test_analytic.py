@@ -23,7 +23,7 @@ from gridruin.analytic import (
     ruin_time_cdf_approx,
 )
 from gridruin.estimators import _WEIGHT_ROWS, _ruin_weigher, estimate
-from gridruin.model import Grid, ModelParams, default_horizon
+from gridruin.model import Grid, ModelParams, default_horizon, make_rng
 
 
 class TestNormalTools:
@@ -387,7 +387,7 @@ class TestFirstCrossing:
     def test_grid_follows_the_spacing_rule(self):
         # the benchmark's op: 40 units of state at h <= sqrt(0.1)/16 = 0.0198
         lo, n_nodes, n_kept = _crossing_grid(ModelParams(c=1.0, u=10.0), Grid(0.1))
-        assert lo == -30.0 and n_nodes % 2 == 1
+        assert lo == -12.0 and n_nodes % 2 == 1
         h = (10.0 - lo) / (n_nodes - 1)
         assert h <= math.sqrt(0.1) / 16 < (10.0 - lo) / (n_nodes - 3)
         assert (n_kept - 1) * h <= 9.6 * math.sqrt(0.1) + 0.1 < n_kept * h
@@ -408,3 +408,22 @@ class TestFirstCrossing:
         np.testing.assert_allclose(norm_sf((level - mean) / math.sqrt(g.delta)), tail * (1 - v),
                                    rtol=1e-9)
         assert np.mean(tau <= n) == pytest.approx(table.cum[-1], abs=2e-4)
+
+    def test_sample_matches_the_per_path_tail(self):
+        # the tails tabulated per node give the draws of the per-path formula,
+        # bit for bit, in cell 0 (tau_1 = 1), the node cells and the
+        # no-crossing cell (tau_1 = n + 1)
+        p, g, n = ModelParams(c=1.0, u=0.5), Grid(0.1), 10
+        table = _FirstCrossing(p, g, n)
+        v_cell = np.linspace(0.0, 1.0, 4001, endpoint=False)  # sorted, as the sampler takes them
+        v_over = make_rng(42, 0).random(v_cell.size)
+        tau, before, level = table.sample(v_cell, v_over)
+        assert tau[0] == 1 and tau[-1] == n + 1 and 1 < np.median(tau) <= n
+        i, k = np.searchsorted(table.cum, v_cell, side="right"), table.x.size
+        want = np.where(i == 0, 0.0, table.x[(i - 1) % k])
+        mean = want + p.c * g.delta
+        z = _norm_isf(norm_sf((p.u - mean) / math.sqrt(g.delta)) * (1.0 - v_over))
+        np.testing.assert_array_equal(tau, np.where(i == 0, 1, (i - 1) // k + 2))
+        np.testing.assert_array_equal(before, want)
+        np.testing.assert_array_equal(level, np.maximum(mean + math.sqrt(g.delta) * z,
+                                                        np.nextafter(p.u, math.inf)))

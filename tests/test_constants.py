@@ -171,7 +171,7 @@ class TestPickands:
         # the window [-eta, eta] is below the drivers' minimum trunc, so the
         # pickands_dy estimator body runs directly on the block runner
 
-        def worker(m, rng):
+        def worker(m, rng, _scratch):
             vals = pickands_ratio_values(whole_field_two_sided(eta, eta, m, rng), eta)
             return float(vals.sum()), float((vals * vals).sum())
 

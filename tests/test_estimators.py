@@ -269,6 +269,28 @@ class TestEstimate:
         parallel = estimate("classical", p, g, **kw, threads=8)
         assert serial == parallel
 
+    def test_buffers_are_allocated_once_per_thread(self, monkeypatch):
+        # a worker thread keeps its work arrays for all its blocks, so 12
+        # blocks allocate no more of them than 2
+        made = []
+
+        class Counting(model._Scratch):
+            def __call__(self, name, shape, dtype=np.float64):
+                held = self._flat.get(name)
+                out = super().__call__(name, shape, dtype)
+                if self._flat[name] is not held:
+                    made.append(name)
+                return out
+
+        monkeypatch.setattr(model, "_Scratch", Counting)
+        counts = []
+        for blocks in (2, 12):
+            made.clear()
+            estimate("classical", ModelParams(c=1.0, u=2.0), Grid(0.1),
+                     n=blocks * model.BLOCK_SIZE, seed=4, threads=1)
+            counts.append(len(made))
+        assert 0 < counts[0] == counts[1]
+
     def test_horizon_bias_bound_reported(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
         est = estimate("classical", p, g, n=1000, seed=0)
@@ -476,15 +498,20 @@ PARISIAN, CUMULATIVE = VariantParams(parisian_T=0.3), VariantParams(cumulative_k
 class TestFirstCrossingStart:
     """Tilted Parisian and cumulative paths start at their first crossing of u."""
 
-    @pytest.mark.parametrize("variant, vp", [
-        ("parisian", VariantParams(parisian_T=0.0)),
-        ("parisian", PARISIAN),
-        ("cumulative", VariantParams(cumulative_k=0)),
-        ("cumulative", CUMULATIVE),
-    ])
-    def test_agrees_with_the_full_walk(self, variant, vp):
+    @pytest.mark.parametrize("variant, vp, lead", [
+        ("parisian", VariantParams(parisian_T=0.0), 1),
+        ("parisian", PARISIAN, 3),
+        ("parisian", VariantParams(parisian_T=2.0), 16),  # window 21 points: lead 20, clamped
+        ("cumulative", VariantParams(cumulative_k=0), 1),
+        ("cumulative", CUMULATIVE, 2),
+        ("cumulative", VariantParams(cumulative_k=20), 16),
+    ], ids=["parisian-vp0", "parisian-vp1", "parisian-long-window",
+            "cumulative-vp2", "cumulative-vp3", "cumulative-k20"])
+    def test_agrees_with_the_full_walk(self, variant, vp, lead):
+        # the first chunk after tau_1 spans the lead, clamped to [1, _CHUNK]
         p, g, n = ModelParams(c=1.0, u=5.0), Grid(0.1), 40_000
-        assert estimators._setup(variant, p, g, vp, default_horizon(p), n, True)[3] is not None
+        _, lead_used = estimators._setup(variant, p, g, vp, default_horizon(p), n, True)[3]
+        assert lead_used == lead
         for seed in (31, 32, 33):
             start = estimate(variant, p, g, vp, n=n, seed=seed)
             walk = walked_estimate(variant, p, g, vp, n, seed + 100)
@@ -514,9 +541,9 @@ class TestFirstCrossingStart:
         levels = whole_paths(0.1, 1.0, 30, 2000, make_rng(36, 0))[:, 1:].T
         below = np.minimum(levels, 1.0)
         waits = set()
-        for variant, (_, step, initial, *_rest, starts, _keys) in estimators._VARIANTS.items():
+        for variant, (_, step, initial, *_rest, _lead, _keys) in estimators._VARIANTS.items():
             p = {"reflected": 0.5, "parisian": 4, "cumulative": 2}.get(variant)
-            scratch = model._Scratch(below.size)
+            scratch = model._Scratch()
             state0 = np.full(below.shape[1], initial)
             qualifies, state, _ = step(below, 1.0, p, state0.copy(), scratch)
             quiet = not qualifies.any()  # before the next step reuses the scratch arrays
@@ -529,7 +556,8 @@ class TestFirstCrossingStart:
 
     def test_stream_layout(self):
         # a block draws its m cell uniforms, then its m crossing uniforms, then
-        # the chunk normals in row order, from the paths' crossing levels
+        # the chunk normals in row order, from the paths' crossing levels; the
+        # first chunk after tau_1 spans the lead, the next ones _CHUNK
         p, g, m, n_steps = ModelParams(c=1.0, u=2.0), Grid(0.1), 50, 40
         table = _FirstCrossing(p, g, n_steps)
         seen = []
@@ -538,7 +566,9 @@ class TestFirstCrossingStart:
             seen.append(levels.copy())
             return np.zeros(levels.shape, bool), state, p.u
 
-        estimators._weighted_block(record, 0, g, p, p.c, n_steps, m, make_rng(37, 2), table)
+        estimators._weighted_block(
+            record, 0, g, p, p.c, n_steps, m, make_rng(37, 2), model._Scratch(), (table, 3)
+        )
         rng = make_rng(37, 2)
         v_cell = rng.random(m)
         tau, _, level = table.sample(v_cell, rng.random(m))
@@ -548,6 +578,7 @@ class TestFirstCrossingStart:
         z = first * math.sqrt(g.delta) + p.c * g.delta
         want = np.cumsum(np.concatenate([level[live][:, None], z], axis=1), axis=1)[:, 1:]
         np.testing.assert_array_equal(seen[1], want.T)
+        assert [len(levels) for levels in seen[:3]] == [1, 3, estimators._CHUNK]
 
     def test_rows_start_at_their_own_points(self, monkeypatch):
         # a row examines points start.. from the state of point 0, and a
@@ -570,15 +601,18 @@ class TestFirstCrossingStart:
         assert (est.value, est.std_error) == walked_estimate("parisian", p, g, PARISIAN, 100, 38)
 
     def test_unbalanced_table_is_not_used(self):
-        # at c = 0.1, delta = 1, u = 1 the drift +c balance is off by 1.1e-7,
-        # beyond the DP's tolerance: the paths walk although a table costs less
-        p, g = ModelParams(c=0.1, u=1.0), Grid(1.0)
-        n_steps = g.n_steps_for(default_horizon(p))
-        with pytest.raises(analytic.QuadratureMassError):
-            _FirstCrossing(p, g, n_steps)
-        points, _ = analytic._crossing_table_work(p, g, n_steps)
-        assert 2 * points * estimators._TABLE_POINT_S < 100_000 * 11 * estimators._WALK_STEP_S
-        assert estimators._crossing_table(p, g, n_steps, 100_000) is None
+        # at u = 1 and each (c, delta) below the drift +c balance is off by
+        # 1.0-1.1e-7, beyond the DP's tolerance: the paths walk although a
+        # table costs less
+        for c, delta in [(0.1, 1.0), (0.25, 0.5), (0.25, 1.0)]:
+            p, g = ModelParams(c=c, u=1.0), Grid(delta)
+            n_steps = g.n_steps_for(default_horizon(p))
+            with pytest.raises(analytic.QuadratureMassError):
+                _FirstCrossing(p, g, n_steps)
+            points, _ = analytic._crossing_table_work(p, g, n_steps)
+            walk_steps = 100_000 * min(n_steps, p.u / (c * delta) + 1)
+            assert 2 * points * estimators._TABLE_POINT_S < walk_steps * estimators._WALK_STEP_S, (c, delta)
+            assert estimators._crossing_table(p, g, n_steps, 100_000) is None, (c, delta)
 
     def test_ruin_times_agree_with_the_full_walk(self, monkeypatch):
         # the ruin index of a path started at tau_1 counts from point 0

@@ -153,12 +153,12 @@ class TestRng:
         assert found == []
 
 
-def walk(drift, n_steps, m, rng, delta=0.1):
+def walk(drift, n_steps, m, rng, delta=0.1, scratch=None):
     """The (m, n_steps + 1) levels the ruin estimators' fill draws from ``rng``.
 
     The block runs under a step that never qualifies, so no path is dropped
     and the step sees every level of every path after S_0 = 0, chunk by
-    chunk.
+    chunk.  ``scratch`` is the worker's, or a fresh one.
     """
     seen = [np.zeros((1, m))]
 
@@ -167,7 +167,8 @@ def walk(drift, n_steps, m, rng, delta=0.1):
         return np.zeros(levels.shape, bool), state, 0.0
 
     occurred, _, _ = estimators._weighted_block(
-        record, 0, Grid(delta), ModelParams(1.0, 0.0), drift, n_steps, m, rng
+        record, 0, Grid(delta), ModelParams(1.0, 0.0), drift, n_steps, m, rng,
+        scratch or model._Scratch(),
     )
     assert not occurred.any()
     return np.concatenate(seen).T
@@ -190,7 +191,9 @@ class TestSimulatePath:
     def test_terminal_mean_and_variance(self):
         # S_100 ~ N(100*drift*delta, 100*delta); 4-sigma band on both moments
         c, delta, n = 1.0, 0.1, 200_000
-        blocks = model._run_blocks(n, 3, lambda m, rng: walk(-c, 100, m, rng, delta)[:, -1])
+        blocks = model._run_blocks(
+            n, 3, lambda m, rng, scratch: walk(-c, 100, m, rng, delta, scratch)[:, -1]
+        )
         terminal = np.concatenate(blocks)
         mean_se = math.sqrt(100 * delta / n)
         assert abs(terminal.mean() + 100 * c * delta) < 4 * mean_se
@@ -219,7 +222,9 @@ class TestPathBlock:
         # the walk crosses two chunk edges, after steps `edge` and 2 * `edge`
         g, n, edge = Grid(0.1), 25_000, estimators._CHUNK
         n_steps = 2 * edge + 8
-        paths = np.concatenate(model._run_blocks(n, 5, lambda m, rng: walk(-1.0, n_steps, m, rng)))
+        paths = np.concatenate(
+            model._run_blocks(n, 5, lambda m, rng, scratch: walk(-1.0, n_steps, m, rng, 0.1, scratch))
+        )
         z = (np.diff(paths, axis=1) + 1.0 * g.delta) / math.sqrt(g.delta)
         for left, right in ((edge - 1, edge), (2 * edge - 1, 2 * edge)):
             # a dropped carry or a reused normal shows in the steps either side of an edge
@@ -263,7 +268,7 @@ class TestRunBlocks:
             built.append(block)
             return make_rng(seed, block)
 
-        def failing_worker(m, rng):
+        def failing_worker(m, rng, scratch):
             raise RuntimeError("worker failed")
 
         monkeypatch.setattr(model, "make_rng", counting_make_rng)
@@ -281,5 +286,5 @@ class TestRunBlocks:
             return pool(max_workers)
 
         monkeypatch.setattr(model, "ThreadPoolExecutor", recording_pool)
-        model._run_blocks(10, 0, lambda m, rng: m)
+        model._run_blocks(10, 0, lambda m, rng, scratch: m)
         assert sizes == [len(os.sched_getaffinity(0))]
