@@ -301,6 +301,29 @@ class _Quadrature:
     below: float  # P(S_1 < lo)
     f: np.ndarray  # the density of S_1 at the nodes
 
+    def sweep(self, n_steps: int, record=lambda i, f: None) -> float:
+        """P(the walk from 0 exceeds u by step n_steps), from n_steps - 1 pushes of its sub-density.
+
+        Before step i + 2 is taken, ``record(i, f)`` sees f, the sub-density
+        of S_{i+1} below u at the nodes.  Mass crossing u accumulates into
+        the result and mass leaving below the floor is tracked; raises
+        ``QuadratureMassError`` if the total balance is off by more than
+        ``_MASS_TOLERANCE``.
+        """
+        w, n_fft, row_hat, middle = self.w, self.n_fft, self.row_hat, self.middle
+        ruin, below, f = self.ruin, self.below, self.f
+        for i in range(n_steps - 1):
+            record(i, f)
+            ruin += float(self.p_ruin_from @ f)
+            below += float(self.p_floor_from @ f)
+            f = np.fft.irfft(np.fft.rfft(w * f, n_fft) * row_hat, n_fft)[middle]
+        balance = ruin + below + float(w @ f)
+        if abs(balance - 1.0) > _MASS_TOLERANCE:
+            raise QuadratureMassError(
+                f"probability mass balance off by {balance - 1.0:.3e} on {self.x.size} state points"
+            )
+        return ruin
+
 
 def _quadrature(u, lo, drift, delta, n_nodes) -> _Quadrature:
     """The quadrature of one step N(drift delta, delta) on ``n_nodes`` (odd) nodes of [lo, u].
@@ -362,11 +385,11 @@ def dp_classical_ruin(
     once per call: O(N log N) per step and O(N) memory, no N x N matrix.  The
     row is cut to the K lags whose weight exceeds ``_ROW_CUT`` of its peak
     (widened to lag 0), so each transform has length N + K - 1 or just above.
-    Mass crossing the barrier accumulates into the ruin probability; mass
+    Mass crossing the barrier accumulates into the ruin probability and mass
     leaving through the horizon-free floor ``_default_state_lo`` is tracked
-    and the total balance is checked against ``_MASS_TOLERANCE``.  Raises
-    ``QuadratureMassError`` if the balance fails, or if a result the
-    recursion produced (more than one step) is below ``_RESOLVED_FLOOR``.
+    (``_Quadrature.sweep``).  Raises ``QuadratureMassError`` if the total
+    balance fails ``_MASS_TOLERANCE``, or if a result the recursion produced
+    (more than one step) is below ``_RESOLVED_FLOOR``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -375,22 +398,7 @@ def dp_classical_ruin(
     if n_steps == 0:
         return 0.0
 
-    q = _quadrature(u, _default_state_lo(params), -c, delta, cfg.state_points | 1)
-    w, n_fft, row_hat, middle = q.w, q.n_fft, q.row_hat, q.middle
-    p_ruin_from, p_floor_from = q.p_ruin_from, q.p_floor_from
-    ruin, below, f = q.ruin, q.below, q.f
-
-    for _ in range(n_steps - 1):
-        ruin += float(p_ruin_from @ f)
-        below += float(p_floor_from @ f)
-        f = np.fft.irfft(np.fft.rfft(w * f, n_fft) * row_hat, n_fft)[middle]
-
-    survived = float(w @ f)
-    balance = ruin + below + survived
-    if abs(balance - 1.0) > _MASS_TOLERANCE:
-        raise QuadratureMassError(
-            f"probability mass balance off by {balance - 1.0:.3e}; increase state_points"
-        )
+    ruin = _quadrature(u, _default_state_lo(params), -c, delta, cfg.state_points | 1).sweep(n_steps)
     # one step is the closed form above; later steps carry the FFT's round-off
     if n_steps > 1 and ruin < _RESOLVED_FLOOR:
         raise QuadratureMassError(
@@ -471,17 +479,7 @@ class _FirstCrossing:
         self.cum = np.empty(1 + (n_steps - 1) * n_kept)
         self.cum[0] = q.ruin
         cells = self.cum[1:].reshape(n_steps - 1, n_kept)
-        ruin, below, f = q.ruin, q.below, q.f
-        for cell in cells:
-            np.multiply(p_cross, f[kept], out=cell)
-            ruin += float(q.p_ruin_from @ f)
-            below += float(q.p_floor_from @ f)
-            f = np.fft.irfft(np.fft.rfft(q.w * f, q.n_fft) * q.row_hat, q.n_fft)[q.middle]
-        balance = ruin + below + float(q.w @ f)
-        if abs(balance - 1.0) > _MASS_TOLERANCE:
-            raise QuadratureMassError(
-                f"first-crossing table's mass balance off by {balance - 1.0:.3e}"
-            )
+        q.sweep(n_steps, lambda i, f: np.multiply(p_cross, f[kept], out=cells[i]))
         np.maximum(cells, 0.0, out=cells)  # the FFT's round-off can leave a cell below 0
         np.cumsum(self.cum, out=self.cum)
 

@@ -355,66 +355,61 @@ def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=No
     that chunk's length.  ``fill(rows, at, out)`` writes the levels of the
     paths ``rows`` at their points at - 1, at, ... into the time-major
     ``out`` (one row per point), the first row being each path's current
-    level; ``at`` is an int where ``start`` is, else one per path.  Each
-    chunk covers the next _CHUNK points of every live path, fewer if all of
-    them end sooner; a point past n_steps never qualifies.  ``scratch`` (a
-    ``_Scratch``) lends the chunks and the step their work arrays.  A path
+    level; ``at`` holds one point per path.  Each chunk covers the next
+    _CHUNK points of every live path, fewer if all of them end sooner.
+    ``scratch`` (a ``_Scratch``) lends the chunks and the step their work
+    arrays.  A path is dropped once its chunk reaches n_steps; a path
     that first qualifies at point tau records tau, S_{tau-1} and the barrier
-    b its ruin step cleared, and is dropped, so later chunks fill only the
-    paths still live.  After the last chunk, a ruined path weighs w = weigh(S_{tau-1},
-    b), the conditional mean of its likelihood ratio given the path before
+    b its ruin step cleared, and is dropped too, so later chunks fill only
+    the paths still live.  After the last chunk, a ruin recorded past
+    n_steps is cleared, and a ruined path weighs w = weigh(S_{tau-1}, b),
+    the conditional mean of its likelihood ratio given the path before
     tau (see the module docstring), evaluated ``_WEIGHT_ROWS`` paths at a
-    time; w = 0 for a path that never qualifies.  Raises RuntimeError where
-    a weight is not a finite double, or where every ruined path weighs 0
-    (both happen when c sqrt(delta) is large: the tilted weight's exponent
-    overflows, or its ratio of normal tails underflows).
+    time; w = 0 for a path that does not qualify by n_steps.  Raises
+    RuntimeError where a weight is not a finite double, or where every
+    ruined path weighs 0 (both happen when c sqrt(delta) is large: the
+    tilted weight's exponent overflows, or its ratio of normal tails
+    underflows).
     """
     m = state.size
     occurred, idx, w = np.zeros(m, bool), np.zeros(m, np.int64), np.zeros(m)
     before, barrier = np.zeros(m), np.zeros(m)
-    # the next point each live path examines: one shared int, or one per path
-    shared = np.isscalar(start)
-    rows, at = np.arange(m), start
-    if not shared:
-        rows = np.flatnonzero(start <= n_steps)
-        at, state = start[rows], state[rows]
+    # the live paths and the next point each examines
+    at = np.broadcast_to(start, m)
+    rows = np.flatnonzero(at <= n_steps)
+    at, state = at[rows], state[rows]
 
     def examine(path):
         # path[j] holds the live paths' levels at points at - 1 + j
         nonlocal rows, at, state
         k = len(path) - 1
         qualifies, state, bar = step(path[1:], state, scratch)
-        live = True
-        if not shared:
-            late = np.flatnonzero(at > n_steps + 1 - k)
-            if late.size:
-                qualifies[:, late] &= np.add.outer(np.arange(k), at[late]) <= n_steps
-            live = at + k <= n_steps
         hit = qualifies.any(axis=0)
+        live = at <= n_steps - k
         if hit.any():
             j = qualifies[:, hit].argmax(axis=0)
             cols = np.flatnonzero(hit)
             ruined = rows[hit]
             occurred[ruined] = True
-            idx[ruined] = (at if shared else at[hit]) + j
+            idx[ruined] = at[hit] + j
             before[ruined] = path[j, cols]
             barrier[ruined] = bar[j, cols] if isinstance(bar, np.ndarray) else bar
-            live = ~hit & live
-        if live is not True:
-            rows, state = rows[live], state[live]
-            if not shared:
-                at = at[live]
-        at = at + k
+            live &= ~hit
+        if not live.all():
+            rows, at, state = rows[live], at[live], state[live]
+        at += k
 
     span = _CHUNK
     if crossing is not None:
         *levels, span = crossing
         examine(np.stack([level[rows] for level in levels]))
-    while rows.size and np.min(at) <= n_steps:
+    while rows.size:
         path = scratch("level", (min(span, n_steps + 1 - int(np.min(at))) + 1, rows.size))
         fill(rows, at, path)
         examine(path)
         span = _CHUNK
+    late = idx > n_steps
+    occurred[late], idx[late] = False, 0
     ruined = np.flatnonzero(occurred)
     with np.errstate(all="ignore"):  # a weight out of range is refused below
         for lo in range(0, ruined.size, _WEIGHT_ROWS):

@@ -62,8 +62,9 @@ def detect(variant, levels, u, p=None, weigh=None, start=1):
     _, step, initial, *_ = estimators._VARIANTS[variant]
 
     def fill(rows, at, out):
-        # a point past the last column is never examined; it repeats the last level
-        cols = np.minimum(np.reshape(at, (-1, 1)) - 1 + np.arange(len(out)), levels.shape[1] - 1)
+        # at holds one point per row; a point past the last column repeats the
+        # last level, and the runner clears any ruin found there
+        cols = np.minimum(at[:, None] - 1 + np.arange(len(out)), levels.shape[1] - 1)
         out[...] = levels[rows[:, None], cols].T
 
     return estimators._run_chunks(

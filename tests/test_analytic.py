@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +212,26 @@ class TestDpOracle:
         with pytest.warns(UserWarning):  # horizon of a single step is tiny
             val = dp_classical_ruin(ModelParams(c=1.0, u=1.0), Grid(1.0), 1)
         assert val == pytest.approx(float(norm_sf(2.0)), rel=1e-9)
+
+    def test_bits_pinned(self):
+        # the quadrature's arithmetic, operation for operation
+        val = dp_classical_ruin(ModelParams(c=1.0, u=3.0), Grid(0.1), 150)
+        assert val == 0.001715668233001776
+
+    def test_one_function_steps_the_quadrature(self):
+        # the DP step loop and its mass balance live in _Quadrature.sweep
+        # alone, which both the oracle and the first-crossing table call
+        tree = ast.parse(Path(analytic.__file__).read_text())
+        stepping = [
+            getattr(fn, "name", "lambda")
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "irfft"
+        ]
+        assert stepping == ["sweep"]
 
     @pytest.mark.parametrize(
         "u, c, delta, n_steps, recorded",

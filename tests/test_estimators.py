@@ -262,6 +262,34 @@ class TestEstimate:
         est = estimate(variant, p, g, vp, method="crude", n=20_000, seed=5)
         assert (est.value, est.std_error) == (value, std_error)
 
+    @pytest.mark.parametrize(
+        "variant, vp, horizon, value, std_error",
+        [
+            ("classical", None, None, 1.3842021542207328e-09, 1.898063041398825e-12),
+            ("reflected", VariantParams(gamma=0.2), None,
+             1.6132052117152655e-09, 3.446152933288002e-12),
+            ("parisian", VariantParams(parisian_T=0.3), None,
+             5.906868212905421e-10, 2.2800959856732016e-12),
+            ("cumulative", VariantParams(cumulative_k=2), None,
+             8.409911754877897e-10, 2.4961560343587205e-12),
+            ("parisian", VariantParams(parisian_T=0.3), 8.0,
+             1.48308578910924e-10, 2.1443862292181964e-12),
+        ],
+    )
+    def test_tilted_estimate_pinned(self, variant, vp, horizon, value, std_error):
+        # these bits hold as long as the stream layout, the detectors, the
+        # weights and the first-crossing table do; the Parisian and cumulative
+        # paths start from the table, and at horizon 8 (u / c = 10) many of
+        # them start near or past the horizon
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # horizon 8 is below the recommended 17.3
+            if variant in ("parisian", "cumulative"):
+                hz = default_horizon(p) if horizon is None else horizon
+                assert estimators._setup(variant, p, g, vp, hz, 20_000, tilted=True)[3]
+            est = estimate(variant, p, g, vp, horizon=horizon, n=20_000, seed=5)
+        assert (est.value, est.std_error) == (value, std_error)
+
     def test_thread_count_does_not_change_bits(self):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
         kw = dict(method="tilted", n=30_000, seed=4)
