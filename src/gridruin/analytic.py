@@ -13,7 +13,8 @@ only, not on the horizon, and a result below ``_RESOLVED_FLOOR``, where the
 FFT's round-off is no longer small against it, is refused.  The same
 quadrature, run under drift +c, tabulates the law of the first crossing of
 u and the level before it (``_FirstCrossing``), from which the tilted
-Parisian and cumulative estimators start their paths.
+Parisian and cumulative estimators start their paths where
+``_first_crossing`` finds the table worth building.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
 truncation bound and the tilted weight share, rest on one lower tail,
@@ -438,16 +439,33 @@ def _crossing_grid(params: ModelParams, grid: Grid) -> tuple[float, int, int]:
     return lo, intervals + 1, min(intervals, math.floor(reach / h)) + 1
 
 
-def _crossing_table_work(params: ModelParams, grid: Grid, n_steps: int) -> tuple[float, float]:
-    """(FFT points transformed, bytes held) of the ``_FirstCrossing`` table, known before it is built.
+# Estimated one-core seconds per FFT point of one step of the first-crossing
+# table: 25-57 ns measured on a 2-vCPU VM (u = 0-50, c = 0.5-2, delta =
+# 0.05-0.1).  And the most bytes a table may take.
+_TABLE_POINT_S = 40e-9
+_TABLE_MAX_BYTES = 2**25
 
-    Each of its n_steps - 1 steps transforms N + K - 1 points, K the kept
-    lags of a kernel row cut at ``_CROSSING_REACH`` standard deviations; it
-    holds its cells and a dozen arrays of that length.
+
+def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, seconds: float):
+    """The ``_FirstCrossing`` table up to step n_steps, or None where it is not worth building.
+
+    Before building, its time and memory are estimated from u, c, delta and
+    n_steps: each of its n_steps - 1 steps transforms N + K - 1 points, K
+    the kept lags of a kernel row cut at ``_CROSSING_REACH`` standard
+    deviations, and it holds its cells and a dozen arrays of that length (its
+    time grows as u^2 / delta^1.5).  None where the time reaches ``seconds``,
+    where the bytes exceed ``_TABLE_MAX_BYTES``, or where the table's mass
+    balance fails.
     """
     _, n_nodes, n_kept = _crossing_grid(params, grid)
     points = n_nodes + 2.0 * _CROSSING_REACH / _CROSSING_SPACING
-    return (n_steps - 1) * points, 8.0 * ((n_steps - 1) * n_kept + 12 * points)
+    nbytes = 8.0 * ((n_steps - 1) * n_kept + 12 * points)
+    if (n_steps - 1) * points * _TABLE_POINT_S >= seconds or nbytes > _TABLE_MAX_BYTES:
+        return None
+    try:
+        return _FirstCrossing(params, grid, n_steps)
+    except QuadratureMassError:
+        return None
 
 
 class _FirstCrossing:

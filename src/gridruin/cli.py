@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--c", type=float, required=True)
     pr.add_argument("--u", type=float, required=True)
     pr.add_argument("--delta", type=float, required=True)
-    pr.add_argument("--delta2", type=float, default=None, help="second grid step (default delta/2)")
     pr.add_argument("--n", type=int, default=100_000)
     _add_common(pr)
 
@@ -259,7 +258,7 @@ def cmd_validate(args) -> int:
 def cmd_ruintime(args) -> int:
     params = ModelParams(c=args.c, u=args.u)
     vp = _variant_params(args)
-    delta2 = args.delta2 if args.delta2 is not None else args.delta / 2.0
+    delta2 = args.delta / 2.0
 
     def sample(delta):
         return estimators.ruin_time_distribution(

@@ -33,10 +33,10 @@ import numpy as np
 from .cache import ConstantCache
 from .estimators import _VARIANTS, _variant_value
 from .model import (
-    _MAX_NORMALS,
     Grid,
     ModelParams,
     VariantParams,
+    _check_normals,
     _mean_se,
     _run_blocks,
     _steps_in,
@@ -298,11 +298,7 @@ def _estimate(key: ConstantKey):
     n_side = Grid(eta).points(trunc)
     two_sided = spec.slope is None
     points = 2 * n_side if two_sided else n_side
-    if n * points > _MAX_NORMALS:
-        raise ValueError(
-            f"{n} samples of {points:.3g} field points may draw {n * float(points):.3g} normals, "
-            f"more than the limit of {_MAX_NORMALS:.3g}"
-        )
+    _check_normals(n, "samples", points, "field points")
     slope = 1.0 if two_sided else spec.slope(p)
     levels = eta * np.arange(-n_side if two_sided else 0, n_side + 1)
     outer = np.abs(levels) > 0.9 * trunc

@@ -49,7 +49,7 @@ of u.  Until then their detectors keep the state of point 0 and their
 barrier is u, so the path before tau_1 counts only through tau_1 and
 S_{tau_1 - 1}.  The law of that pair under drift +c, up to the path's last
 step, is tabulated once per call on the DP oracle's quadrature
-(``analytic._FirstCrossing``).  A path draws its cell and its level
+(``analytic._first_crossing``).  A path draws its cell and its level
 S_{tau_1} from it with two uniforms, is examined at tau_1 from the
 detector's state at point 0, and walks on from there, its first chunk
 spanning only the variant's lead, the fewest further points at which it
@@ -70,20 +70,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import (
-    QuadratureMassError,
-    _crossing_table_work,
-    _FirstCrossing,
-    _ruin_time_scale,
-    crossing_after,
-    norm_sf,
-)
+from .analytic import _first_crossing, _ruin_time_scale, crossing_after, norm_sf
 from .model import (
-    _MAX_NORMALS,
     Grid,
     ModelParams,
     VariantParams,
     _check_horizon,
+    _check_normals,
     _mean_se,
     _run_blocks,
     _warn,
@@ -170,7 +163,7 @@ def _cumulative_step(levels, u, k, count, scratch):
 # map from the parameter to the fewest points after the first crossing tau_1
 # of u at which a path can qualify: such a variant has barrier u and keeps its
 # state at point 0 until S first exceeds u, so its tilted paths may start at
-# tau_1, drawn from ``_FirstCrossing``.  Classical has both properties but
+# tau_1, drawn from the first-crossing table.  Classical has both properties but
 # keeps its walk, the Monte Carlo check on the DP whose law the table is.  The
 # keys map (c, delta, p), p the variant's parameter, to [(kind, eta, extra key
 # fields)], eta = 2 c^2 delta the limit field's step.
@@ -214,14 +207,10 @@ _CHUNK = 16
 
 
 # Estimated one-core seconds per path step of the walk to the first
-# crossing, and per FFT point of one step of the first-crossing table; they
-# decide which of the two a tilted run uses.  Measured on a 2-vCPU VM: 31-51
-# ns per walked step (Parisian and cumulative, u = 3-30, c = 1, delta = 0.1)
-# and 25-57 ns per table point (u = 0-50, c = 0.5-2, delta = 0.05-0.1).
+# crossing, against which ``analytic._first_crossing`` weighs the table that
+# replaces it: 31-51 ns measured on a 2-vCPU VM (Parisian and cumulative, u =
+# 3-30, c = 1, delta = 0.1).
 _WALK_STEP_S = 35e-9
-_TABLE_POINT_S = 40e-9
-# Most bytes a first-crossing table may take.
-_TABLE_MAX_BYTES = 2**25
 
 
 def _setup(variant, params, grid, variant_params, horizon, n, tilted):
@@ -234,8 +223,10 @@ def _setup(variant, params, grid, variant_params, horizon, n, tilted):
     A ``tilted`` run of a variant whose barrier is u, whose weights relative to
     exp(-2cu) are at most 1, is refused where exp(-2cu) is below the smallest
     normal double.  The start is None where the paths walk from point 0 (see
-    ``_crossing_table``), else (table, lead): the ``_FirstCrossing`` law its
-    tilted paths start from, and the variant's lead clamped to [1, _CHUNK].
+    ``analytic._first_crossing``), else (table, lead): the first-crossing law
+    its tilted paths start from, and the variant's lead clamped to [1, _CHUNK].
+    The table is built where it takes under half the walk's time, a choice
+    that depends on the request alone, never on the thread count.
     """
     p = _variant_value(variant, variant_params)
     _, step, initial, windowed, lead, _ = _VARIANTS[variant]
@@ -246,11 +237,7 @@ def _setup(variant, params, grid, variant_params, horizon, n, tilted):
     if windowed:
         p = grid.points(p) + 1
         n_steps += p - 1
-    if n * n_steps > _MAX_NORMALS:
-        raise ValueError(
-            f"{n} paths of {n_steps:.3g} steps may draw {n * float(n_steps):.3g} normals, "
-            f"more than the limit of {_MAX_NORMALS:.3g}"
-        )
+    _check_normals(n, "paths", n_steps, "steps")
     log_scale = -2.0 * params.c * params.u
     if tilted and variant != "reflected" and math.exp(log_scale) < sys.float_info.min:
         raise RuntimeError(
@@ -262,34 +249,18 @@ def _setup(variant, params, grid, variant_params, horizon, n, tilted):
             f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
             "variance, so the standard error does not measure the error"
         )
-    table = _crossing_table(params, grid, n_steps, n) if tilted and lead else None
+    table = None
+    if tilted and lead:
+        # the walk to the first crossing takes about n u / (c delta) steps; its
+        # blocks share the cores while the table is built on one
+        walk_steps = n * min(n_steps, params.u / (params.c * grid.delta) + 1.0)
+        table = _first_crossing(params, grid, n_steps, 0.5 * walk_steps * _WALK_STEP_S)
     start = None if table is None else (table, min(max(lead(p), 1), _CHUNK))
 
     def detect(levels, state, scratch):
         return step(levels, params.u, p, state, scratch)
 
     return detect, initial, n_steps, start
-
-
-def _crossing_table(params, grid, n_steps, n):
-    """The ``_FirstCrossing`` table for n tilted paths of n_steps, or None where they walk.
-
-    Before building, the table's time and memory are estimated from u, c,
-    delta and the horizon (its time grows as u^2 / delta^1.5), and the time
-    of the walk it replaces from n as well (n u / (c delta) steps).  The
-    walk's blocks share the cores while the table is built on one, so the
-    table is built where it takes under half the walk's time, and at most
-    ``_TABLE_MAX_BYTES``.  The choice depends on the request alone, never on
-    the thread count.  A table whose mass balance fails is not used either.
-    """
-    points, nbytes = _crossing_table_work(params, grid, n_steps)
-    walk_steps = n * min(n_steps, params.u / (params.c * grid.delta) + 1.0)
-    if 2.0 * points * _TABLE_POINT_S >= walk_steps * _WALK_STEP_S or nbytes > _TABLE_MAX_BYTES:
-        return None
-    try:
-        return _FirstCrossing(params, grid, n_steps)
-    except QuadratureMassError:
-        return None
 
 
 # Ruined paths whose weights are evaluated at once.  Every temporary of a

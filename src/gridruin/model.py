@@ -57,6 +57,15 @@ _STREAM_LAYOUT = "sfc64-1"
 _MAX_NORMALS = 2**40
 
 
+def _check_normals(n: int, rows: str, width: int, unit: str) -> None:
+    """Refuse, before the first draw, n ``rows`` of ``width`` normals that exceed ``_MAX_NORMALS``."""
+    if n * width > _MAX_NORMALS:
+        raise ValueError(
+            f"{n} {rows} of {width:.3g} {unit} may draw {n * float(width):.3g} normals, "
+            f"more than the limit of {_MAX_NORMALS:.3g}"
+        )
+
+
 def _steps_in(length: float, step: float) -> float:
     """``length / step``, refused when a finite length holds more steps than a float can count."""
     steps = length / step
@@ -129,8 +138,11 @@ class VariantParams:
         if self.parisian_T is not None and not (0.0 <= self.parisian_T < math.inf):
             raise ValueError(f"parisian_T must be nonnegative and finite, got {self.parisian_T}")
         k = self.cumulative_k
-        if k is not None and not (k >= 0 and float(k).is_integer()):
-            raise ValueError(f"cumulative_k must be a nonnegative whole number, got {k}")
+        if k is not None:
+            if not (k >= 0 and float(k).is_integer()):
+                raise ValueError(f"cumulative_k must be a nonnegative whole number, got {k}")
+            # an int: k also counts the points of the first chunk after the first crossing
+            object.__setattr__(self, "cumulative_k", int(k))
 
 
 def make_rng(seed: int, replicate_id: int) -> np.random.Generator:

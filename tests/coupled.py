@@ -12,12 +12,13 @@ the first crossing of u.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 
 from gridruin import estimators, model
 from gridruin.constants import _walk
-from gridruin.model import Grid, default_horizon
+from gridruin.model import Grid
 
 
 def whole_paths(delta, drift, n_steps, n_paths, rng):
@@ -81,20 +82,10 @@ def detect(variant, levels, u, p=None, weigh=None, start=1):
 def walked_estimate(variant, params, grid, variant_params, n, seed):
     """(value, std_error) of the tilted estimate at the default horizon, every path walked from S_0 = 0.
 
-    The same blocks, streams and weights as ``estimators.estimate``, without
-    the first-crossing table: the sampler the Parisian and cumulative
-    variants used before their paths started at the first crossing of u.
+    ``estimators.estimate`` with no first-crossing table: the sampler the
+    Parisian and cumulative variants used before their paths started at the
+    first crossing of u.
     """
-    detect, initial, n_steps, _ = estimators._setup(
-        variant, params, grid, variant_params, default_horizon(params), n, tilted=True
-    )
-
-    def worker(m, rng, scratch):
-        _, _, w = estimators._weighted_block(
-            detect, initial, grid, params, params.c, n_steps, m, rng, scratch
-        )
-        return float(w.sum()), float((w * w).sum())
-
-    mean, se = model._mean_se(model._run_blocks(n, seed, worker), n)
-    scale = math.exp(-2.0 * params.c * params.u)
-    return mean * scale, se * scale
+    with mock.patch.object(estimators, "_first_crossing", lambda *args: None):
+        est = estimators.estimate(variant, params, grid, variant_params, n=n, seed=seed)
+    return est.value, est.std_error

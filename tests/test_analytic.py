@@ -406,6 +406,30 @@ class TestFirstCrossing:
         with pytest.raises(QuadratureMassError, match="mass balance"):
             _FirstCrossing(p, g, n)
 
+    def test_one_function_decides_on_the_table(self):
+        # the table's cost estimate, byte cap and mass-balance fallback live in
+        # analytic._first_crossing alone; the estimators hand it a time budget
+        package = Path(analytic.__file__).parent
+        catching, reading = set(), set()
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                where = f"{where.split('.')[0]}.{getattr(node, 'name', 'lambda')}"
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if "QuadratureMassError" in ast.unparse(node.type):
+                    catching.add(where)
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if name in ("_TABLE_POINT_S", "_TABLE_MAX_BYTES") and isinstance(node.ctx, ast.Load):
+                reading.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        for path in sorted(package.glob("*.py")):
+            visit(ast.parse(path.read_text()), path.stem)
+        assert catching == reading == {"analytic._first_crossing"}
+        text = (package / "estimators.py").read_text()
+        assert "_FirstCrossing" not in text and "QuadratureMassError" not in text
+
     def test_grid_follows_the_spacing_rule(self):
         # the benchmark's op: 40 units of state at h <= sqrt(0.1)/16 = 0.0198
         lo, n_nodes, n_kept = _crossing_grid(ModelParams(c=1.0, u=10.0), Grid(0.1))

@@ -513,8 +513,12 @@ def test_weights_out_of_double_range_exit_numerical(argv, capsys):
         (["constant", "--kind", "pickands_diff", "--eta", "0.5", "--n", "100"], None),
         (["validate", "--c", "1", "--u", "4", "--delta", "0.1", "--method", "tilted"], None),
         (["validate", "--c", "1", "--u", "4", "--delta", "0.1"], "method = tilted\n"),
+        (["ruin-time", "--c", "1", "--u", "10", "--delta", "0.1", "--n", "100", "--delta2", "0.05"],
+         None),
+        (["ruin-time", "--c", "1", "--u", "10", "--delta", "0.1", "--n", "100"], "delta2 = 0.05\n"),
     ],
-    ids=["constant-kind", "validate-flag", "validate-config-key"],
+    ids=["constant-kind", "validate-flag", "validate-config-key", "ruin-time-delta2-flag",
+         "ruin-time-delta2-config-key"],
 )
 def test_removed_options_are_config_errors(argv, config, tmp_path):
     if config is not None:

@@ -221,7 +221,7 @@ class TestEstimate:
             pytest.fail("a stream or table was built for a result certain to underflow")
 
         monkeypatch.setattr(model, "make_rng", must_not_run)
-        monkeypatch.setattr(estimators, "_FirstCrossing", must_not_run)
+        monkeypatch.setattr(estimators, "_first_crossing", must_not_run)
         p, g = ModelParams(c=1.0, u=1e6), Grid(0.1)
         with pytest.raises(RuntimeError, match="double-precision underflow"):
             if route == "estimate":
@@ -628,25 +628,44 @@ class TestFirstCrossingStart:
         est = estimate("parisian", p, g, PARISIAN, n=100, seed=38)
         assert (est.value, est.std_error) == walked_estimate("parisian", p, g, PARISIAN, 100, 38)
 
-    def test_unbalanced_table_is_not_used(self):
+    def test_whole_float_k_runs_as_its_int(self):
+        # VariantParams stores k = 2.0 as 2: a table-started path's first chunk
+        # spans k points, which a float cannot size
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        float_k = VariantParams(cumulative_k=2.0)
+        assert estimators._setup("cumulative", p, g, float_k, default_horizon(p), 40_000, True)[3]
+        assert (estimate("cumulative", p, g, float_k, n=40_000, seed=41)
+                == estimate("cumulative", p, g, CUMULATIVE, n=40_000, seed=41))
+        for got, want in zip(ruin_time_distribution("cumulative", p, g, float_k, n=20_000, seed=42),
+                             ruin_time_distribution("cumulative", p, g, CUMULATIVE, n=20_000, seed=42)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_unbalanced_table_is_not_used(self, monkeypatch):
         # at u = 1 and each (c, delta) below the drift +c balance is off by
         # 1.0-1.1e-7, beyond the DP's tolerance: the paths walk although a
         # table costs less
-        for c, delta in [(0.1, 1.0), (0.25, 0.5), (0.25, 1.0)]:
-            p, g = ModelParams(c=c, u=1.0), Grid(delta)
-            n_steps = g.n_steps_for(default_horizon(p))
+        cases = [(ModelParams(c=c, u=1.0), Grid(delta))
+                 for c, delta in [(0.1, 1.0), (0.25, 0.5), (0.25, 1.0)]]
+
+        def start(p, g):
+            horizon = default_horizon(p)
+            return estimators._setup("cumulative", p, g, CUMULATIVE, horizon, 100_000, True)[3]
+
+        for p, g in cases:
             with pytest.raises(analytic.QuadratureMassError):
-                _FirstCrossing(p, g, n_steps)
-            points, _ = analytic._crossing_table_work(p, g, n_steps)
-            walk_steps = 100_000 * min(n_steps, p.u / (c * delta) + 1)
-            assert 2 * points * estimators._TABLE_POINT_S < walk_steps * estimators._WALK_STEP_S, (c, delta)
-            assert estimators._crossing_table(p, g, n_steps, 100_000) is None, (c, delta)
+                _FirstCrossing(p, g, g.n_steps_for(default_horizon(p)))
+            assert start(p, g) is None, (p, g)
+        # a table that balanced would be built: its cost and bytes pass
+        table = object()
+        monkeypatch.setattr(analytic, "_FirstCrossing", lambda *args: table)
+        for p, g in cases:
+            assert start(p, g)[0] is table, (p, g)
 
     def test_ruin_times_agree_with_the_full_walk(self, monkeypatch):
         # the ruin index of a path started at tau_1 counts from point 0
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
         s, w = ruin_time_distribution("cumulative", p, g, CUMULATIVE, n=20_000, seed=39)
-        monkeypatch.setattr(estimators, "_crossing_table", lambda *args: None)
+        monkeypatch.setattr(estimators, "_first_crossing", lambda *args: None)
         s0, w0 = ruin_time_distribution("cumulative", p, g, CUMULATIVE, n=20_000, seed=40)
         mean, mean0 = np.average(s, weights=w), np.average(s0, weights=w0)
         se = math.hypot(s.std() / math.sqrt(s.size), s0.std() / math.sqrt(s0.size))
