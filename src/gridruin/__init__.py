@@ -6,7 +6,6 @@ gamma-reflected, Parisian and cumulative Parisian.
 """
 
 from .analytic import (
-    DpOracleConfig,
     crossing_after,
     dp_classical_ruin,
     psi_inf,
@@ -49,7 +48,6 @@ __all__ = [
     "crossing_after",
     "ruin_time_cdf_approx",
     "dp_classical_ruin",
-    "DpOracleConfig",
     "ConstantKey",
     "ConstantValue",
     "ConstantCache",

@@ -1,19 +1,19 @@
 """Closed-form probabilities and a dynamic-programming oracle.
 
 The DP oracle computes the classical grid ruin probability by propagating the
-sub-density of the random walk restricted below the barrier, which gives an
-independent deterministic cross-check for the Monte Carlo estimators.  On its
-uniform state grid the one-step kernel is a Toeplitz matrix times the
-quadrature weights, so each step is one FFT convolution with a fixed kernel
+sub-density of the walk tilted to drift +c, restricted below the barrier,
+which gives an independent deterministic cross-check for the Monte Carlo
+estimators.  Each first crossing of u counts with its likelihood ratio, so
+the result's quadrature error and round-off are relative to it at any u.  On
+a uniform state grid of [-12/c, u] (``_crossing_grid``) with Gregory's
+end-corrected trapezoid weights, the one-step kernel is a Toeplitz matrix
+times the weights, so each step is one FFT convolution with a fixed kernel
 row: O(N log N) time per step and O(N) memory for N state points.  The row
 keeps only the K lags whose weight exceeds ``_ROW_CUT`` of its peak, within
 about 9.6 standard deviations of the increment's mean, so a step transforms
-N + K - 1 points rather than 2N - 1.  The state floor depends on u and c
-only, not on the horizon, and a result below ``_RESOLVED_FLOOR``, where the
-FFT's round-off is no longer small against it, is refused.  The same
-quadrature, run under drift +c, tabulates the law of the first crossing of
-u and the level before it (``_FirstCrossing``), from which the tilted
-Parisian and cumulative estimators start their paths where
+N + K - 1 points rather than 2N - 1.  The same sweep tabulates the law of
+the first crossing of u and the level before it (``_FirstCrossing``), from
+which the tilted Parisian and cumulative estimators start their paths where
 ``_first_crossing`` finds the table worth building.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
@@ -38,7 +38,6 @@ __all__ = [
     "psi_inf",
     "crossing_after",
     "ruin_time_cdf_approx",
-    "DpOracleConfig",
     "dp_classical_ruin",
     "QuadratureMassError",
 ]
@@ -226,7 +225,7 @@ def _ruin_time_scale(params: ModelParams):
     return lambda tau: scale * (tau - center)
 
 
-# Largest |total probability - 1| the DP oracle accepts.
+# Largest |total probability - 1| the DP sweep accepts.
 _MASS_TOLERANCE = 1e-7
 
 # Kernel-row entries at or below this share of the row's peak are dropped.  A
@@ -237,42 +236,20 @@ _MASS_TOLERANCE = 1e-7
 # is 1-2e-16 absolute: the cut sits far below it.
 _ROW_CUT = 1e-20
 
-# Smallest ruin probability the recursion reports.  Its absolute round-off,
-# measured against the dense kernel at u = 8-20 (c = 1, delta = 0.1), is at
-# most 2e-16, so a result above this floor carries at most 2e-4 of relative
-# round-off; below it the value can be meaningless or even negative.
-_RESOLVED_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class DpOracleConfig:
-    """Quadrature configuration for the DP oracle: nodes of the state grid."""
-
-    state_points: int = 2048
-
-    def __post_init__(self):
-        if self.state_points < 64:
-            raise ValueError(f"state_points must be >= 64, got {self.state_points}")
+# Gregory's end-corrected trapezoid weights (m = 8) of the first eight nodes,
+# in units of the node spacing, as numerators over 10!; the last eight take
+# them mirrored.  They are the trapezoid's 1/2, 1, ..., 1 plus d_j, where for
+# n < 8 sum_j d_j j^n is B_{n+1} / (n + 1) (B the Bernoulli numbers) if n is
+# odd and 0 if even, so the rule integrates polynomials of degree 7 exactly;
+# inside it is the trapezoid rule, exponentially accurate on an analytic
+# integrand (Trefethen & Weideman 2014, SIAM Rev. 56:385; Fornberg 2021, SIAM
+# Rev. 63:167).  All eight are positive.
+_GREGORY = np.array([1070017, 5537111, 932517, 6527875,
+                     1494755, 4641093, 3349879, 3662753]) / 3628800.0
 
 
 class QuadratureMassError(RuntimeError):
-    """Raised when the DP oracle's result cannot be trusted.
-
-    Either the state grid lost probability mass beyond tolerance, or the ruin
-    probability is below what the recursion's round-off lets it resolve.
-    """
-
-
-def _default_state_lo(params: ModelParams) -> float:
-    """Lower truncation of the walk state, u - 25/c - 5, always below the barrier u.
-
-    Mass leaving below it is counted as survival.  Since exp(2c S_n) is a
-    martingale, a path from the floor reaches u with probability at most
-    exp(-2c(u - state_lo)) = exp(-50 - 10c) < 2e-22, which bounds the bias of
-    the ruin probability whatever the horizon.  The floor does not move with
-    the horizon, so neither does the node spacing.
-    """
-    return params.u - 25.0 / params.c - 5.0
+    """Raised when the DP sweep's probability mass balance fails ``_MASS_TOLERANCE``."""
 
 
 def _fft_length(n: int) -> int:
@@ -289,10 +266,11 @@ def _fft_length(n: int) -> int:
 
 @dataclass(frozen=True)
 class _Quadrature:
-    """One DP step on a node grid: its nodes and weights, FFT kernel, exit masses and first step."""
+    """One step of the drift +c walk on ``_crossing_grid``'s nodes: weights, kernel, exits, step 1."""
 
     x: np.ndarray  # the nodes, lo .. u
-    w: np.ndarray  # composite Simpson weights
+    w: np.ndarray  # Gregory's weights
+    kept: slice  # the nodes that can send mass across u
     n_fft: int
     row_hat: np.ndarray  # the transform of the cut kernel row
     middle: slice  # the convolution's outputs that fall on the nodes
@@ -326,21 +304,19 @@ class _Quadrature:
         return ruin
 
 
-def _quadrature(u, lo, drift, delta, n_nodes) -> _Quadrature:
-    """The quadrature of one step N(drift delta, delta) on ``n_nodes`` (odd) nodes of [lo, u].
+def _quadrature(params: ModelParams, grid: Grid) -> _Quadrature:
+    """The quadrature of one step N(c delta, delta) on the nodes ``_crossing_grid`` lays on [lo, u].
 
     A step pushes a sub-density f at the nodes forward as
     ``irfft(rfft(w * f, n_fft) * row_hat, n_fft)[middle]``.
     """
-    sigma = math.sqrt(delta)
-    # Composite Simpson weights (odd node count).  Trapezoid weights leave an
-    # O(h^2) error from the positive density at the barrier endpoint, too
-    # coarse for the 1e-6 self-convergence contract at feasible node counts.
+    u, mean, sigma = params.u, params.c * grid.delta, math.sqrt(grid.delta)
+    lo, n_nodes, n_kept = _crossing_grid(params, grid)
     x = np.linspace(lo, u, n_nodes)
     h = x[1] - x[0]
-    w = np.full(n_nodes, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
+    w = np.full(n_nodes, h)
+    w[:_GREGORY.size] = _GREGORY * h
+    w[-_GREGORY.size:] = _GREGORY[::-1] * h
 
     # One-step transition f_i <- sum_j row[i - j] w_j f_j over the lags
     # i - j = -(N-1) .. N-1, keeping the contiguous run first .. last above
@@ -350,7 +326,7 @@ def _quadrature(u, lo, drift, delta, n_nodes) -> _Quadrature:
     # convolution of w f with the K kept entries, free of wrap-around for any
     # FFT length >= N + K - 1.
     lags = np.arange(1 - n_nodes, n_nodes)
-    row = norm_pdf((lags * h - drift * delta) / sigma) / sigma
+    row = norm_pdf((lags * h - mean) / sigma) / sigma
     kept = np.flatnonzero((row > _ROW_CUT * row.max()) | (lags == 0))
     row = row[kept[0]:kept[-1] + 1]
     first = lags[kept[0]]
@@ -358,39 +334,45 @@ def _quadrature(u, lo, drift, delta, n_nodes) -> _Quadrature:
     return _Quadrature(
         x=x,
         w=w,
+        kept=slice(n_nodes - n_kept, None),
         n_fft=n_fft,
         row_hat=np.fft.rfft(row, n_fft),
         middle=slice(-first, n_nodes - first),
-        p_ruin_from=norm_sf((u - x - drift * delta) / sigma) * w,
-        p_floor_from=norm_cdf((lo - x - drift * delta) / sigma) * w,
+        p_ruin_from=norm_sf((u - x - mean) / sigma) * w,
+        p_floor_from=norm_cdf((lo - x - mean) / sigma) * w,
         # the first step starts from the point mass at 0, no quadrature needed
-        ruin=float(norm_sf((u - drift * delta) / sigma)),
-        below=float(norm_cdf((lo - drift * delta) / sigma)),
-        f=norm_pdf((x - drift * delta) / sigma) / sigma,
+        ruin=float(norm_sf((u - mean) / sigma)),
+        below=float(norm_cdf((lo - mean) / sigma)),
+        f=norm_pdf((x - mean) / sigma) / sigma,
     )
 
 
-def dp_classical_ruin(
-    params: ModelParams,
-    grid: Grid,
-    n_steps: int,
-    cfg: DpOracleConfig = DpOracleConfig(),
-) -> float:
+def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
     """P(max_{0<=n<=N} S_n > u) by quadrature convolution, deterministic.
 
-    The sub-density of S_n restricted to (state_lo, u] is pushed forward one
-    step at a time through the Gaussian increment kernel on a uniform state
-    grid with composite Simpson weights.  The kernel entry for states x_i, x_j
-    depends only on i - j, so a step is the convolution of the weighted
-    density with one kernel row, done by FFT with the row's transform computed
-    once per call: O(N log N) per step and O(N) memory, no N x N matrix.  The
-    row is cut to the K lags whose weight exceeds ``_ROW_CUT`` of its peak
-    (widened to lag 0), so each transform has length N + K - 1 or just above.
-    Mass crossing the barrier accumulates into the ruin probability and mass
-    leaving through the horizon-free floor ``_default_state_lo`` is tracked
-    (``_Quadrature.sweep``).  Raises ``QuadratureMassError`` if the total
-    balance fails ``_MASS_TOLERANCE``, or if a result the recursion produced
-    (more than one step) is below ``_RESOLVED_FLOOR``.
+    The walk S has drift -c; the sweep runs its tilt of drift +c, the
+    first-crossing table's own (``_Quadrature.sweep``).  A -c step of size z
+    has likelihood exp(-2cz) against a +c step, so a +c path first crossing
+    u at step n >= 2 from S_{n-1} = x counts exp(-2cx) Phi-bar((u - x + c
+    delta) / sqrt(delta)), and
+
+        psi = Phi-bar((u + c delta) / sqrt(delta))
+              + exp(-2cu) sum_{n >= 2} sum_j g_j f_{n-1}(x_j),
+        g_j = w_j exp(2c(u - x_j)) Phi-bar((u - x_j + c delta) / sqrt(delta)),
+
+    with f_{n-1} the +c sub-density below u at the nodes, each step read
+    through ``sweep``'s ``record`` hook.  g is at most the +c crossing
+    weight, so the sum's quadrature error and round-off are relative to psi
+    at any u.  The sub-density lives on a uniform grid of [-12/c, u]
+    (``_crossing_grid``) with Gregory's end-corrected weights; the kernel
+    entry for nodes x_i, x_j depends only on i - j, so a step is the
+    convolution of the weighted density with one kernel row, done by FFT
+    with the row's transform computed once per call: O(N log N) per step
+    and O(N) memory, no N x N matrix.  The row is cut to the K lags whose
+    weight exceeds ``_ROW_CUT`` of its peak (widened to lag 0), so each
+    transform has length N + K - 1 or just above.  Raises
+    ``QuadratureMassError`` if the +c walk's balance fails
+    ``_MASS_TOLERANCE``.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -399,21 +381,23 @@ def dp_classical_ruin(
     if n_steps == 0:
         return 0.0
 
-    ruin = _quadrature(u, _default_state_lo(params), -c, delta, cfg.state_points | 1).sweep(n_steps)
-    # one step is the closed form above; later steps carry the FFT's round-off
-    if n_steps > 1 and ruin < _RESOLVED_FLOOR:
-        raise QuadratureMassError(
-            f"ruin probability {ruin:.3e} is below {_RESOLVED_FLOOR:g}, where the "
-            "recursion's round-off is no longer small against it"
-        )
-    return ruin
+    sigma = math.sqrt(delta)
+    q = _quadrature(params, grid)
+    x = q.x[q.kept]
+    # in log space: exp(2c(u - x)) overflows where Phi-bar underflows, their product is at most 1
+    g = q.w[q.kept] * np.exp(2.0 * c * (u - x) + _log_ndtr((x - u - c * delta) / sigma))
+    tilted = []
+    q.sweep(n_steps, lambda i, f: tilted.append(g @ f[q.kept]))
+    return float(norm_sf((u + c * delta) / sigma)) + math.exp(-2.0 * c * u) * math.fsum(tilted)
 
 
-# Node spacing of the first-crossing table's state grid, as a share of the
-# step's standard deviation.  On fixed 2048-node grids the drift +c mass
-# balance met ``_MASS_TOLERANCE`` wherever h / sqrt(delta) <= 0.07, and failed
-# it (by 2e-7 to 3.7e-6) wherever h / sqrt(delta) >= 0.085.
-_CROSSING_SPACING = 1.0 / 16.0
+# Node spacing of the DP's state grid, as a share of the step's standard
+# deviation.  Under Gregory's weights the mass balance met
+# ``_MASS_TOLERANCE`` at sqrt(delta)/8 on all 80 cases (u, c, delta) of
+# {0, 1, 2, 4, 8} x {0.25, 0.5, 1, 2} x {0.05, 0.1, 0.5, 1} at the default
+# horizon, each within 1.7e-8 relative of its value at sqrt(delta)/32; at
+# sqrt(delta)/4 it failed 66 of them, by up to 1.4e-6.
+_CROSSING_SPACING = 1.0 / 8.0
 
 # Standard deviations of a step within which a node can send mass across u:
 # the kernel row's cut, sqrt(2 ln 1e20) = 9.6.  A node further below u - c
@@ -422,18 +406,19 @@ _CROSSING_REACH = math.sqrt(2.0 * math.log(1.0 / _ROW_CUT))
 
 
 def _crossing_grid(params: ModelParams, grid: Grid) -> tuple[float, int, int]:
-    """(floor, nodes, kept nodes) of the first-crossing table's state grid, known before it is built.
+    """(floor, nodes, kept nodes) of the DP's state grid, known before it is built.
 
     The floor is -12/c (S_0 = 0 <= u): under drift +c, exp(-2c S_n) is a
     martingale, so the walk dips below it with probability at most
     exp(-24) = 3.8e-11; that mass is counted as leaving, not lost, in the
-    balance.  The node count is the least odd one whose spacing is at
-    most ``_CROSSING_SPACING`` sqrt(delta); the kept nodes are those within
-    ``_CROSSING_REACH`` sqrt(delta) of u - c delta (and at most u).
+    balance.  The node count is the least one whose spacing is at most
+    ``_CROSSING_SPACING`` sqrt(delta), and at least 17, so that Gregory's
+    corrections at the two ends do not overlap; the kept nodes are those
+    within ``_CROSSING_REACH`` sqrt(delta) of u - c delta (and at most u).
     """
     lo = -12.0 / params.c
     sigma = math.sqrt(grid.delta)
-    intervals = 2 * math.ceil((params.u - lo) / (2.0 * _CROSSING_SPACING * sigma))
+    intervals = max(2 * _GREGORY.size, math.ceil((params.u - lo) / (_CROSSING_SPACING * sigma)))
     h = (params.u - lo) / intervals
     reach = _CROSSING_REACH * sigma + params.c * grid.delta
     return lo, intervals + 1, min(intervals, math.floor(reach / h)) + 1
@@ -472,32 +457,30 @@ class _FirstCrossing:
     """The law of (tau_1, S_{tau_1 - 1}) of the drift +c walk up to step n_steps, and its sampler.
 
     tau_1 is the walk's first step above u, from S_0 = 0.  Its cells are the
-    DP's own crossing integrand under drift +c: step 1 from the point mass
-    at 0, then for each later step n the kept Simpson nodes x_j,
-    ``p_ruin_from[j] * f[j]`` with f the sub-density of S_{n-1} below u.  x is
-    drawn from these nodes as a discrete law, so the sampler's bias is
-    Simpson's quadrature error of a smooth integrand (summing the cells
-    times the classical conditioned weight gave exp(2cu) times the
-    8192-node ``dp_classical_ruin`` to within 2.4e-7 at u = 10, c = 1,
-    delta = 0.1).  Raises ``QuadratureMassError`` if the walk's mass balance
+    DP's own crossing integrand: step 1 from the point mass at 0, then for
+    each later step n the kept nodes x_j, ``p_ruin_from[j] * f[j]`` with f
+    the sub-density of S_{n-1} below u.  x is drawn from these nodes as a
+    discrete law, so the sampler's bias is the quadrature error of a smooth
+    integrand under Gregory's weights (summing the cells times the classical
+    conditioned weight gave exp(2cu) times ``dp_classical_ruin`` at a
+    quarter of the spacing to within 3e-9 at u = 2-10, c = 0.5-1, delta =
+    0.05-0.1).  Raises ``QuadratureMassError`` if the walk's mass balance
     fails ``_MASS_TOLERANCE``.
     """
 
     def __init__(self, params: ModelParams, grid: Grid, n_steps: int):
-        u, c, delta = params.u, params.c, grid.delta
-        lo, n_nodes, n_kept = _crossing_grid(params, grid)
-        q = _quadrature(u, lo, c, delta, n_nodes)
-        kept = slice(n_nodes - n_kept, None)
-        p_cross = q.p_ruin_from[kept]
-        self.u, self.mean_step, self.sigma = u, c * delta, math.sqrt(delta)
-        self.x = q.x[kept]
+        q = _quadrature(params, grid)
+        p_cross = q.p_ruin_from[q.kept]
+        self.u, self.mean_step, self.sigma = params.u, params.c * grid.delta, math.sqrt(grid.delta)
+        self.x = q.x[q.kept]
         # Phi-bar((u - x - c delta) / sqrt(delta)) from cell 0's x = 0, then each kept node
-        self.tail = norm_sf((u - (np.append(0.0, self.x) + self.mean_step)) / self.sigma)
+        self.tail = norm_sf((self.u - (np.append(0.0, self.x) + self.mean_step)) / self.sigma)
         # cell 0 is (1, 0); cell 1 + i K + j is (i + 2, x_j), K kept nodes
+        n_kept = self.x.size
         self.cum = np.empty(1 + (n_steps - 1) * n_kept)
         self.cum[0] = q.ruin
         cells = self.cum[1:].reshape(n_steps - 1, n_kept)
-        q.sweep(n_steps, lambda i, f: np.multiply(p_cross, f[kept], out=cells[i]))
+        q.sweep(n_steps, lambda i, f: np.multiply(p_cross, f[q.kept], out=cells[i]))
         np.maximum(cells, 0.0, out=cells)  # the FFT's round-off can leave a cell below 0
         np.cumsum(self.cum, out=self.cum)
 

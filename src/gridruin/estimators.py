@@ -55,11 +55,12 @@ detector's state at point 0, and walks on from there, its first chunk
 spanning only the variant's lead, the fewest further points at which it
 can qualify: at u = 10, c = 1, delta = 0.1 it draws about 9 (Parisian, T =
 0.3) or 7 (cumulative, k = 2) normals instead of about 113.  The estimate is
-then unbiased up to the table's quadrature error, Simpson's error on a
-smooth integrand (2.4e-7 of the classical value there).  The table is built
-where it costs less than the walk it replaces.  Elsewhere paths walk from
-S_0 = 0, as do classical paths (the Monte Carlo check on that DP),
-reflected ones (which can ruin before tau_1) and every crude run.
+then unbiased up to the table's quadrature error, that of a smooth
+integrand under Gregory's weights (3e-9 of exp(2cu) times the classical
+value there).  The table is built where it costs less than the walk it
+replaces.  Elsewhere paths walk from S_0 = 0, as do classical paths (the
+Monte Carlo check on that DP), reflected ones (which can ruin before
+tau_1) and every crude run.
 """
 
 from __future__ import annotations

@@ -9,13 +9,13 @@ from scipy import special
 
 from gridruin import analytic
 from gridruin.analytic import (
-    DpOracleConfig,
+    _GREGORY,
     QuadratureMassError,
     _crossing_grid,
-    _default_state_lo,
     _FirstCrossing,
     _log_ndtr,
     _norm_isf,
+    _quadrature,
     crossing_after,
     dp_classical_ruin,
     norm_cdf,
@@ -187,21 +187,22 @@ class TestRuinTimeCdf:
             ruin_time_cdf_approx(1.0, ModelParams(c=c, u=u))
 
 
-def _dense_dp_ruin(params, grid, n_steps, state_points):
-    """Reference oracle: the same recursion with the one-step kernel as a dense matrix."""
+def _dense_dp_ruin(params, grid, n_steps):
+    """Reference oracle: the same tilted recursion with the one-step kernel as a dense matrix."""
     u, c, delta = params.u, params.c, grid.delta
     sigma = math.sqrt(delta)
-    x = np.linspace(_default_state_lo(params), u, state_points | 1)
+    lo, n_nodes, _ = _crossing_grid(params, grid)
+    x = np.linspace(lo, u, n_nodes)
     h = x[1] - x[0]
-    w = np.full(x.size, 2.0 * h / 3.0)
-    w[1::2] = 4.0 * h / 3.0
-    w[0] = w[-1] = h / 3.0
-    kernel = norm_pdf((x[:, None] - x[None, :] + c * delta) / sigma) / sigma * w[None, :]
-    p_ruin_from = norm_sf((u - x + c * delta) / sigma) * w
+    w = np.full(x.size, h)
+    w[:8], w[-8:] = _GREGORY * h, _GREGORY[::-1] * h
+    kernel = norm_pdf((x[:, None] - x[None, :] - c * delta) / sigma) / sigma * w[None, :]
+    # a +c path crossing from x counts exp(-2cx) P(a -c step from x ends above u)
+    crossing = w * np.exp(-2.0 * c * x) * norm_sf((u - x + c * delta) / sigma)
     ruin = float(norm_sf((u + c * delta) / sigma))
-    f = norm_pdf((x + c * delta) / sigma) / sigma
+    f = norm_pdf((x - c * delta) / sigma) / sigma
     for _ in range(n_steps - 1):
-        ruin += float(p_ruin_from @ f)
+        ruin += float(crossing @ f)
         f = kernel @ f
     return ruin
 
@@ -216,7 +217,7 @@ class TestDpOracle:
     def test_bits_pinned(self):
         # the quadrature's arithmetic, operation for operation
         val = dp_classical_ruin(ModelParams(c=1.0, u=3.0), Grid(0.1), 150)
-        assert val == 0.001715668233001776
+        assert val == 0.0017156681952196489
 
     def test_one_function_steps_the_quadrature(self):
         # the DP step loop and its mass balance live in _Quadrature.sweep
@@ -233,19 +234,44 @@ class TestDpOracle:
         ]
         assert stepping == ["sweep"]
 
+    def test_every_quadrature_takes_its_nodes_from_the_crossing_grid(self):
+        # the oracle and the table build one quadrature, from (params, grid)
+        # alone: no caller picks its own floor, drift or node count
+        tree = ast.parse(Path(analytic.__file__).read_text())
+        calls = [
+            ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_quadrature"
+        ]
+        assert calls == ["_quadrature(params, grid)"] * 2
+        (fn,) = [
+            node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_quadrature"
+        ]
+        assert [arg.arg for arg in fn.args.args] == ["params", "grid"]
+        assert "_crossing_grid(params, grid)" in ast.unparse(fn)
+
+    def test_gregory_weights_integrate_polynomials_exactly(self):
+        # the trapezoid's 1/2 + 7 at each end, moved between the eight nodes
+        assert np.all(_GREGORY > 0.0) and _GREGORY.sum() == pytest.approx(7.5, rel=1e-15)
+        q = _quadrature(ModelParams(c=1.0, u=1.0), Grid(0.1))
+        lo, u = q.x[0], q.x[-1]
+        for n in range(8):
+            exact = (u ** (n + 1) - lo ** (n + 1)) / (n + 1)
+            assert q.w @ q.x**n == pytest.approx(exact, rel=1e-12)
+
     @pytest.mark.parametrize(
         "u, c, delta, n_steps, recorded",
         [
-            (4.0, 1.0, 0.1, 100, 0.000228325615053529),
-            (2.0, 1.0, 0.05, 200, 0.014091232676201257),
-            (1.0, 0.5, 0.05, 400, 0.32172711806984566),
+            (4.0, 1.0, 0.1, 100, 0.0002283256100211591),
+            (2.0, 1.0, 0.05, 200, 0.014091231344569648),
+            (1.0, 0.5, 0.05, 400, 0.32172682328693625),
         ],
     )
     def test_recorded_values(self, u, c, delta, n_steps, recorded):
-        # _dense_dp_ruin at 2048 nodes on the horizon-free floor; the first two
-        # sit up to 1.9e-9 from perfbench/reference.py's DP_RECORDED, which was
-        # taken on the older, horizon-dependent floor.  A wrong lag sign or
-        # slice offset in the FFT step moves them by far more than 1e-9
+        # _dense_dp_ruin at the default spacing; within 3e-7 of
+        # perfbench/reference.py's DP_RECORDED, taken under Simpson's weights
+        # on the drift -c walk.  A wrong lag sign or slice offset in the FFT
+        # step moves them by far more than 1e-9
         val = dp_classical_ruin(ModelParams(c=c, u=u), Grid(delta), n_steps)
         assert abs(val - recorded) < 1e-9
 
@@ -258,42 +284,75 @@ class TestDpOracle:
             (1.0, 0.5, 0.05, 2048),  # the widest cut row of the benchmark's cases
         ],
     )
-    def test_matches_dense_kernel(self, u, c, delta, state_points):
+    def test_matches_dense_kernel(self, u, c, delta, state_points, monkeypatch):
         # FFT round-off is a few ulp of the largest term, and the cut row's
-        # dropped entries move the result by under 1e-18: far below 1e-12
+        # dropped entries move the result by under 1e-18: far below 1e-12.
+        # The spacing is set to give about state_points intervals
         p, g = ModelParams(c=c, u=u), Grid(delta)
+        spacing = (u + 12.0 / c) / (state_points * math.sqrt(delta))
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", spacing)
         n = g.n_steps_for(default_horizon(p))
-        val = dp_classical_ruin(p, g, n, DpOracleConfig(state_points=state_points))
-        assert abs(val - _dense_dp_ruin(p, g, n, state_points)) < 1e-12
+        val = dp_classical_ruin(p, g, n)
+        assert abs(val - _dense_dp_ruin(p, g, n)) < 1e-12
 
-    def test_memory_linear_in_state_points(self):
-        # a dense one-step kernel at 4097 nodes would take 134 MB
+    def test_memory_linear_in_state_points(self, monkeypatch):
+        # 5.7e3 nodes: a dense one-step kernel would take 257 MB
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 128.0)
+        _, n_nodes, _ = _crossing_grid(p, g)
         n = g.n_steps_for(default_horizon(p))
         tracemalloc.start()
         try:
-            dp_classical_ruin(p, g, n, DpOracleConfig(state_points=4096))
+            dp_classical_ruin(p, g, n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 8 * 4097
+        assert n_nodes > 5000 and peak < 100 * 8 * n_nodes
 
-    def test_long_horizon_converges_in_state_points(self):
+    def test_long_horizon_converges_in_state_points(self, monkeypatch):
         # the floor does not move with the horizon, so 1000 steps keep the
-        # node spacing of 100 (a horizon-dependent floor failed the mass
-        # check here at 4096 nodes)
+        # node spacing of 100
         p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
-        a = dp_classical_ruin(p, g, 1000, DpOracleConfig(state_points=4096))
-        b = dp_classical_ruin(p, g, 1000, DpOracleConfig(state_points=8192))
+        a = dp_classical_ruin(p, g, 1000)
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 16.0)
+        b = dp_classical_ruin(p, g, 1000)
         assert abs(a - b) < 1e-9
 
-    @pytest.mark.parametrize("u, c, delta", [(20.0, 1.0, 0.1), (1.0, 20.0, 1.0)])
-    def test_unresolved_probability_raises(self, u, c, delta):
-        # at u = 20 the recursion's round-off (about 2e-16) swamps the value;
-        # at c = 20, delta = 1 the cut row leaves out lag 0 unless widened
+    @pytest.mark.parametrize(
+        "u, c, delta, value",
+        [
+            # the dense -c recursion on a horizon-dependent floor gave 2.918e-18
+            (20.0, 1.0, 0.1, 2.918e-18),
+            # the cut row leaves out lag 0 here unless widened
+            (1.0, 20.0, 1.0, 3.279278e-98),
+        ],
+    )
+    def test_small_probability_resolved(self, u, c, delta, value, monkeypatch):
+        # the tilted sum's error is relative, so no value is too small to
+        # resolve: each holds to 1e-6 against a quarter of the spacing
         p, g = ModelParams(c=c, u=u), Grid(delta)
-        with pytest.raises(QuadratureMassError, match="below 1e-12"):
-            dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
+        n = g.n_steps_for(default_horizon(p))
+        val = dp_classical_ruin(p, g, n)
+        assert val == pytest.approx(value, rel=1e-4)
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 32.0)
+        assert val == pytest.approx(dp_classical_ruin(p, g, n), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "u, c, delta, fine",
+        # each value at sqrt(delta)/32; the drift -c sweep under Simpson's
+        # weights failed its balance at the first three and read the fourth
+        # 1.1e-5 off
+        [
+            (0.0, 0.5, 0.1, 0.7956596809900603),
+            (1.0, 0.25, 0.05, 0.561820388415538),
+            (4.0, 0.25, 0.1, 0.11381697145995817),
+            (8.0, 0.25, 0.05, 0.012652119932007178),
+        ],
+    )
+    def test_small_drift_balances_and_converges(self, u, c, delta, fine):
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        val = dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
+        assert val == pytest.approx(fine, rel=1e-6)
 
     def test_resolved_small_probability_returned(self):
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
@@ -310,11 +369,12 @@ class TestDpOracle:
         with pytest.warns(UserWarning):
             assert dp_classical_ruin(ModelParams(c=1.0, u=1.0), Grid(0.1), 0) == 0.0
 
-    def test_self_convergence_in_state_points(self):
+    def test_self_convergence_in_state_points(self, monkeypatch):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
         n = g.n_steps_for(default_horizon(p))
-        a = dp_classical_ruin(p, g, n, DpOracleConfig(state_points=2048))
-        b = dp_classical_ruin(p, g, n, DpOracleConfig(state_points=4096))
+        a = dp_classical_ruin(p, g, n)
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 16.0)
+        b = dp_classical_ruin(p, g, n)
         assert abs(a - b) < 1e-6
 
     def test_nondecreasing_in_steps_and_bounded(self):
@@ -342,15 +402,12 @@ class TestDpOracle:
             dp_classical_ruin(p, g, 10)
         assert caught[0].filename == __file__  # points at the caller of dp_classical_ruin
 
-    def test_under_resolved_state_grid_raises(self):
+    def test_under_resolved_state_grid_raises(self, monkeypatch):
         p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
         n = g.n_steps_for(default_horizon(p))
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 4.0)
         with pytest.raises(QuadratureMassError):
-            dp_classical_ruin(p, g, n, DpOracleConfig(state_points=64))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DpOracleConfig(state_points=32)
+            dp_classical_ruin(p, g, n)
 
     def test_pdf_normalization(self):
         x = np.linspace(-10, 10, 2001)
@@ -373,10 +430,10 @@ class TestFirstCrossing:
     @pytest.mark.parametrize("u", [2.0, 5.0, 10.0])
     @pytest.mark.parametrize("c", [0.5, 1.0])
     @pytest.mark.parametrize("delta", [0.05, 0.1])
-    def test_weighted_cells_match_dp_oracle(self, u, c, delta):
+    def test_weighted_cells_match_dp_oracle(self, u, c, delta, monkeypatch):
         # E+[w(S_{tau_1 - 1}); tau_1 <= N] = exp(2cu) psi_N with w the classical
-        # conditioned weight relative to exp(-2cu): the table's Simpson error
-        # read at most 2.4e-7 against the 8192-node oracle
+        # conditioned weight relative to exp(-2cu): the table's quadrature
+        # error read at most 3e-9 against the oracle at a quarter of its spacing
         p, g = ModelParams(c=c, u=u), Grid(delta)
         n = g.n_steps_for(default_horizon(p))
         mass, x = _cells(_FirstCrossing(p, g, n))
@@ -387,7 +444,8 @@ class TestFirstCrossing:
             weigh(x[i : i + _WEIGHT_ROWS], np.full(min(_WEIGHT_ROWS, x.size - i), u))
             for i in range(0, x.size, _WEIGHT_ROWS)
         ])
-        oracle = math.exp(2.0 * c * u) * dp_classical_ruin(p, g, n, DpOracleConfig(8192))
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 32.0)
+        oracle = math.exp(2.0 * c * u) * dp_classical_ruin(p, g, n)
         assert abs(float(mass @ w) - oracle) <= 1e-6
 
     @pytest.mark.parametrize(
@@ -396,13 +454,13 @@ class TestFirstCrossing:
          (30.0, 1.0, 0.1), (30.0, 0.5, 0.05)],
     )
     def test_mass_balance_under_the_spacing_rule(self, u, c, delta, monkeypatch):
-        # at h = sqrt(delta)/16 the balance holds; at sqrt(delta)/8 each of
-        # these fails it (by 1.4e-7 to 8.7e-7), so the rule is what holds it
+        # at h = sqrt(delta)/8 the balance holds; at sqrt(delta)/4 each of
+        # these fails it (by 1.9e-7 to 6.6e-7), so the rule is what holds it
         p, g = ModelParams(c=c, u=u), Grid(delta)
         n = g.n_steps_for(default_horizon(p))
         table = _FirstCrossing(p, g, n)
         assert 0.8 < table.cum[-1] <= 1.0 + 1e-7
-        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 8.0)
+        monkeypatch.setattr(analytic, "_CROSSING_SPACING", 1.0 / 4.0)
         with pytest.raises(QuadratureMassError, match="mass balance"):
             _FirstCrossing(p, g, n)
 
@@ -431,12 +489,14 @@ class TestFirstCrossing:
         assert "_FirstCrossing" not in text and "QuadratureMassError" not in text
 
     def test_grid_follows_the_spacing_rule(self):
-        # the benchmark's op: 40 units of state at h <= sqrt(0.1)/16 = 0.0198
+        # the benchmark's op: 22 units of state at h <= sqrt(0.1)/8 = 0.0395
         lo, n_nodes, n_kept = _crossing_grid(ModelParams(c=1.0, u=10.0), Grid(0.1))
-        assert lo == -12.0 and n_nodes % 2 == 1
+        assert lo == -12.0
         h = (10.0 - lo) / (n_nodes - 1)
-        assert h <= math.sqrt(0.1) / 16 < (10.0 - lo) / (n_nodes - 3)
+        assert h <= math.sqrt(0.1) / 8 < (10.0 - lo) / (n_nodes - 2)
         assert (n_kept - 1) * h <= 9.6 * math.sqrt(0.1) + 0.1 < n_kept * h
+        # a short grid keeps 17 nodes, so Gregory's two ends do not overlap
+        assert _crossing_grid(ModelParams(c=20.0, u=0.0), Grid(1.0))[1] == 17
 
     def test_sample(self):
         p, g = ModelParams(c=1.0, u=3.0), Grid(0.1)
