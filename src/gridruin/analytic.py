@@ -14,7 +14,7 @@ about 9.6 standard deviations of the increment's mean, so a step transforms
 N + K - 1 points rather than 2N - 1.  The same sweep tabulates the law of
 the first crossing of u and the level before it (``_FirstCrossing``), from
 which the tilted Parisian and cumulative estimators start their paths where
-``_first_crossing`` finds the table worth building.
+``_first_crossing`` counts less work for the table than for the walk it replaces.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
 truncation bound and the tilted weight share, rest on one lower tail,
@@ -424,28 +424,28 @@ def _crossing_grid(params: ModelParams, grid: Grid) -> tuple[float, int, int]:
     return lo, intervals + 1, min(intervals, math.floor(reach / h)) + 1
 
 
-# Estimated one-core seconds per FFT point of one step of the first-crossing
-# table: 25-57 ns measured on a 2-vCPU VM (u = 0-50, c = 0.5-2, delta =
-# 0.05-0.1).  And the most bytes a table may take.
-_TABLE_POINT_S = 40e-9
+# The most bytes a first-crossing table may take.
 _TABLE_MAX_BYTES = 2**25
 
 
-def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, seconds: float):
-    """The ``_FirstCrossing`` table up to step n_steps, or None where it is not worth building.
+def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int):
+    """The ``_FirstCrossing`` table for n paths up to step n_steps, or None where it is not worth it.
 
-    Before building, its time and memory are estimated from u, c, delta and
-    n_steps: each of its n_steps - 1 steps transforms N + K - 1 points, K
-    the kept lags of a kernel row cut at ``_CROSSING_REACH`` standard
-    deviations, and it holds its cells and a dozen arrays of that length (its
-    time grows as u^2 / delta^1.5).  None where the time reaches ``seconds``,
-    where the bytes exceed ``_TABLE_MAX_BYTES``, or where the table's mass
-    balance fails.
+    Each of its n_steps - 1 steps transforms N + K - 1 points, K the kept
+    lags of a kernel row cut at ``_CROSSING_REACH`` standard deviations (in
+    all, a count growing as u^2 / delta^1.5); the walk it replaces draws n
+    min(n_steps, u / (c delta) + 1) normals to the first crossing.  One point costs about one
+    normal (25-57 ns against 31-51 ns on a 2-vCPU VM), and the walk's blocks
+    share the cores while the table is built on one, so the table is built
+    where twice its points are fewer than the walk's normals.  None
+    elsewhere, where its cells and a dozen arrays of N + K points exceed
+    ``_TABLE_MAX_BYTES``, or where its mass balance fails.
     """
     _, n_nodes, n_kept = _crossing_grid(params, grid)
     points = n_nodes + 2.0 * _CROSSING_REACH / _CROSSING_SPACING
+    normals = n * min(n_steps, params.u / (params.c * grid.delta) + 1.0)
     nbytes = 8.0 * ((n_steps - 1) * n_kept + 12 * points)
-    if (n_steps - 1) * points * _TABLE_POINT_S >= seconds or nbytes > _TABLE_MAX_BYTES:
+    if 2.0 * (n_steps - 1) * points >= normals or nbytes > _TABLE_MAX_BYTES:
         return None
     try:
         return _FirstCrossing(params, grid, n_steps)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .cache import ConstantCache
 from .constants import ConstantValue, constant_for_model
 from .estimators import _unscaled, _variant_value, estimate
-from .model import Grid, ModelParams, VariantParams, default_horizon
+from .model import Grid, ModelParams, VariantParams, _check_blocks, default_horizon
 
 __all__ = ["Approximation", "RatioRow", "approx", "validate_ratio"]
 
@@ -92,12 +92,14 @@ def validate_ratio(
     default multiplier 1: at 1 the truncation bias can reach a few percent
     of exp(-2cu), which would contaminate the asymptotic comparison;
     doubling the window makes it negligible against the ratio tolerances.
+    A bad ``n`` or ``seed`` is refused before the constant is estimated.
     """
     u_values = list(u_values)
     if not u_values:
         raise ValueError("at least one u value is required")
     if any(b <= a for a, b in zip(u_values, u_values[1:])):
         raise ValueError("u values must be strictly increasing")
+    _check_blocks(n, seed)
     constant = constant_for_model(
         variant,
         ModelParams(c=c, u=u_values[0]),

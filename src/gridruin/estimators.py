@@ -57,14 +57,15 @@ can qualify: at u = 10, c = 1, delta = 0.1 it draws about 9 (Parisian, T =
 0.3) or 7 (cumulative, k = 2) normals instead of about 113.  The estimate is
 then unbiased up to the table's quadrature error, that of a smooth
 integrand under Gregory's weights (3e-9 of exp(2cu) times the classical
-value there).  The table is built where it costs less than the walk it
-replaces.  Elsewhere paths walk from S_0 = 0, as do classical paths (the
-Monte Carlo check on that DP), reflected ones (which can ruin before
-tau_1) and every crude run.
+value there).  The table is built where twice its FFT points are fewer
+than the walk's normals.  Elsewhere paths walk from S_0 = 0, as do
+classical paths (the Monte Carlo check on that DP), reflected ones (which
+can ruin before tau_1) and every crude run.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -76,6 +77,7 @@ from .model import (
     Grid,
     ModelParams,
     VariantParams,
+    _check_blocks,
     _check_horizon,
     _check_normals,
     _mean_se,
@@ -207,30 +209,25 @@ def _variant_value(variant: str, variant_params: VariantParams | None):
 _CHUNK = 16
 
 
-# Estimated one-core seconds per path step of the walk to the first
-# crossing, against which ``analytic._first_crossing`` weighs the table that
-# replaces it: 31-51 ns measured on a 2-vCPU VM (Parisian and cumulative, u =
-# 3-30, c = 1, delta = 0.1).
-_WALK_STEP_S = 35e-9
+def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threads=None):
+    """(block, log_scale): the request's block sampler under ``drift``, and its results' scale.
 
-
-def _setup(variant, params, grid, variant_params, horizon, n, tilted):
-    """The variant's step bound to u and its parameter, its state at point 0, steps and start.
-
-    The one gate for every simulated horizon: it must be finite and cover a
-    grid step, one below ``default_horizon`` warns, and n paths of that
-    length may draw at most ``_MAX_NORMALS`` normals.  ``tilted`` sampling of
-    the reflected variant at gamma >= 1/2 warns here, for both tilted routes.
-    A ``tilted`` run of a variant whose barrier is u, whose weights relative to
-    exp(-2cu) are at most 1, is refused where exp(-2cu) is below the smallest
-    normal double.  The start is None where the paths walk from point 0 (see
-    ``analytic._first_crossing``), else (table, lead): the first-crossing law
-    its tilted paths start from, and the variant's lead clamped to [1, _CHUNK].
-    The table is built where it takes under half the walk's time, a choice
-    that depends on the request alone, never on the thread count.
+    The one gate for every simulated request, passed before any table or
+    stream is built: n, ``threads`` and ``seed`` as ``_run_blocks`` takes
+    them, a finite horizon covering a grid step (one below
+    ``default_horizon`` warns), and at most ``_MAX_NORMALS`` normals for n
+    paths to it.  Tilted sampling of the reflected variant at gamma >= 1/2
+    warns.  ``block(m, rng, scratch)`` is ``_weighted_block`` bound to the
+    request, its weights carried relative to exp(log_scale), log_scale =
+    -(drift + c) u; a variant whose barrier is u, whose weights are then at
+    most 1, is refused where exp(log_scale) is below the smallest normal
+    double.  The block's start is None where the paths walk from point 0,
+    else (table, lead): the table ``analytic._first_crossing`` builds for n
+    tilted paths, and the variant's lead clamped to [1, _CHUNK].
     """
     p = _variant_value(variant, variant_params)
     _, step, initial, windowed, lead, _ = _VARIANTS[variant]
+    _check_blocks(n, seed, threads)
     if math.isfinite(horizon) and grid.n_steps_for(horizon) < 1:
         raise ValueError(f"horizon {horizon} covers no grid step of {grid.delta}")
     _check_horizon(params, horizon)
@@ -239,29 +236,26 @@ def _setup(variant, params, grid, variant_params, horizon, n, tilted):
         p = grid.points(p) + 1
         n_steps += p - 1
     _check_normals(n, "paths", n_steps, "steps")
-    log_scale = -2.0 * params.c * params.u
-    if tilted and variant != "reflected" and math.exp(log_scale) < sys.float_info.min:
+    log_scale = -(drift + params.c) * params.u
+    if variant != "reflected" and math.exp(log_scale) < sys.float_info.min:
         raise RuntimeError(
             f"double-precision underflow: a tilted {variant} result is at most "
             f"exp({log_scale:.6g}), below {sys.float_info.min:.3g}"
         )
-    if tilted and variant == "reflected" and variant_params.gamma >= 0.5:
+    if drift > 0.0 and variant == "reflected" and variant_params.gamma >= 0.5:
         _warn(
             f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
             "variance, so the standard error does not measure the error"
         )
-    table = None
-    if tilted and lead:
-        # the walk to the first crossing takes about n u / (c delta) steps; its
-        # blocks share the cores while the table is built on one
-        walk_steps = n * min(n_steps, params.u / (params.c * grid.delta) + 1.0)
-        table = _first_crossing(params, grid, n_steps, 0.5 * walk_steps * _WALK_STEP_S)
+    table = _first_crossing(params, grid, n_steps, n) if drift > 0.0 and lead else None
     start = None if table is None else (table, min(max(lead(p), 1), _CHUNK))
 
     def detect(levels, state, scratch):
         return step(levels, params.u, p, state, scratch)
 
-    return detect, initial, n_steps, start
+    return functools.partial(
+        _weighted_block, detect, initial, grid, params, drift, n_steps, start=start
+    ), log_scale
 
 
 # Ruined paths whose weights are evaluated at once.  Every temporary of a
@@ -466,18 +460,16 @@ def estimate(
     if method not in drifts:
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
-    detect, initial, n_steps, start = _setup(
-        variant, params, grid, variant_params, horizon, n, tilted=method == "tilted"
+    block, log_scale = _setup(
+        variant, params, grid, variant_params, horizon, n, drifts[method], seed, threads
     )
 
     def worker(m, rng, scratch):
-        _, _, w = _weighted_block(
-            detect, initial, grid, params, drifts[method], n_steps, m, rng, scratch, start
-        )
+        _, _, w = block(m, rng, scratch)
         return float(w.sum()), float((w * w).sum())
 
     mean_se = np.array(_mean_se(_run_blocks(n, seed, worker, threads), n))
-    value, std_error = _unscaled(mean_se, -(drifts[method] + params.c) * params.u)
+    value, std_error = _unscaled(mean_se, log_scale)
     return Estimate(
         value=float(value),
         std_error=float(std_error),
@@ -514,21 +506,19 @@ def ruin_time_distribution(
         _warn(
             f"u={params.u} is small; the normal approximation window is only meaningful for large u"
         )
-    detect, initial, n_steps, start = _setup(
-        variant, params, grid, variant_params, default_horizon(params, 1.5), n, tilted=True
+    block, log_scale = _setup(
+        variant, params, grid, variant_params, default_horizon(params, 1.5), n, params.c, seed
     )
 
     def worker(m, rng, scratch):
-        occurred, idx, w = _weighted_block(
-            detect, initial, grid, params, params.c, n_steps, m, rng, scratch, start
-        )
+        occurred, idx, w = block(m, rng, scratch)
         rows = np.flatnonzero(occurred)
         return to_s(idx[rows] * grid.delta), w[rows]
 
     s, w = (np.concatenate(half) for half in zip(*_run_blocks(n, seed, worker)))
     if s.size == 0:
         raise RuntimeError("no ruin detected in any tilted replicate")
-    return s, _unscaled(w, -2.0 * params.c * params.u)
+    return s, _unscaled(w, log_scale)
 
 
 def weighted_ks(s: np.ndarray, w: np.ndarray, cdf) -> float:

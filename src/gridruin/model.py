@@ -177,6 +177,16 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
+def _check_blocks(n: int, seed: int, threads: int | None = None) -> None:
+    """Refuse, before any block is built, n < 1, threads < 1 or a seed outside [0, 2**64)."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if not 0 <= seed < _KEY_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
     """Run ``worker(m, rng, scratch)`` over the replicate blocks; results in block order.
 
@@ -197,11 +207,8 @@ def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
 
     Memory grows with ``threads``, never with n.
     """
+    _check_blocks(n, seed, threads)
     threads = _cores() if threads is None else threads
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     results, pending, scratch = [], deque(), _Scratch()
     with ThreadPoolExecutor(max_workers=threads) as pool:
         for b, start in enumerate(range(0, n, BLOCK_SIZE)):

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import tracemalloc
 from pathlib import Path
@@ -465,10 +466,11 @@ class TestFirstCrossing:
             _FirstCrossing(p, g, n)
 
     def test_one_function_decides_on_the_table(self):
-        # the table's cost estimate, byte cap and mass-balance fallback live in
-        # analytic._first_crossing alone; the estimators hand it a time budget
+        # the table's count rule, byte cap and mass-balance fallback live in
+        # analytic._first_crossing alone, and the estimators hand it the path
+        # count n: no module prices the table or the walk in seconds
         package = Path(analytic.__file__).parent
-        catching, reading = set(), set()
+        catching, reading, timing, calls = set(), set(), set(), []
 
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
@@ -477,16 +479,33 @@ class TestFirstCrossing:
                 if "QuadratureMassError" in ast.unparse(node.type):
                     catching.add(where)
             name = getattr(node, "id", getattr(node, "attr", None))
-            if name in ("_TABLE_POINT_S", "_TABLE_MAX_BYTES") and isinstance(node.ctx, ast.Load):
+            if name == "_TABLE_MAX_BYTES" and isinstance(node.ctx, ast.Load):
                 reading.add(where)
+            if isinstance(name, str) and name.startswith("_") and name.endswith("_S") and name.isupper():
+                timing.add(f"{where}: {name}")  # a per-unit time such as the old _TABLE_POINT_S
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("_first_crossing"):
+                calls.append((where, [ast.unparse(arg) for arg in node.args]))
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
         for path in sorted(package.glob("*.py")):
             visit(ast.parse(path.read_text()), path.stem)
         assert catching == reading == {"analytic._first_crossing"}
+        assert not timing
+        assert calls == [("estimators._setup", ["params", "grid", "n_steps", "n"])]
+        assert list(inspect.signature(analytic._first_crossing).parameters) == [
+            "params", "grid", "n_steps", "n"]
         text = (package / "estimators.py").read_text()
         assert "_FirstCrossing" not in text and "QuadratureMassError" not in text
+
+    def test_count_rule_at_its_edge(self):
+        # the Parisian T = 0.3 request at u = 10: twice the table's 175 steps
+        # of 711.6 FFT points against 101 normals a path switches at n = 2466
+        p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
+        n_steps = g.n_steps_for(default_horizon(p)) + 3  # the window's 3 steps past the horizon
+        assert n_steps == 176
+        assert analytic._first_crossing(p, g, n_steps, 2400) is None
+        assert isinstance(analytic._first_crossing(p, g, n_steps, 2500), _FirstCrossing)
 
     def test_grid_follows_the_spacing_rule(self):
         # the benchmark's op: 22 units of state at h <= sqrt(0.1)/8 = 0.0395

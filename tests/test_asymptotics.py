@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from gridruin import asymptotics
+from gridruin import asymptotics, constants
 from gridruin.analytic import psi_inf
 from gridruin.asymptotics import Approximation, approx, validate_ratio
 from gridruin.constants import ConstantValue
@@ -111,6 +111,17 @@ class TestValidateRatio:
         assert row2.ratio == 1.0
         # only the constant's uncertainty is left in the combined SE
         assert row2.ratio_se == pytest.approx(row2.approx_se / row2.approx)
+
+    @pytest.mark.parametrize("bad", [{"n": 0}, {"seed": -1}], ids=["n=0", "seed=-1"])
+    def test_bad_request_refused_before_the_constant(self, bad, monkeypatch):
+        # the constant's 200,000 field samples took about 1 s before the MC
+        # step refused n = 0
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the model constant was estimated for a request that is refused")
+
+        monkeypatch.setattr(constants, "_estimate", must_not_run)
+        with pytest.raises(ValueError, match="must"):
+            validate_ratio("classical", [4.0, 6.0], 1.0, Grid(0.1), **bad)
 
     def test_requires_increasing_u(self):
         with pytest.raises(ValueError, match="increasing"):

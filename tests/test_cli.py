@@ -297,6 +297,7 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "0"], None),
         (["constant", "--kind", "pickands_dy", "--eta", "0.5", "--n", "-5"], None),
         (["validate", "--c", "1", "--u", ",", "--delta", "0.1"], None),
+        (["validate", "--c", "1", "--u", "4,6", "--delta", "0.1", "--n", "0"], None),
         (
             ["validate", "--c", "1", "--u", "400,401", "--delta", "0.5", "--n", "100",
              "--constant-n", "1000"],
@@ -363,6 +364,7 @@ ESTIMATE_HEAD = ("estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "1
         "zero-n",
         "negative-n",
         "empty-u-list",
+        "validate-zero-n",
         "underflowing-approx",
         "mistyped-config-value",
         "infinite-horizon-mult",

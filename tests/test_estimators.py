@@ -23,6 +23,12 @@ def one_row(*values):
     return np.array([values], dtype=float)
 
 
+def tilted_start(variant, params, grid, vp, horizon, n):
+    """The start ``_setup`` binds into a tilted request's block: None, or (table, lead)."""
+    block, _ = estimators._setup(variant, params, grid, vp, horizon, n, params.c, 0)
+    return block.keywords["start"]
+
+
 def conditioned_weights(variant, levels, u, p, occurred, idx, drift, tilt, delta):
     """E[exp(-tilt S_idx) | S_{idx-1}, S_idx > b] of each detected row, by scipy's ndtr; 0 elsewhere.
 
@@ -229,6 +235,29 @@ class TestEstimate:
             else:
                 ruin_time_distribution(variant, p, g, vp, n=100)
 
+    @pytest.mark.parametrize("route, bad", [
+        ("estimate", {"n": 0}), ("estimate", {"threads": 0}),
+        ("estimate", {"seed": -1}), ("estimate", {"seed": 2**64}),
+        # ruin_time_distribution takes no thread count
+        ("ruin-time", {"n": 0}), ("ruin-time", {"seed": -1}), ("ruin-time", {"seed": 2**64}),
+    ], ids=lambda case: case if isinstance(case, str) else "-".join(f"{k}={v}" for k, v in case.items()))
+    def test_bad_request_refused_before_the_table(self, route, bad, monkeypatch):
+        # with a valid n, thread count and seed this Parisian request builds a
+        # table of tens of ms (growing as u^2 / delta^1.5): a bad one is
+        # refused before that table or any stream is built
+        def must_not_run(*args, **kwargs):
+            pytest.fail("a stream or table was built for a request that is refused")
+
+        monkeypatch.setattr(model, "make_rng", must_not_run)
+        monkeypatch.setattr(estimators, "_first_crossing", must_not_run)
+        p, g, vp = ModelParams(c=1.0, u=30.0), Grid(0.05), PARISIAN
+        kw = {"n": 100_000, "seed": 0, **bad}
+        with pytest.raises(ValueError, match="must"):
+            if route == "estimate":
+                estimate("parisian", p, g, vp, **kw)
+            else:
+                ruin_time_distribution("parisian", p, g, vp, **kw)
+
     def test_reflected_is_not_refused_for_its_scale(self, monkeypatch):
         # a reflected path can ruin below u and weigh more than exp(-2cu): it draws
         def drew(*args, **kwargs):
@@ -286,7 +315,7 @@ class TestEstimate:
             warnings.simplefilter("ignore")  # horizon 8 is below the recommended 17.3
             if variant in ("parisian", "cumulative"):
                 hz = default_horizon(p) if horizon is None else horizon
-                assert estimators._setup(variant, p, g, vp, hz, 20_000, tilted=True)[3]
+                assert tilted_start(variant, p, g, vp, hz, 20_000)
             est = estimate(variant, p, g, vp, horizon=horizon, n=20_000, seed=5)
         assert (est.value, est.std_error) == (value, std_error)
 
@@ -538,7 +567,7 @@ class TestFirstCrossingStart:
     def test_agrees_with_the_full_walk(self, variant, vp, lead):
         # the first chunk after tau_1 spans the lead, clamped to [1, _CHUNK]
         p, g, n = ModelParams(c=1.0, u=5.0), Grid(0.1), 40_000
-        _, lead_used = estimators._setup(variant, p, g, vp, default_horizon(p), n, True)[3]
+        _, lead_used = tilted_start(variant, p, g, vp, default_horizon(p), n)
         assert lead_used == lead
         for seed in (31, 32, 33):
             start = estimate(variant, p, g, vp, n=n, seed=seed)
@@ -621,10 +650,11 @@ class TestFirstCrossingStart:
             np.testing.assert_array_equal(idx, [2, 5, 0])
 
     def test_walk_where_the_table_costs_more(self):
-        # at n = 100 the table (about 0.03 s) costs more than the walk: the rows
-        # start at point 0, and the output is that of the full walk, bit for bit
+        # at n = 100 the walk draws 10,100 normals, fewer than twice the table's
+        # 124,500 FFT points: the rows start at point 0, and the output is that
+        # of the full walk, bit for bit
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
-        assert estimators._setup("parisian", p, g, PARISIAN, default_horizon(p), 100, True)[3] is None
+        assert tilted_start("parisian", p, g, PARISIAN, default_horizon(p), 100) is None
         est = estimate("parisian", p, g, PARISIAN, n=100, seed=38)
         assert (est.value, est.std_error) == walked_estimate("parisian", p, g, PARISIAN, 100, 38)
 
@@ -633,7 +663,7 @@ class TestFirstCrossingStart:
         # spans k points, which a float cannot size
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
         float_k = VariantParams(cumulative_k=2.0)
-        assert estimators._setup("cumulative", p, g, float_k, default_horizon(p), 40_000, True)[3]
+        assert tilted_start("cumulative", p, g, float_k, default_horizon(p), 40_000)
         assert (estimate("cumulative", p, g, float_k, n=40_000, seed=41)
                 == estimate("cumulative", p, g, CUMULATIVE, n=40_000, seed=41))
         for got, want in zip(ruin_time_distribution("cumulative", p, g, float_k, n=20_000, seed=42),
@@ -649,7 +679,7 @@ class TestFirstCrossingStart:
 
         def start(p, g):
             horizon = default_horizon(p)
-            return estimators._setup("cumulative", p, g, CUMULATIVE, horizon, 100_000, True)[3]
+            return tilted_start("cumulative", p, g, CUMULATIVE, horizon, 100_000)
 
         for p, g in cases:
             assert start(p, g) is not None, (p, g)
