@@ -44,23 +44,25 @@ for all its blocks whatever the horizon or grid step, and a request whose
 worst case, n paths all run to the horizon, exceeds ``_MAX_NORMALS``
 normals is refused before the first draw.
 
-Tilted Parisian and cumulative paths start at their first crossing tau_1
-of u.  Until then their detectors keep the state of point 0 and their
-barrier is u, so the path before tau_1 counts only through tau_1 and
-S_{tau_1 - 1}.  The law of that pair under drift +c, up to the path's last
-step, is tabulated once per call on the DP oracle's quadrature
-(``analytic._first_crossing``).  A path draws its cell and its level
-S_{tau_1} from it with two uniforms, is examined at tau_1 from the
-detector's state at point 0, and walks on from there, its first chunk
-spanning only the variant's lead, the fewest further points at which it
-can qualify: at u = 10, c = 1, delta = 0.1 it draws about 9 (Parisian, T =
-0.3) or 7 (cumulative, k = 2) normals instead of about 113.  The estimate is
+Tilted Parisian and cumulative paths, and those of a classical ruin-time
+sample, start at their first crossing tau_1 of u.  Until then their
+detectors keep the state of point 0 and their barrier is u, so the path
+before tau_1 counts only through tau_1 and S_{tau_1 - 1}.  The law of that
+pair under drift +c, up to the path's last step, is tabulated once per call
+on the DP oracle's quadrature (``analytic._first_crossing``).  A path draws
+its cell and its level S_{tau_1} from it with two uniforms, is examined at
+tau_1 from the detector's state at point 0, and walks on from there, its
+first chunk spanning only the variant's lead, the fewest further points at
+which it can qualify: at u = 10, c = 1, delta = 0.1 it draws about 9
+(Parisian, T = 0.3) or 7 (cumulative, k = 2) normals instead of about 113.
+A classical path is ruined at tau_1 itself and draws none.  The estimate is
 then unbiased up to the table's quadrature error, that of a smooth
 integrand under Gregory's weights (3e-9 of exp(2cu) times the classical
 value there).  The table is built where twice its FFT points are fewer
 than the walk's normals.  Elsewhere paths walk from S_0 = 0, as do
-classical paths (the Monte Carlo check on that DP), reflected ones (which
-can ruin before tau_1) and every crude run.
+reflected paths (which can ruin before tau_1) and every crude run.
+Classical estimates walk, as the Monte Carlo check on that DP; classical
+ruin-time samples start from the table.
 """
 
 from __future__ import annotations
@@ -166,12 +168,14 @@ def _cumulative_step(levels, u, k, count, scratch):
 # map from the parameter to the fewest points after the first crossing tau_1
 # of u at which a path can qualify: such a variant has barrier u and keeps its
 # state at point 0 until S first exceeds u, so its tilted paths may start at
-# tau_1, drawn from the first-crossing table.  Classical has both properties but
-# keeps its walk, the Monte Carlo check on the DP whose law the table is.  The
-# keys map (c, delta, p), p the variant's parameter, to [(kind, eta, extra key
-# fields)], eta = 2 c^2 delta the limit field's step.
+# tau_1, drawn from the first-crossing table.  Classical qualifies at tau_1
+# itself, so a path started there draws no normal; classical estimates walk,
+# the Monte Carlo check on the DP whose law the table is, and classical
+# ruin-time samples start from the table.  The keys map (c, delta, p), p the
+# variant's parameter, to [(kind, eta, extra key fields)], eta = 2 c^2 delta
+# the limit field's step.
 _VARIANTS = {
-    "classical": (None, _classical_step, 0, False, None,
+    "classical": (None, _classical_step, 0, False, lambda _: 0,
                   lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})]),
     "reflected": ("gamma", _reflected_step, 0.0, False, None, lambda c, delta, g: [
         ("piterbarg", 2.0 * c * c * (1.0 - g) ** 2 * delta, {"a": g / (1.0 - g)}),
@@ -209,7 +213,8 @@ def _variant_value(variant: str, variant_params: VariantParams | None):
 _CHUNK = 16
 
 
-def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threads=None):
+def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threads=None,
+           classical_from_table=False):
     """(block, log_scale): the request's block sampler under ``drift``, and its results' scale.
 
     The one gate for every simulated request, passed before any table or
@@ -223,7 +228,8 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
     most 1, is refused where exp(log_scale) is below the smallest normal
     double.  The block's start is None where the paths walk from point 0,
     else (table, lead): the table ``analytic._first_crossing`` builds for n
-    tilted paths, and the variant's lead clamped to [1, _CHUNK].
+    tilted paths, and the variant's lead clamped to [1, _CHUNK].  Classical
+    paths walk unless ``classical_from_table``.
     """
     p = _variant_value(variant, variant_params)
     _, step, initial, windowed, lead, _ = _VARIANTS[variant]
@@ -247,7 +253,8 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
             f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
             "variance, so the standard error does not measure the error"
         )
-    table = _first_crossing(params, grid, n_steps, n) if drift > 0.0 and lead else None
+    served = lead and (classical_from_table or variant != "classical")
+    table = _first_crossing(params, grid, n_steps, n) if drift > 0.0 and served else None
     start = None if table is None else (table, min(max(lead(p), 1), _CHUNK))
 
     def detect(levels, state, scratch):
@@ -493,9 +500,12 @@ def ruin_time_distribution(
     Returns ``(s, w)`` with s = c^(3/2) (tau - u/c) / sqrt(u) for each
     detected replicate and w its weight, as in the tilted estimate; the
     weighted empirical CDF estimates P(normalized ruin time <= s | ruin).
-    Paths run to ``default_horizon(params, 1.5)``; Parisian and cumulative
-    paths start at their first crossing of u as in ``estimate``.  The blocks
-    run on every available core; the sample is the same for any count.
+    Paths run to ``default_horizon(params, 1.5)``.  Parisian and cumulative
+    paths start at their first crossing of u as in ``estimate``; classical
+    estimates walk, but classical ruin-time samples start from the table
+    too, each path ruined at its first crossing, drawn with two uniforms and
+    no normal.  The blocks run on every available core; the sample is the
+    same for any count.
     Warns below u = 10, and for the reflected variant at gamma >= 1/2 as
     ``estimate`` does.  Raises RuntimeError when a weight would underflow to
     a subnormal or zero double, or the weights leave double range as in
@@ -507,7 +517,8 @@ def ruin_time_distribution(
             f"u={params.u} is small; the normal approximation window is only meaningful for large u"
         )
     block, log_scale = _setup(
-        variant, params, grid, variant_params, default_horizon(params, 1.5), n, params.c, seed
+        variant, params, grid, variant_params, default_horizon(params, 1.5), n, params.c, seed,
+        classical_from_table=True,
     )
 
     def worker(m, rng, scratch):

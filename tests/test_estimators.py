@@ -7,7 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from coupled import detect, walked_estimate, whole_paths
-from gridruin import analytic, estimators, model
+from gridruin import analytic, cli, estimators, model
 from gridruin.analytic import _FirstCrossing, dp_classical_ruin
 from gridruin.constants import constant_keys_for_model
 from gridruin.estimators import (
@@ -23,10 +23,16 @@ def one_row(*values):
     return np.array([values], dtype=float)
 
 
-def tilted_start(variant, params, grid, vp, horizon, n):
+def tilted_start(variant, params, grid, vp, horizon, n, **kw):
     """The start ``_setup`` binds into a tilted request's block: None, or (table, lead)."""
-    block, _ = estimators._setup(variant, params, grid, vp, horizon, n, params.c, 0)
+    block, _ = estimators._setup(variant, params, grid, vp, horizon, n, params.c, 0, **kw)
     return block.keywords["start"]
+
+
+def weighted_mean_se(values, w):
+    """The weighted mean sum(w v) / sum(w) and its delta-method standard error."""
+    mean = np.average(values, weights=w)
+    return mean, math.sqrt(np.sum((w * (values - mean)) ** 2)) / w.sum()
 
 
 def conditioned_weights(variant, levels, u, p, occurred, idx, drift, tilt, delta):
@@ -268,12 +274,19 @@ class TestEstimate:
             estimate("reflected", ModelParams(c=1.0, u=400.0), Grid(0.1), VariantParams(gamma=0.2),
                      n=100, threads=1)
 
-    def test_tilted_weights_bounded(self):
-        # a classical ruin step ends above u, so its conditioned weight is below exp(-2cu)
+    def test_tilted_weights_bounded(self, monkeypatch):
+        # a classical ruin step ends above u, so its conditioned weight is below
+        # exp(-2cu), whether the sample starts from the table (n = 20,000 takes
+        # one) or walks from 0
         p, g = ModelParams(c=1.0, u=12.0), Grid(0.1)
-        s, w = ruin_time_distribution("classical", p, g, n=20_000, seed=3)
-        assert np.all(w > 0)
-        assert np.all(w <= math.exp(-2 * p.c * p.u) * (1 + 1e-12))
+        assert tilted_start("classical", p, g, None, default_horizon(p, 1.5), 20_000,
+                            classical_from_table=True)
+        for route in ("table", "walk"):
+            if route == "walk":
+                monkeypatch.setattr(estimators, "_first_crossing", lambda *args: None)
+            s, w = ruin_time_distribution("classical", p, g, n=20_000, seed=3)
+            assert np.all(w > 0), route
+            assert np.all(w <= math.exp(-2 * p.c * p.u) * (1 + 1e-12)), route
 
     @pytest.mark.parametrize(
         "variant, vp, value, std_error",
@@ -591,10 +604,11 @@ class TestFirstCrossingStart:
         runs = [estimate("parisian", p, g, PARISIAN, n=30_000, seed=35, threads=t) for t in (1, 2, 8)]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_served_variants_wait_for_u_at_barrier_u(self):
+    def test_served_variants_wait_for_u_at_barrier_u(self, monkeypatch):
         # the table serves exactly the variants whose state stays at point 0's
-        # while S <= u and whose barrier is u, less classical, which keeps its
-        # walk as the Monte Carlo check on the DP the table comes from
+        # while S <= u and whose barrier is u: ruin_time_distribution serves
+        # all three, estimate serves them less classical, whose estimates keep
+        # their walk as the Monte Carlo check on the DP the table comes from
         levels = whole_paths(0.1, 1.0, 30, 2000, make_rng(36, 0))[:, 1:].T
         below = np.minimum(levels, 1.0)
         waits = set()
@@ -607,9 +621,26 @@ class TestFirstCrossingStart:
             _, _, barrier = step(np.full((1, below.shape[1]), 2.0), 1.0, p, state.copy(), scratch)
             if quiet and np.array_equal(state, state0) and np.all(barrier == 1.0):
                 waits.add(variant)
-        served = {v for v, row in estimators._VARIANTS.items() if row[4]}
         assert waits == {"classical", "parisian", "cumulative"}
-        assert served == waits - {"classical"}
+
+        asked = []
+        monkeypatch.setattr(estimators, "_first_crossing", lambda *args: asked.append(args))
+        p, g = ModelParams(c=1.0, u=2.0), Grid(0.1)
+        vps = {"reflected": VariantParams(gamma=0.2), "parisian": PARISIAN, "cumulative": CUMULATIVE}
+
+        def served(route):
+            variants = set()
+            for variant in estimators._VARIANTS:
+                asked.clear()
+                route(variant, p, g, vps.get(variant), n=200, seed=36)
+                if asked:
+                    variants.add(variant)
+            return variants
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # ruin_time_distribution warns at u = 2
+            assert served(estimate) == waits - {"classical"}
+            assert served(ruin_time_distribution) == waits
 
     def test_stream_layout(self):
         # a block draws its m cell uniforms, then its m crossing uniforms, then
@@ -636,6 +667,31 @@ class TestFirstCrossingStart:
         want = np.cumsum(np.concatenate([level[live][:, None], z], axis=1), axis=1)[:, 1:]
         np.testing.assert_array_equal(seen[1], want.T)
         assert [len(levels) for levels in seen[:3]] == [1, 3, estimators._CHUNK]
+
+    def test_classical_stream_layout(self):
+        # a table-started classical ruin-time block draws its m cell uniforms
+        # and its m crossing uniforms, and no normal: every path is ruined at
+        # tau_1 <= n_steps from S_{tau_1 - 1}, or never live (horizon u / c
+        # leaves about half the paths uncrossed)
+        p, g, m, horizon = ModelParams(c=1.0, u=10.0), Grid(0.1), 2000, 10.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # horizon 10 is below the recommended 17.3
+            block, _ = estimators._setup("classical", p, g, None, horizon, 25_000, p.c, 0,
+                                         classical_from_table=True)
+        table, _ = block.keywords["start"]
+        rng = make_rng(37, 3)
+        occurred, idx, w = block(m, rng, model._Scratch())
+        want = make_rng(37, 3)
+        tau, before, _ = table.sample(want.random(m), want.random(m))
+        np.testing.assert_array_equal(rng.random(8), want.random(8))  # the streams are level
+        n_steps = g.n_steps_for(horizon)
+        live = tau <= n_steps
+        assert 0.3 * m < live.sum() < 0.7 * m
+        np.testing.assert_array_equal(occurred, live)
+        np.testing.assert_array_equal(idx, np.where(live, tau, 0))
+        weigh = estimators._ruin_weigher(p.c, 2 * p.c, g.delta, p.u)
+        np.testing.assert_array_equal(w[live], weigh(before[live], np.full(live.sum(), p.u)))
+        assert not w[~live].any()
 
     def test_rows_start_at_their_own_points(self, monkeypatch):
         # a row examines points start.. from the state of point 0, and a
@@ -693,6 +749,48 @@ class TestFirstCrossingStart:
         monkeypatch.setattr(analytic, "_FirstCrossing", lambda *args: table)
         for p, g in cases:
             assert start(p, g)[0] is table, (p, g)
+
+    def test_classical_estimate_keeps_its_walk(self, monkeypatch):
+        # at this n a Parisian estimate starts from the table; a classical one
+        # builds none, as the Monte Carlo check on the DP the table comes from
+        p, g, n = ModelParams(c=1.0, u=10.0), Grid(0.1), 40_000
+        assert tilted_start("parisian", p, g, PARISIAN, default_horizon(p), n)
+
+        def must_not_run(*args):
+            pytest.fail("a classical estimate built a first-crossing table")
+
+        monkeypatch.setattr(estimators, "_first_crossing", must_not_run)
+        estimate("classical", p, g, n=n, seed=43)
+
+    @pytest.mark.parametrize("delta", [0.1, 0.05])
+    def test_classical_ruin_times_agree_with_the_full_walk(self, delta, monkeypatch):
+        # the table-started sample and the walked one estimate the same law:
+        # its weighted mean and its weighted CDF at each quantile point of the CLI
+        p, g, n = ModelParams(c=1.0, u=30.0), Grid(delta), 50_000
+        for seed in (44, 45, 46):
+            s, w = ruin_time_distribution("classical", p, g, n=n, seed=seed)
+            with monkeypatch.context() as walk:
+                walk.setattr(estimators, "_first_crossing", lambda *args: None)
+                s0, w0 = ruin_time_distribution("classical", p, g, n=n, seed=seed + 100)
+            stats = [lambda t: t] + [lambda t, q=q: (t <= q).astype(float)
+                                     for q in cli._QUANTILE_POINTS]
+            for stat in stats:
+                (a, se_a), (b, se_b) = weighted_mean_se(stat(s), w), weighted_mean_se(stat(s0), w0)
+                z = (a - b) / math.hypot(se_a, se_b)
+                assert abs(z) <= 4.0, (seed, z)
+
+    def test_classical_ruin_times_walk_where_the_table_costs_more(self, monkeypatch):
+        # at u = 2, n = 2000 the count rule walks: the sample is the walked one, bit for bit
+        p, g, n = ModelParams(c=1.0, u=2.0), Grid(0.1), 2000
+        assert tilted_start("classical", p, g, None, default_horizon(p, 1.5), n,
+                            classical_from_table=True) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # u = 2 is small for the ruin-time window
+            sample = ruin_time_distribution("classical", p, g, n=n, seed=47)
+            monkeypatch.setattr(estimators, "_first_crossing", lambda *args: None)
+            walked = ruin_time_distribution("classical", p, g, n=n, seed=47)
+        for got, want in zip(sample, walked):
+            np.testing.assert_array_equal(got, want)
 
     def test_ruin_times_agree_with_the_full_walk(self, monkeypatch):
         # the ruin index of a path started at tau_1 counts from point 0
