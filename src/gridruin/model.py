@@ -41,13 +41,15 @@ _KEY_LIMIT = 1 << 64  # seeds and stream ids are 64-bit words (see make_rng)
 # function of this layout, so changing it changes every printed number.
 BLOCK_SIZE = 8192
 
-# Name of the layout of what the constant cache stores: the generator of
-# make_rng, BLOCK_SIZE and the constant drivers' field draw order.  The cache
-# stores it with each record and skips records written under another, so
-# change it whenever they change, and only then: a change of the path
-# samplers' draws alone leaves every cached constant valid, and is recorded
-# in CHANGES.md instead.
-_STREAM_LAYOUT = "sfc64-1"
+# Names what a cached constant is a function of besides its key: the
+# generator of make_rng, BLOCK_SIZE, the constant drivers' field draw order
+# and each kind's estimator on those fields ("sfc64-2": Berman's U-statistic
+# over pairs of half-fields, where "sfc64-1" averaged one indicator per
+# field).  The cache stores it with each record and skips records written
+# under another, so change it whenever one of these changes, and only then:
+# a change of the path samplers' draws alone leaves every cached constant
+# valid, and is recorded in CHANGES.md instead.
+_STREAM_LAYOUT = "sfc64-2"
 
 # Most normals one request may draw: n paths to the horizon (the ruin
 # estimators) or n fields of the window's points (the constant drivers).

@@ -8,10 +8,15 @@ each row's right half, then its left half.  ``detect`` runs the rows of a
 path matrix through the production chunk runner, ``estimators._run_chunks``.
 ``walked_estimate`` is the tilted estimate with every path walked from
 S_0 = 0, which the Parisian and cumulative variants replace by a start at
-the first crossing of u.
+the first crossing of u.  ``berman_count_values`` and ``berman_pairs`` are
+the two estimators of the Berman constant on such a field: one indicator
+per field, and the library's U-statistic over every pair of half-fields.
+``reference`` is the benchmark's ``perfbench/reference.py``, loaded by path.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +24,18 @@ import numpy as np
 from gridruin import estimators, model
 from gridruin.constants import _walk
 from gridruin.model import Grid
+
+
+def _load_reference():
+    """The benchmark's exact Spitzer-series constants, loaded by path (it imports no gridruin)."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
 
 
 def whole_paths(delta, drift, n_steps, n_paths, rng):
@@ -47,6 +64,47 @@ def whole_field_one_sided(eta, length, m, rng, slope=1.0):
     field = np.zeros((m, n + 1))
     _walk(field[:, 1:], rng.standard_normal((m, n)), eta, slope)
     return field
+
+
+def berman_count_values(field, eta, k):
+    """Per-field indicator estimator of the exceedance-count constant.
+
+    1(exactly k points are strictly positive) / eta for each row of a
+    two-sided ``field`` that includes the t = 0 column (always 0, never
+    counted): the library's estimator before the half-field U-statistic.
+    """
+    return ((field > 0.0).sum(axis=1) == k) / eta
+
+
+def half_counts(field):
+    """(m, 2) positive points of each row's right (t > 0) and left (t < 0) half."""
+    n_side = field.shape[1] // 2
+    right, left = field[:, n_side + 1 :] > 0.0, field[:, :n_side] > 0.0
+    return np.stack([right.sum(axis=1), left.sum(axis=1)], axis=1)
+
+
+def berman_pairs(counts, eta, k):
+    """(estimate, std_error) of Berman's U-statistic over the half-field counts ``counts``.
+
+    The two halves of a field are independent copies of one walk, and its
+    count is the sum of theirs, so every ordered pair of distinct halves is
+    an unbiased draw of 1(count = k).  With c_j the halves holding j
+    positives and N halves in all, the estimate is (sum_j c_j c_{k-j}, less
+    the pairs of a half with itself) / (N (N - 1) eta); the standard error
+    is Hoeffding's first-order term sqrt(4 Var(q(k - X)) / N) / eta, with q
+    the pooled frequencies c / N.
+    """
+    c = np.bincount(counts.ravel())
+    big_n = counts.size
+    ordered = np.convolve(c, c)  # ordered[s]: ordered pairs, a half with itself too, adding to s
+    pairs = int(ordered[k]) if k < len(ordered) else 0
+    if k % 2 == 0 and k // 2 < len(c):
+        pairs -= int(c[k // 2])
+    q = (c / big_n).tolist()
+    js = [j for j in range(len(c)) if 0 <= k - j < len(c)]
+    mean = math.fsum(q[j] * q[k - j] for j in js)
+    var = max(math.fsum(q[j] * q[k - j] ** 2 for j in js) - mean * mean, 0.0)
+    return pairs / (big_n * (big_n - 1) * eta), math.sqrt(4.0 * var / big_n) / eta
 
 
 def detect(variant, levels, u, p=None, weigh=None, start=1):

@@ -5,15 +5,13 @@ on stdout (visible with `pytest -s` or in captured output on failure), so a
 full run doubles as a checklist.
 """
 
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from coupled import detect, whole_field_two_sided, whole_paths
+from coupled import detect, reference, whole_field_two_sided, whole_paths
 from gridruin.analytic import dp_classical_ruin, psi_inf
 from gridruin.asymptotics import validate_ratio
 from gridruin.constants import (
@@ -29,18 +27,6 @@ from gridruin.estimators import (
 )
 from gridruin import cli
 from gridruin.model import Grid, ModelParams, VariantParams, default_horizon, make_rng
-
-
-def _load_reference():
-    """The benchmark's exact Spitzer-series constants, loaded by path (it imports no gridruin)."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
-    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-reference = _load_reference()
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -414,6 +414,17 @@ def test_bad_input_exits_cleanly(argv, config, tmp_path):
     assert len(message) < 200, message
 
 
+def test_berman_count_no_pair_reaches_exits_cleanly(tmp_path):
+    """A half-field holds at most 80 positives here, so k = 10^12 is estimated as 0 +- 0."""
+    proc = _python(tmp_path, "-m", "gridruin.cli", "constant", "--kind", "berman",
+                   "--k", "1000000000000", "--eta", "0.5", "--n", "100")
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert "Traceback" not in proc.stderr
+    header, row = proc.stdout.splitlines()
+    rec = dict(zip(header.split(","), row.split(",")))
+    assert (rec["k"], rec["estimate"], rec["std_error"]) == ("1000000000000", "0", "0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from coupled import whole_field_one_sided, whole_field_two_sided
+from coupled import (
+    berman_count_values,
+    berman_pairs,
+    half_counts,
+    reference,
+    whole_field_one_sided,
+    whole_field_two_sided,
+)
 from gridruin import cli, constants, model
 from gridruin.asymptotics import approx
 from gridruin.cache import ConstantCache, _checksum
@@ -16,7 +23,6 @@ from gridruin.constants import (
     ConstantKey,
     ConstantValue,
     berman,
-    berman_count_values,
     constant_for_model,
     constant_keys_for_model,
     parisian_constant,
@@ -246,11 +252,60 @@ class TestParisianConstant:
             parisian_constant(0.5, -1.0, trunc=20.0, n=100)
 
 
+def berman_row(field, eta, k):
+    """(estimate, std_error) of berman's _KINDS row on ``field`` as one block."""
+    spec = constants._KINDS["berman"]
+    part = spec.reduce.part(spec.values(field, eta, k, constants._fresh), k, field.shape[1] // 2)
+    return spec.reduce.value([part], len(field), eta, k)
+
+
 class TestBerman:
-    def test_count_values_are_scaled_indicators(self):
-        field = np.array([[-1.0, 0.0, 2.0], [1.0, 0.0, 2.0]])
-        np.testing.assert_array_equal(berman_count_values(field, 0.5, 1), [2.0, 0.0])
-        np.testing.assert_array_equal(berman_count_values(field, 0.5, 2), [0.0, 2.0])
+    # two fields on [-2 eta, 2 eta]: right then left half counts 1, 1 and 0, 2
+    HAND_FIELD = np.array([[-1.0, 1.0, 0.0, 1.0, -1.0], [2.0, 3.0, 0.0, -1.0, -2.0]])
+
+    def test_pairs_of_half_fields_by_hand(self):
+        eta = 0.5
+        np.testing.assert_array_equal(half_counts(self.HAND_FIELD), [[1, 1], [0, 2]])
+        # halves with 0, 1, 2 positives: c = 1, 2, 1, and N(N - 1) = 12 ordered
+        # pairs.  k = 2: c0 c2 + c1 c1 + c2 c0 = 6, less the 2 pairs of a
+        # 1-half with itself, is 4 of 12; q = 1/4, 1/2, 1/4 gives Var q(2 - X) = 1/64
+        assert berman_row(self.HAND_FIELD, eta, 2) == pytest.approx((1 / (3 * eta), 1 / (8 * eta)))
+        # k = 1: c0 c1 + c1 c0 = 4 of 12, no pair of a half with itself; Var q(1 - X) = 1/32
+        assert berman_row(self.HAND_FIELD, eta, 1) == pytest.approx(
+            (4 / (12 * eta), math.sqrt(1 / 32) / eta)
+        )
+        for k in range(5):
+            assert berman_row(self.HAND_FIELD, eta, k) == berman_pairs(
+                half_counts(self.HAND_FIELD), eta, k
+            )
+
+    def test_agrees_with_the_exact_series(self):
+        exact = reference.berman_exact(0.2, 2)
+        for seed in (1, 2, 3):
+            b = berman(0.2, 2, trunc=40.0, n=50_000, seed=seed)
+            assert abs(b.estimate - exact) <= 4 * b.std_error, (seed, b)
+
+    def test_standard_error_is_calibrated(self):
+        # var(estimates) / mean(SE^2) read 1.02 over 400 seeds at n = 5000
+        values = [berman(0.2, 2, trunc=40.0, n=2000, seed=seed) for seed in range(1000, 1100)]
+        spread = np.var([v.estimate for v in values], ddof=1)
+        assert 0.6 <= spread / np.mean([v.std_error**2 for v in values]) <= 1.6
+
+    def test_pairs_beat_the_indicator_on_the_same_fields(self):
+        key = ConstantKey("berman", 0.2, 40.0, 20_000, seed=1, k=2)
+        indicator = np.concatenate(
+            [berman_count_values(field, key.eta, key.k) for field in whole_block_fields(key)]
+        )
+        pairs = whole_block_reference(key)
+        relvar_pairs = key.n_samples * (pairs.std_error / pairs.estimate) ** 2
+        assert relvar_pairs <= 0.4 * indicator.var() / indicator.mean() ** 2
+
+    def test_no_array_sized_by_k(self):
+        # a half holds at most n_side = 80 positives, so no pair adds up to k
+        key = ConstantKey("berman", 0.5, 40.0, 100, k=10**12)
+        resolve_constant(key)  # one-off allocations of a first run are not the estimator's
+        assert traced_peak(lambda: resolve_constant(key)) < 2**20
+        assert resolve_constant(key) == (ConstantValue(0.0, 0.0, 0.0, 100), False)
 
     def test_zero_count_matches_pickands(self):
         b = berman(0.5, 0, trunc=40.0, n=100_000, seed=12)
@@ -269,38 +324,49 @@ class TestBerman:
             berman(0.5, -1, trunc=40.0, n=100)
 
 
+def whole_block_fields(key: ConstantKey):
+    """Each block's fields, sampled whole on make_rng(seed, b).
+
+    Each row of a two-sided field draws its right half, then its left half.
+    """
+    for b, start in enumerate(range(0, key.n_samples, model.BLOCK_SIZE)):
+        m, rng = min(model.BLOCK_SIZE, key.n_samples - start), make_rng(key.seed, b)
+        if key.kind == "piterbarg":
+            yield whole_field_one_sided(key.eta, key.trunc, m, rng, slope=1.0 + key.a)
+        else:
+            yield whole_field_two_sided(key.eta, key.trunc, m, rng)
+
+
 def whole_block_reference(key: ConstantKey) -> ConstantValue:
     """The driver's estimate computed the untiled way.
 
-    Block b samples all its rows as one whole field on make_rng(seed, b),
-    each row of a two-sided field drawing its right half, then its left
-    half, then applies the kind's functional and edge rule to the whole
-    field.
+    The kind's functional and edge rule see each block's whole field; the
+    Berman U-statistic pairs the half counts of every block at once.
     """
     eta, trunc, n = key.eta, key.trunc, key.n_samples
-    parts = []
-    for b, start in enumerate(range(0, n, model.BLOCK_SIZE)):
-        m, rng = min(model.BLOCK_SIZE, n - start), make_rng(key.seed, b)
+    sums, counts, near_edge = [], [], 0
+    for field in whole_block_fields(key):
         if key.kind == "piterbarg":
-            field = whole_field_one_sided(eta, trunc, m, rng, slope=1.0 + key.a)
             t = eta * np.arange(field.shape[1])
         else:
-            field = whole_field_two_sided(eta, trunc, m, rng)
             t = eta * np.arange(field.shape[1]) - trunc
+        outer = np.abs(t) > 0.9 * trunc
+        if key.kind == "berman":
+            counts.append(half_counts(field))
+            near_edge += int((field[:, outer] > 0.0).any(axis=1).sum())
+            continue
         vals = {
             "pickands_dy": lambda: pickands_ratio_values(field, eta),
             "piterbarg": lambda: piterbarg_values(field),
             "parisian": lambda: parisian_window_values(field, eta, key.T),
-            "berman": lambda: berman_count_values(field, eta, key.k),
         }[key.kind]()
-        outer = np.abs(t) > 0.9 * trunc
-        if key.kind == "berman":
-            near_edge = (field[:, outer] > 0.0).any(axis=1)
-        else:
-            near_edge = outer[field.argmax(axis=1)]
-        parts.append((float(vals.sum()), float((vals * vals).sum()), int(near_edge.sum())))
-    mean, se = model._mean_se(parts, n)
-    return ConstantValue(mean, se, sum(part[2] for part in parts) / n, n)
+        sums.append((float(vals.sum()), float((vals * vals).sum())))
+        near_edge += int(outer[field.argmax(axis=1)].sum())
+    if key.kind == "berman":
+        mean, se = berman_pairs(np.concatenate(counts), eta, key.k)
+    else:
+        mean, se = model._mean_se(sums, n)
+    return ConstantValue(mean, se, near_edge / n, n)
 
 
 # One key per kind at eta = 0.5 and its default window, and a second
@@ -597,13 +663,19 @@ class TestCache:
         assert tampered.lookup(key) is None
         assert [w.filename for w in caught] == [__file__]  # names the caller's line
 
-    @pytest.mark.parametrize("stream", [None, "philox"])
+    @pytest.mark.parametrize("stream", [None, "philox", "sfc64-1"])
     def test_line_from_another_stream_layout_skipped_with_warning(self, tmp_path, stream):
-        # the same key estimated under another generator or draw order is
-        # another number; a record without a stream predates the field
+        # the same key estimated under another generator, draw order or
+        # estimator is another number; a record without a stream predates
+        # the field.  Under "sfc64-1" a berman key averaged one indicator per
+        # field: the record holds that value, and the key is estimated afresh
         path = tmp_path / "cache.jsonl"
-        key = ConstantKey("pickands_dy", 0.5, 10.0, 2000, seed=3)
-        resolve_constant(key, ConstantCache(path))
+        key = ConstantKey("berman", 0.5, 40.0, 2000, seed=3, k=1)
+        indicator = np.concatenate(
+            [berman_count_values(field, key.eta, key.k) for field in whole_block_fields(key)]
+        )
+        stale = ConstantValue(indicator.mean(), indicator.std() / math.sqrt(2000), 0.0, 2000)
+        ConstantCache(path).append(key, stale)
         rec = json.loads(path.read_text())
         del rec["checksum"], rec["stream"]
         if stream is not None:
@@ -616,6 +688,8 @@ class TestCache:
             reloaded = ConstantCache(path)
         assert reloaded.lookup(key) is None
         assert [w.filename for w in caught] == [__file__]
+        value, cached = resolve_constant(key, reloaded)
+        assert not cached and value == resolve_constant(key)[0] != stale
 
     def test_non_object_line_skipped_with_warning(self, tmp_path):
         path = tmp_path / "cache.jsonl"
