@@ -1,20 +1,25 @@
-"""Closed-form probabilities and a dynamic-programming oracle.
+"""Closed-form probabilities, and the first-crossing law with the DP oracle that reads it.
 
-The DP oracle computes the classical grid ruin probability by propagating the
-sub-density of the walk tilted to drift +c, restricted below the barrier,
-which gives an independent deterministic cross-check for the Monte Carlo
-estimators.  Each first crossing of u counts with its likelihood ratio, so
-the result's quadrature error and round-off are relative to it at any u.  On
-a uniform state grid of [-12/c, u] (``_crossing_grid``) with Gregory's
-end-corrected trapezoid weights, the one-step kernel is a Toeplitz matrix
-times the weights, so each step is one FFT convolution with a fixed kernel
-row: O(N log N) time per step and O(N) memory for N state points.  The row
-keeps only the K lags whose weight exceeds ``_ROW_CUT`` of its peak, within
-about 9.6 standard deviations of the increment's mean, so a step transforms
-N + K - 1 points rather than 2N - 1.  The same sweep tabulates the law of
-the first crossing of u and the level before it (``_FirstCrossing``), from
-which the tilted Parisian and cumulative estimators start their paths where
-``_first_crossing`` counts less work for the table than for the walk it replaces.
+One function, ``_crossing_law``, propagates the sub-density of the walk
+tilted to drift +c, restricted below the barrier u, and tabulates the law of
+the first crossing tau_1 of u and the level S_{tau_1 - 1} before it: one
+cell per step and kept node.  On a uniform state grid of [-12/c, u]
+(``_crossing_grid``) with Gregory's end-corrected trapezoid weights, the
+one-step kernel is a Toeplitz matrix times the weights, so each step is one
+FFT convolution with a fixed kernel row: O(N log N) time per step for N
+state points.  The row keeps only the lags whose weight exceeds
+``_ROW_CUT`` of its peak, within about 9.6 standard deviations of the
+increment's mean, so a step transforms N + K - 1 points rather than 2N - 1;
+the K nodes within that reach of u are the only ones that can cross it, so
+the law takes 8 (steps - 1) K bytes.  The law has two readers:
+
+- ``dp_classical_ruin``, the deterministic cross-check for the Monte Carlo
+  estimators, weighs each cell by the classical conditioned weight, so its
+  quadrature error and round-off are relative to the result at any u;
+- ``_FirstCrossing``, from which the tilted Parisian and cumulative
+  estimators, and classical ruin-time samples, start their paths where
+  ``_first_crossing`` counts less work for the table than for the walk it
+  replaces.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
 truncation bound and the tilted weight share, rest on one lower tail,
@@ -25,11 +30,10 @@ first-crossing sampler inverts Phi-bar by Wichura's AS 241 (``_norm_isf``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Grid, ModelParams, _check_horizon
+from .model import Grid, ModelParams, _check_horizon, _unscaled
 
 __all__ = [
     "norm_cdf",
@@ -178,8 +182,12 @@ def norm_pdf(x):
 
 
 def psi_inf(params: ModelParams) -> float:
-    """Continuous-time infinite-horizon ruin probability exp(-2cu)."""
-    return math.exp(-2.0 * params.c * params.u)
+    """Continuous-time infinite-horizon ruin probability exp(-2cu).
+
+    Raises RuntimeError where it is a positive number below the smallest
+    normal double.
+    """
+    return _unscaled(1.0, -2.0 * params.c * params.u)
 
 
 def crossing_after(T: float, params: ModelParams) -> float:
@@ -225,7 +233,7 @@ def _ruin_time_scale(params: ModelParams):
     return lambda tau: scale * (tau - center)
 
 
-# Largest |total probability - 1| the DP sweep accepts.
+# Largest |total probability - 1| the first-crossing law accepts.
 _MASS_TOLERANCE = 1e-7
 
 # Kernel-row entries at or below this share of the row's peak are dropped.  A
@@ -249,7 +257,7 @@ _GREGORY = np.array([1070017, 5537111, 932517, 6527875,
 
 
 class QuadratureMassError(RuntimeError):
-    """Raised when the DP sweep's probability mass balance fails ``_MASS_TOLERANCE``."""
+    """Raised when the first-crossing law's probability mass balance fails ``_MASS_TOLERANCE``."""
 
 
 def _fft_length(n: int) -> int:
@@ -264,51 +272,20 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-@dataclass(frozen=True)
-class _Quadrature:
-    """One step of the drift +c walk on ``_crossing_grid``'s nodes: weights, kernel, exits, step 1."""
+def _crossing_law(params: ModelParams, grid: Grid, n_steps: int):
+    """(x, law): the K kept nodes and the law of (tau_1, S_{tau_1 - 1}) of the drift +c walk to n_steps.
 
-    x: np.ndarray  # the nodes, lo .. u
-    w: np.ndarray  # Gregory's weights
-    kept: slice  # the nodes that can send mass across u
-    n_fft: int
-    row_hat: np.ndarray  # the transform of the cut kernel row
-    middle: slice  # the convolution's outputs that fall on the nodes
-    p_ruin_from: np.ndarray  # w times P(one step from x ends above u)
-    p_floor_from: np.ndarray  # w times P(one step from x ends below lo)
-    ruin: float  # P(S_1 > u)
-    below: float  # P(S_1 < lo)
-    f: np.ndarray  # the density of S_1 at the nodes
-
-    def sweep(self, n_steps: int, record=lambda i, f: None) -> float:
-        """P(the walk from 0 exceeds u by step n_steps), from n_steps - 1 pushes of its sub-density.
-
-        Before step i + 2 is taken, ``record(i, f)`` sees f, the sub-density
-        of S_{i+1} below u at the nodes.  Mass crossing u accumulates into
-        the result and mass leaving below the floor is tracked; raises
-        ``QuadratureMassError`` if the total balance is off by more than
-        ``_MASS_TOLERANCE``.
-        """
-        w, n_fft, row_hat, middle = self.w, self.n_fft, self.row_hat, self.middle
-        ruin, below, f = self.ruin, self.below, self.f
-        for i in range(n_steps - 1):
-            record(i, f)
-            ruin += float(self.p_ruin_from @ f)
-            below += float(self.p_floor_from @ f)
-            f = np.fft.irfft(np.fft.rfft(w * f, n_fft) * row_hat, n_fft)[middle]
-        balance = ruin + below + float(w @ f)
-        if abs(balance - 1.0) > _MASS_TOLERANCE:
-            raise QuadratureMassError(
-                f"probability mass balance off by {balance - 1.0:.3e} on {self.x.size} state points"
-            )
-        return ruin
-
-
-def _quadrature(params: ModelParams, grid: Grid) -> _Quadrature:
-    """The quadrature of one step N(c delta, delta) on the nodes ``_crossing_grid`` lays on [lo, u].
-
-    A step pushes a sub-density f at the nodes forward as
-    ``irfft(rfft(w * f, n_fft) * row_hat, n_fft)[middle]``.
+    tau_1 is the walk's first step above u, from S_0 = 0.  law[0] = P(S_1 >
+    u), from the point mass at 0, and law[1 + i K + j] is the cell (tau_1 =
+    i + 2, S_{tau_1 - 1} = x_j): w_j P(a step from x_j ends above u) f(x_j),
+    f the sub-density of S_{i+1} below u at the nodes.  The nodes and
+    Gregory's weights w are ``_crossing_grid``'s rule on [lo, u]; a step
+    pushes f forward by one FFT convolution with the cut kernel row.  Only
+    the kept nodes' crossings are counted: every other node sends less than
+    Phi-bar(9.6) = 4e-22 of its mass across u per step.  The cells are left
+    as the FFT's round-off leaves them, a few just below 0.  Raises
+    ``QuadratureMassError`` if the crossings, the mass leaving below lo and
+    the mass left below u miss 1 by more than ``_MASS_TOLERANCE``.
     """
     u, mean, sigma = params.u, params.c * grid.delta, math.sqrt(grid.delta)
     lo, n_nodes, n_kept = _crossing_grid(params, grid)
@@ -327,52 +304,51 @@ def _quadrature(params: ModelParams, grid: Grid) -> _Quadrature:
     # FFT length >= N + K - 1.
     lags = np.arange(1 - n_nodes, n_nodes)
     row = norm_pdf((lags * h - mean) / sigma) / sigma
-    kept = np.flatnonzero((row > _ROW_CUT * row.max()) | (lags == 0))
-    row = row[kept[0]:kept[-1] + 1]
-    first = lags[kept[0]]
+    cut = np.flatnonzero((row > _ROW_CUT * row.max()) | (lags == 0))
+    row = row[cut[0]:cut[-1] + 1]
+    first = lags[cut[0]]
     n_fft = _fft_length(n_nodes + row.size - 1)
-    return _Quadrature(
-        x=x,
-        w=w,
-        kept=slice(n_nodes - n_kept, None),
-        n_fft=n_fft,
-        row_hat=np.fft.rfft(row, n_fft),
-        middle=slice(-first, n_nodes - first),
-        p_ruin_from=norm_sf((u - x - mean) / sigma) * w,
-        p_floor_from=norm_cdf((lo - x - mean) / sigma) * w,
-        # the first step starts from the point mass at 0, no quadrature needed
-        ruin=float(norm_sf((u - mean) / sigma)),
-        below=float(norm_cdf((lo - mean) / sigma)),
-        f=norm_pdf((x - mean) / sigma) / sigma,
-    )
+    row_hat = np.fft.rfft(row, n_fft)
+
+    kept = slice(n_nodes - n_kept, None)
+    p_cross = norm_sf((u - x[kept] - mean) / sigma) * w[kept]
+    p_floor = norm_cdf((lo - x - mean) / sigma) * w
+    law = np.empty(1 + (n_steps - 1) * n_kept)
+    law[0] = norm_sf((u - mean) / sigma)
+    cells = law[1:].reshape(n_steps - 1, n_kept)
+    below = float(norm_cdf((lo - mean) / sigma))
+    f = norm_pdf((x - mean) / sigma) / sigma
+    for i in range(n_steps - 1):
+        np.multiply(p_cross, f[kept], out=cells[i])
+        below += float(p_floor @ f)
+        f = np.fft.irfft(np.fft.rfft(w * f, n_fft) * row_hat, n_fft)[-first:n_nodes - first]
+    balance = float(law.sum()) + below + float(w @ f)
+    if abs(balance - 1.0) > _MASS_TOLERANCE:
+        raise QuadratureMassError(
+            f"probability mass balance off by {balance - 1.0:.3e} on {n_nodes} state points"
+        )
+    return x[kept], law
 
 
 def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
-    """P(max_{0<=n<=N} S_n > u) by quadrature convolution, deterministic.
+    """P(max_{0<=n<=N} S_n > u) from the first-crossing law of the drift +c walk, deterministic.
 
-    The walk S has drift -c; the sweep runs its tilt of drift +c, the
-    first-crossing table's own (``_Quadrature.sweep``).  A -c step of size z
-    has likelihood exp(-2cz) against a +c step, so a +c path first crossing
-    u at step n >= 2 from S_{n-1} = x counts exp(-2cx) Phi-bar((u - x + c
-    delta) / sqrt(delta)), and
+    The walk S has drift -c; ``_crossing_law`` tabulates the first crossing
+    of u under its tilt of drift +c.  A -c step of size z has likelihood
+    exp(-2cz) against a +c step, so a +c path first crossing u at step n
+    >= 2 from S_{n-1} = x counts r(x) times its cell, with r the classical
+    conditioned weight
 
-        psi = Phi-bar((u + c delta) / sqrt(delta))
-              + exp(-2cu) sum_{n >= 2} sum_j g_j f_{n-1}(x_j),
-        g_j = w_j exp(2c(u - x_j)) Phi-bar((u - x_j + c delta) / sqrt(delta)),
+        r(x) = exp(2c(u - x)) Phi-bar((u - x + c delta) / sqrt(delta))
+                              / Phi-bar((u - x - c delta) / sqrt(delta)) <= 1,
 
-    with f_{n-1} the +c sub-density below u at the nodes, each step read
-    through ``sweep``'s ``record`` hook.  g is at most the +c crossing
-    weight, so the sum's quadrature error and round-off are relative to psi
-    at any u.  The sub-density lives on a uniform grid of [-12/c, u]
-    (``_crossing_grid``) with Gregory's end-corrected weights; the kernel
-    entry for nodes x_i, x_j depends only on i - j, so a step is the
-    convolution of the weighted density with one kernel row, done by FFT
-    with the row's transform computed once per call: O(N log N) per step
-    and O(N) memory, no N x N matrix.  The row is cut to the K lags whose
-    weight exceeds ``_ROW_CUT`` of its peak (widened to lag 0), so each
-    transform has length N + K - 1 or just above.  Raises
-    ``QuadratureMassError`` if the +c walk's balance fails
-    ``_MASS_TOLERANCE``.
+    and psi = Phi-bar((u + c delta) / sqrt(delta)) + exp(-2cu) sum law r.
+    r is at most 1, so the sum's quadrature error and round-off are
+    relative to psi at any u.  The law holds 8 (n_steps - 1) K bytes, K
+    about 80 kept nodes, besides O(N) for the N state nodes: no N x N
+    matrix.  Raises ``QuadratureMassError`` if the +c walk's balance fails
+    ``_MASS_TOLERANCE``, and RuntimeError where psi would be a positive
+    number below the smallest normal double.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -382,13 +358,13 @@ def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
         return 0.0
 
     sigma = math.sqrt(delta)
-    q = _quadrature(params, grid)
-    x = q.x[q.kept]
-    # in log space: exp(2c(u - x)) overflows where Phi-bar underflows, their product is at most 1
-    g = q.w[q.kept] * np.exp(2.0 * c * (u - x) + _log_ndtr((x - u - c * delta) / sigma))
-    tilted = []
-    q.sweep(n_steps, lambda i, f: tilted.append(g @ f[q.kept]))
-    return float(norm_sf((u + c * delta) / sigma)) + math.exp(-2.0 * c * u) * math.fsum(tilted)
+    x, law = _crossing_law(params, grid, n_steps)
+    # the numerator in log space, where exp(2c(u - x)) overflows and Phi-bar underflows; the
+    # denominator is at least Phi-bar(9.6) on the kept nodes
+    r = (np.exp(2.0 * c * (u - x) + _log_ndtr((x - u - c * delta) / sigma))
+         / norm_sf((u - x - c * delta) / sigma))
+    tilted = math.fsum(law[1:].reshape(-1, x.size) @ r)
+    return float(norm_sf((u + c * delta) / sigma)) + _unscaled(tilted, -2.0 * c * u)
 
 
 # Node spacing of the DP's state grid, as a share of the step's standard
@@ -456,32 +432,23 @@ def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int):
 class _FirstCrossing:
     """The law of (tau_1, S_{tau_1 - 1}) of the drift +c walk up to step n_steps, and its sampler.
 
-    tau_1 is the walk's first step above u, from S_0 = 0.  Its cells are the
-    DP's own crossing integrand: step 1 from the point mass at 0, then for
-    each later step n the kept nodes x_j, ``p_ruin_from[j] * f[j]`` with f
-    the sub-density of S_{n-1} below u.  x is drawn from these nodes as a
-    discrete law, so the sampler's bias is the quadrature error of a smooth
-    integrand under Gregory's weights (summing the cells times the classical
-    conditioned weight gave exp(2cu) times ``dp_classical_ruin`` at a
-    quarter of the spacing to within 3e-9 at u = 2-10, c = 0.5-1, delta =
-    0.05-0.1).  Raises ``QuadratureMassError`` if the walk's mass balance
-    fails ``_MASS_TOLERANCE``.
+    tau_1 is the walk's first step above u, from S_0 = 0.  The cells are
+    ``_crossing_law``'s, clipped at 0 and summed in place into ``cum``: cell 0
+    is (1, 0), cell 1 + i K + j is (i + 2, x_j) for the K kept nodes x.  x is
+    drawn from these nodes as a discrete law, so the sampler's bias is the
+    quadrature error of a smooth integrand under Gregory's weights (summing
+    the cells times the classical conditioned weight gave exp(2cu) times
+    ``dp_classical_ruin`` at a quarter of the spacing to within 3e-9 at u =
+    2-10, c = 0.5-1, delta = 0.05-0.1).  Raises ``QuadratureMassError`` if
+    the walk's mass balance fails ``_MASS_TOLERANCE``.
     """
 
     def __init__(self, params: ModelParams, grid: Grid, n_steps: int):
-        q = _quadrature(params, grid)
-        p_cross = q.p_ruin_from[q.kept]
+        self.x, self.cum = _crossing_law(params, grid, n_steps)
         self.u, self.mean_step, self.sigma = params.u, params.c * grid.delta, math.sqrt(grid.delta)
-        self.x = q.x[q.kept]
         # Phi-bar((u - x - c delta) / sqrt(delta)) from cell 0's x = 0, then each kept node
         self.tail = norm_sf((self.u - (np.append(0.0, self.x) + self.mean_step)) / self.sigma)
-        # cell 0 is (1, 0); cell 1 + i K + j is (i + 2, x_j), K kept nodes
-        n_kept = self.x.size
-        self.cum = np.empty(1 + (n_steps - 1) * n_kept)
-        self.cum[0] = q.ruin
-        cells = self.cum[1:].reshape(n_steps - 1, n_kept)
-        q.sweep(n_steps, lambda i, f: np.multiply(p_cross, f[q.kept], out=cells[i]))
-        np.maximum(cells, 0.0, out=cells)  # the FFT's round-off can leave a cell below 0
+        np.maximum(self.cum, 0.0, out=self.cum)  # the FFT's round-off can leave a cell below 0
         np.cumsum(self.cum, out=self.cum)
 
     def sample(self, v_cell, v_over):

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .cache import ConstantCache
 from .constants import ConstantValue, constant_for_model
-from .estimators import _unscaled, _variant_value, estimate
-from .model import Grid, ModelParams, VariantParams, _check_blocks, default_horizon
+from .estimators import _variant_value, estimate
+from .model import Grid, ModelParams, VariantParams, _check_blocks, _unscaled, default_horizon
+
+if TYPE_CHECKING:
+    from .cache import ConstantCache
 
 __all__ = ["Approximation", "RatioRow", "approx", "validate_ratio"]
 

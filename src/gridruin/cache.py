@@ -16,12 +16,9 @@ import json
 import os
 from dataclasses import fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
+from .constants import ConstantKey, ConstantValue
 from .model import _STREAM_LAYOUT, _warn
-
-if TYPE_CHECKING:
-    from .constants import ConstantKey, ConstantValue
 
 __all__ = ["ConstantCache"]
 
@@ -36,13 +33,11 @@ class ConstantCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._records: dict["ConstantKey", "ConstantValue"] = {}
+        self._records: dict[ConstantKey, ConstantValue] = {}
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        from .constants import ConstantKey, ConstantValue
-
         for lineno, line in enumerate(self.path.read_bytes().splitlines(), start=1):
             line = line.strip()
             if not line:
@@ -73,10 +68,10 @@ class ConstantCache:
                 continue
             self._records[key] = value
 
-    def lookup(self, key: "ConstantKey"):
+    def lookup(self, key: ConstantKey):
         return self._records.get(key)
 
-    def append(self, key: "ConstantKey", value: "ConstantValue") -> None:
+    def append(self, key: ConstantKey, value: ConstantValue) -> None:
         rec = {f.name: getattr(key, f.name) for f in fields(key)}
         rec.update(
             estimate=value.estimate,

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .cache import ConstantCache
 from .estimators import _VARIANTS, _variant_value
 from .model import (
     Grid,
@@ -52,6 +51,9 @@ from .model import (
     _steps_in,
     _warn,
 )
+
+if TYPE_CHECKING:
+    from .cache import ConstantCache
 
 __all__ = [
     "ConstantKey",

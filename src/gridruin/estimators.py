@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -84,6 +83,7 @@ from .model import (
     _check_normals,
     _mean_se,
     _run_blocks,
+    _unscaled,
     _warn,
     default_horizon,
 )
@@ -243,11 +243,8 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
         n_steps += p - 1
     _check_normals(n, "paths", n_steps, "steps")
     log_scale = -(drift + params.c) * params.u
-    if variant != "reflected" and math.exp(log_scale) < sys.float_info.min:
-        raise RuntimeError(
-            f"double-precision underflow: a tilted {variant} result is at most "
-            f"exp({log_scale:.6g}), below {sys.float_info.min:.3g}"
-        )
+    if variant != "reflected":
+        _unscaled(1.0, log_scale)  # a result is at most exp(log_scale)
     if drift > 0.0 and variant == "reflected" and variant_params.gamma >= 0.5:
         _warn(
             f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
@@ -300,21 +297,6 @@ def _ruin_weigher(drift, tilt, delta, level):
         return np.exp(shift - tilt * x) * tails[1] / tails[0]
 
     return weigh
-
-
-def _unscaled(x, log_scale):
-    """x * exp(log_scale): values carried relative to exp(log_scale) put back on their scale.
-
-    Raises RuntimeError where a positive entry would fall below the smallest
-    normal double, rather than report a subnormal or zero value.
-    """
-    out = x * math.exp(log_scale)
-    if np.any((out < sys.float_info.min) & (x > 0.0)):
-        raise RuntimeError(
-            f"double-precision underflow: the scale exp({log_scale:.6g}) takes a positive value "
-            f"below {sys.float_info.min:.3g}"
-        )
-    return out
 
 
 def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=None):

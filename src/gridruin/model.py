@@ -250,6 +250,21 @@ def _mean_se(parts, n: int) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
+def _unscaled(x, log_scale):
+    """x * exp(log_scale): values carried relative to exp(log_scale) put back on their scale.
+
+    Raises RuntimeError where a positive entry would fall below the smallest
+    normal double, rather than report a subnormal or zero value.
+    """
+    out = x * math.exp(log_scale)
+    if np.any((out < sys.float_info.min) & (x > 0.0)):
+        raise RuntimeError(
+            f"double-precision underflow: the scale exp({log_scale:.6g}) takes a positive value "
+            f"below {sys.float_info.min:.3g}"
+        )
+    return out
+
+
 def default_horizon(params: ModelParams, window_mult: float = 1.0) -> float:
     """Simulation horizon covering the time band where ruin concentrates.
 

@@ -13,10 +13,10 @@ from gridruin.analytic import (
     _GREGORY,
     QuadratureMassError,
     _crossing_grid,
+    _crossing_law,
     _FirstCrossing,
     _log_ndtr,
     _norm_isf,
-    _quadrature,
     crossing_after,
     dp_classical_ruin,
     norm_cdf,
@@ -139,6 +139,13 @@ class TestPsiInf:
         for seq in (vals_u, vals_c):
             assert all(a > b for a, b in zip(seq, seq[1:]))
 
+    def test_underflow_refused(self):
+        # exp(-708) is the last normal value of the ladder; exp(-710) is subnormal
+        assert psi_inf(ModelParams(c=1.0, u=354.0)) == math.exp(-708.0)
+        for u in (355.0, 400.0):
+            with pytest.raises(RuntimeError, match="double-precision underflow"):
+                psi_inf(ModelParams(c=1.0, u=u))
+
 
 class TestCrossingAfter:
     def test_small_T_limit(self):
@@ -221,8 +228,8 @@ class TestDpOracle:
         assert val == 0.0017156681952196489
 
     def test_one_function_steps_the_quadrature(self):
-        # the DP step loop and its mass balance live in _Quadrature.sweep
-        # alone, which both the oracle and the first-crossing table call
+        # the DP step loop and its mass balance live in _crossing_law alone,
+        # whose law both the oracle and the first-crossing table read
         tree = ast.parse(Path(analytic.__file__).read_text())
         stepping = [
             getattr(fn, "name", "lambda")
@@ -233,32 +240,44 @@ class TestDpOracle:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "irfft"
         ]
-        assert stepping == ["sweep"]
+        assert stepping == ["_crossing_law"]
 
     def test_every_quadrature_takes_its_nodes_from_the_crossing_grid(self):
-        # the oracle and the table build one quadrature, from (params, grid)
-        # alone: no caller picks its own floor, drift or node count
+        # the oracle and the table read one law, built from (params, grid,
+        # n_steps) alone: no caller picks its own floor, drift or node count
         tree = ast.parse(Path(analytic.__file__).read_text())
-        calls = [
-            ast.unparse(node) for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_quadrature"
+
+        def callers(name):
+            return sorted(
+                (fn.name, ast.unparse(node))
+                for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            )
+
+        assert callers("_crossing_grid") == [
+            ("_crossing_law", "_crossing_grid(params, grid)"),
+            ("_first_crossing", "_crossing_grid(params, grid)"),
         ]
-        assert calls == ["_quadrature(params, grid)"] * 2
-        (fn,) = [
-            node for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "_quadrature"
+        assert callers("_crossing_law") == [
+            ("__init__", "_crossing_law(params, grid, n_steps)"),
+            ("dp_classical_ruin", "_crossing_law(params, grid, n_steps)"),
         ]
-        assert [arg.arg for arg in fn.args.args] == ["params", "grid"]
-        assert "_crossing_grid(params, grid)" in ast.unparse(fn)
+        assert list(inspect.signature(_crossing_law).parameters) == ["params", "grid", "n_steps"]
 
     def test_gregory_weights_integrate_polynomials_exactly(self):
         # the trapezoid's 1/2 + 7 at each end, moved between the eight nodes
         assert np.all(_GREGORY > 0.0) and _GREGORY.sum() == pytest.approx(7.5, rel=1e-15)
-        q = _quadrature(ModelParams(c=1.0, u=1.0), Grid(0.1))
-        lo, u = q.x[0], q.x[-1]
+        # at c = 2, delta = 1 every node can cross u, so the law's step-2
+        # cells, w_j P(S_2 > u | S_1 = x_j) f_1(x_j), show every weight w_j
+        p, g = ModelParams(c=2.0, u=1.0), Grid(1.0)
+        lo, n_nodes, n_kept = _crossing_grid(p, g)
+        x, law = _crossing_law(p, g, 2)
+        assert n_kept == n_nodes == x.size == law.size - 1 and x[0] == lo and x[-1] == p.u
+        w = law[1:] / (norm_sf(p.u - x - p.c) * norm_pdf(x - p.c))
         for n in range(8):
-            exact = (u ** (n + 1) - lo ** (n + 1)) / (n + 1)
-            assert q.w @ q.x**n == pytest.approx(exact, rel=1e-12)
+            exact = (p.u ** (n + 1) - lo ** (n + 1)) / (n + 1)
+            assert w @ x**n == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize(
         "u, c, delta, n_steps, recorded",
@@ -310,6 +329,20 @@ class TestDpOracle:
             tracemalloc.stop()
         assert n_nodes > 5000 and peak < 100 * 8 * n_nodes
 
+    def test_memory_of_the_law_at_a_long_horizon(self):
+        # the oracle holds the first-crossing law, 8 (steps - 1) K bytes for
+        # K kept nodes, besides the O(N) bound above: never O(steps x N)
+        p, g, n = ModelParams(c=1.0, u=4.0), Grid(0.05), 4000
+        _, n_nodes, n_kept = _crossing_grid(p, g)
+        tracemalloc.start()
+        try:
+            dp_classical_ruin(p, g, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 8 * (n - 1) * n_kept + 100 * 8 * n_nodes
+        assert peak < bound < 8 * (n - 1) * n_nodes / 4
+
     def test_long_horizon_converges_in_state_points(self, monkeypatch):
         # the floor does not move with the horizon, so 1000 steps keep the
         # node spacing of 100
@@ -359,6 +392,20 @@ class TestDpOracle:
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
         val = dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
         assert 1e-12 < val < psi_inf(p)
+
+    def test_underflow_refused(self):
+        # exp(-2cu) = exp(-700) is still normal, and so is the value; at
+        # exp(-720) it would be subnormal, and at exp(-800) zero
+        g = Grid(0.1)
+
+        def dp(u):
+            p = ModelParams(c=10.0, u=u)
+            return dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
+
+        assert dp(35.0) == 4.9221079999551906e-306
+        for u in (36.0, 40.0):
+            with pytest.raises(RuntimeError, match="double-precision underflow"):
+                dp(u)
 
     def test_single_step_below_floor_is_closed_form(self):
         # one step runs no recursion, so its exact tail value is returned

@@ -3,7 +3,8 @@
 Every name in a ``gridruin`` module's ``__all__`` must be re-exported by
 the package or referenced as code (a name or an attribute, not a docstring
 mention) somewhere in the library.  Every kind of ``constants._KINDS``
-must be a constant of some ruin variant's prefactor.
+must be a constant of some ruin variant's prefactor.  No module imports
+inside a function: the import graph is what the module headers say.
 """
 
 import ast
@@ -47,3 +48,15 @@ def test_every_constant_kind_is_a_model_constant():
     # every key builder reads its parameter as a number; 0.25 suits them all
     used = {kind for *_, keys in _VARIANTS.values() for kind, _, _ in keys(1.0, 0.1, 0.25)}
     assert set(_KINDS) == used
+
+
+def test_no_import_inside_a_function():
+    inside = [
+        f"{path.stem}.{fn.name}: {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert inside == []
