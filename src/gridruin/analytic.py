@@ -5,17 +5,18 @@ tilted to drift +c, restricted below the barrier u, and tabulates the law of
 the first crossing tau_1 of u and the level S_{tau_1 - 1} before it: one
 cell per step and kept node.  On a uniform state grid of [-12/c, u]
 (``_crossing_grid``) with Gregory's end-corrected trapezoid weights, the
-one-step kernel is a Toeplitz matrix times the weights, so each step is one
-FFT convolution with a fixed kernel row: O(N log N) time per step for N
-state points.  The row keeps only the lags whose weight exceeds
-``_ROW_CUT`` of its peak, within about 9.6 standard deviations of the
-increment's mean, so a step transforms N + K - 1 points rather than 2N - 1;
-the K nodes within that reach of u are the only ones that can cross it, so
-the law takes 8 (steps - 1) K bytes.  The law has two readers:
+one-step kernel is a Toeplitz matrix times the weights.  Its row keeps only
+the R lags whose weight exceeds ``_ROW_CUT`` of its peak, within about 9.6
+standard deviations of the increment's mean, so the matrix is a band and
+each step is one matmul of blocks of B = ``_BAND_BLOCK`` outputs: 2 N (B +
+R - 1) flops per step for N state points, every term nonnegative.  The K
+nodes within that reach of u are the only ones that can cross it, so the
+law takes 8 (steps - 1) K bytes.  The law has two readers:
 
 - ``dp_classical_ruin``, the deterministic cross-check for the Monte Carlo
   estimators, weighs each cell by the classical conditioned weight, so its
-  quadrature error and round-off are relative to the result at any u;
+  round-off is relative to each term and its quadrature error relative to
+  the result at any u (the row cut's error is absolute: see there);
 - ``_FirstCrossing``, from which the tilted Parisian and cumulative
   estimators, and classical ruin-time samples, start their paths where
   ``_first_crossing`` counts less work for the table than for the walk it
@@ -30,8 +31,10 @@ first-crossing sampler inverts Phi-bar by Wichura's AS 241 (``_norm_isf``).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import Grid, ModelParams, _check_horizon, _unscaled
 
@@ -240,9 +243,20 @@ _MASS_TOLERANCE = 1e-7
 # dropped entry lies beyond sqrt(2 ln 1e20) = 9.6 standard deviations of the
 # increment's mean, so one step moves at most 2 Phi-bar(9.6) = 8.5e-22 of the
 # surviving mass, and n steps change the result by at most n * 8.5e-22 (4e-19
-# at 400 steps).  The FFT's own round-off, measured against the dense kernel,
-# is 1-2e-16 absolute: the cut sits far below it.
+# at 400 steps).  The band product's own round-off is relative to each
+# term, every term being nonnegative; the cut's error is absolute, so it
+# dominates values far below e^{-2cu} n * 8.5e-22 (``dp_classical_ruin``).
 _ROW_CUT = 1e-20
+
+# Outputs per block of the banded step in ``_crossing_law``: each step
+# multiplies (N / B) x (B + R - 1) windows by a (B + R - 1) x B band.  A
+# larger B computes more of the band's zeros, a smaller one makes the matmul
+# narrow.  On a 2-vCPU VM (OpenBLAS Haswell kernels) the 12 oracle calls of
+# the dp-oracle benchmark took 37-42 ms at every B from 16 to 64, within the
+# runs' noise, about 50 ms at B = 8, and 81 ms under the rfft/irfft pair the
+# step replaced; at R = 157 a B = 32 step beat that pair at every N from 330
+# to 64,000 (17 against 39 us at N = 1,000).
+_BAND_BLOCK = 32
 
 # Gregory's end-corrected trapezoid weights (m = 8) of the first eight nodes,
 # in units of the node spacing, as numerators over 10!; the last eight take
@@ -260,18 +274,6 @@ class QuadratureMassError(RuntimeError):
     """Raised when the first-crossing law's probability mass balance fails ``_MASS_TOLERANCE``."""
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 2-3-5-smooth integer >= n, a fast FFT length."""
-    while True:
-        m = n
-        for p in (2, 3, 5):
-            while m % p == 0:
-                m //= p
-        if m == 1:
-            return n
-        n += 1
-
-
 def _crossing_law(params: ModelParams, grid: Grid, n_steps: int):
     """(x, law): the K kept nodes and the law of (tau_1, S_{tau_1 - 1}) of the drift +c walk to n_steps.
 
@@ -280,10 +282,10 @@ def _crossing_law(params: ModelParams, grid: Grid, n_steps: int):
     i + 2, S_{tau_1 - 1} = x_j): w_j P(a step from x_j ends above u) f(x_j),
     f the sub-density of S_{i+1} below u at the nodes.  The nodes and
     Gregory's weights w are ``_crossing_grid``'s rule on [lo, u]; a step
-    pushes f forward by one FFT convolution with the cut kernel row.  Only
+    pushes f forward by one banded matmul with the cut kernel row.  Only
     the kept nodes' crossings are counted: every other node sends less than
-    Phi-bar(9.6) = 4e-22 of its mass across u per step.  The cells are left
-    as the FFT's round-off leaves them, a few just below 0.  Raises
+    Phi-bar(9.6) = 4e-22 of its mass across u per step.  Every term of
+    every product is nonnegative, so every cell is >= 0.  Raises
     ``QuadratureMassError`` if the crossings, the mass leaving below lo and
     the mass left below u miss 1 by more than ``_MASS_TOLERANCE``.
     """
@@ -297,18 +299,26 @@ def _crossing_law(params: ModelParams, grid: Grid, n_steps: int):
 
     # One-step transition f_i <- sum_j row[i - j] w_j f_j over the lags
     # i - j = -(N-1) .. N-1, keeping the contiguous run first .. last above
-    # the cut, widened to take in lag 0 so that all N outputs lie inside the
-    # convolution (a drift of over 9.6 sd per step, or a row underflowing to
-    # 0, would leave lag 0 out).  Output i is element i - first of the linear
-    # convolution of w f with the K kept entries, free of wrap-around for any
-    # FFT length >= N + K - 1.
+    # the cut, widened to take in lag 0 so that first <= 0 <= last (a drift
+    # of over 9.6 sd per step, or a row underflowing to 0, would leave lag 0
+    # out).  With w f written at offset last into a zero-padded buffer, the
+    # B = _BAND_BLOCK outputs b B .. b B + B - 1 are the buffer's window of B
+    # + R - 1 points from b B times a band: column k holds the R kept
+    # entries, lag last first, at rows k .. k + R - 1.  A step is one matmul
+    # of the B-strided windows by the band.
     lags = np.arange(1 - n_nodes, n_nodes)
     row = norm_pdf((lags * h - mean) / sigma) / sigma
     cut = np.flatnonzero((row > _ROW_CUT * row.max()) | (lags == 0))
-    row = row[cut[0]:cut[-1] + 1]
-    first = lags[cut[0]]
-    n_fft = _fft_length(n_nodes + row.size - 1)
-    row_hat = np.fft.rfft(row, n_fft)
+    taps, last = row[cut[0]:cut[-1] + 1][::-1], lags[cut[-1]]
+    band = np.zeros((_BAND_BLOCK + taps.size - 1, _BAND_BLOCK))
+    for k in range(_BAND_BLOCK):
+        band[k:k + taps.size, k] = taps
+    n_blocks = -(-n_nodes // _BAND_BLOCK)
+    padded = np.zeros(n_blocks * _BAND_BLOCK + taps.size - 1)
+    windows = sliding_window_view(padded, band.shape[0])[::_BAND_BLOCK]
+    weighted = padded[last:last + n_nodes]
+    out = np.empty((n_blocks, _BAND_BLOCK))
+    f = out.reshape(-1)[:n_nodes]  # each step's matmul overwrites f in place
 
     kept = slice(n_nodes - n_kept, None)
     p_cross = norm_sf((u - x[kept] - mean) / sigma) * w[kept]
@@ -317,11 +327,12 @@ def _crossing_law(params: ModelParams, grid: Grid, n_steps: int):
     law[0] = norm_sf((u - mean) / sigma)
     cells = law[1:].reshape(n_steps - 1, n_kept)
     below = float(norm_cdf((lo - mean) / sigma))
-    f = norm_pdf((x - mean) / sigma) / sigma
+    f[:] = norm_pdf((x - mean) / sigma) / sigma
     for i in range(n_steps - 1):
         np.multiply(p_cross, f[kept], out=cells[i])
         below += float(p_floor @ f)
-        f = np.fft.irfft(np.fft.rfft(w * f, n_fft) * row_hat, n_fft)[-first:n_nodes - first]
+        np.multiply(w, f, out=weighted)
+        np.matmul(windows, band, out=out)
     balance = float(law.sum()) + below + float(w @ f)
     if abs(balance - 1.0) > _MASS_TOLERANCE:
         raise QuadratureMassError(
@@ -343,12 +354,16 @@ def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
                               / Phi-bar((u - x - c delta) / sqrt(delta)) <= 1,
 
     and psi = Phi-bar((u + c delta) / sqrt(delta)) + exp(-2cu) sum law r.
-    r is at most 1, so the sum's quadrature error and round-off are
-    relative to psi at any u.  The law holds 8 (n_steps - 1) K bytes, K
-    about 80 kept nodes, besides O(N) for the N state nodes: no N x N
-    matrix.  Raises ``QuadratureMassError`` if the +c walk's balance fails
-    ``_MASS_TOLERANCE``, and RuntimeError where psi would be a positive
-    number below the smallest normal double.
+    r is at most 1 and every cell is a sum of nonnegative products, so the
+    round-off is relative to each term and the quadrature error relative to
+    psi.  The kernel row's cut is not: its error is absolute, up to n_steps
+    * 8.5e-22 of exp(-2cu) (``_ROW_CUT``), and it dominates tiny
+    short-horizon values: (u, c, delta, n_steps) = (10, 0.5, 0.05, 3) reads
+    5.9e-188, where P(S_3 > u) alone is about 2e-149.  The law holds 8
+    (n_steps - 1) K bytes, K about 80 kept nodes, besides O(N) for the N
+    state nodes: no N x N matrix.  Raises ``QuadratureMassError`` if the +c
+    walk's balance fails ``_MASS_TOLERANCE``, and RuntimeError where psi,
+    positive for n_steps >= 1, computes below the smallest normal double.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -364,7 +379,13 @@ def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
     r = (np.exp(2.0 * c * (u - x) + _log_ndtr((x - u - c * delta) / sigma))
          / norm_sf((u - x - c * delta) / sigma))
     tilted = math.fsum(law[1:].reshape(-1, x.size) @ r)
-    return float(norm_sf((u + c * delta) / sigma)) + _unscaled(tilted, -2.0 * c * u)
+    psi = float(norm_sf((u + c * delta) / sigma)) + _unscaled(tilted, -2.0 * c * u)
+    if psi < sys.float_info.min:
+        raise RuntimeError(
+            f"double-precision underflow: psi over {n_steps} steps at u={u} computes to {psi:.3g}, "
+            f"below {sys.float_info.min:.3g}"
+        )
+    return psi
 
 
 # Node spacing of the DP's state grid, as a share of the step's standard
@@ -407,13 +428,15 @@ _TABLE_MAX_BYTES = 2**25
 def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int):
     """The ``_FirstCrossing`` table for n paths up to step n_steps, or None where it is not worth it.
 
-    Each of its n_steps - 1 steps transforms N + K - 1 points, K the kept
-    lags of a kernel row cut at ``_CROSSING_REACH`` standard deviations (in
-    all, a count growing as u^2 / delta^1.5); the walk it replaces draws n
-    min(n_steps, u / (c delta) + 1) normals to the first crossing.  One point costs about one
-    normal (25-57 ns against 31-51 ns on a 2-vCPU VM), and the walk's blocks
-    share the cores while the table is built on one, so the table is built
-    where twice its points are fewer than the walk's normals.  None
+    Each of its n_steps - 1 steps is counted as N + R - 1 points, R the
+    kept lags of a kernel row cut at ``_CROSSING_REACH`` standard deviations
+    (in all, a count growing as u^2 / delta^1.5); the walk it replaces draws
+    n min(n_steps, u / (c delta) + 1) normals to the first crossing.  The
+    banded step costs 13-23 ns a point against 17-40 ns a normal on one
+    core of a 2-vCPU VM, and the walk's blocks share the cores while the
+    table is built on one, so the table is built where twice its points are
+    fewer than the walk's normals (a rule priced when a point cost about one
+    normal, kept so that no estimate switches between table and walk).  None
     elsewhere, where its cells and a dozen arrays of N + K points exceed
     ``_TABLE_MAX_BYTES``, or where its mass balance fails.
     """
@@ -433,7 +456,7 @@ class _FirstCrossing:
     """The law of (tau_1, S_{tau_1 - 1}) of the drift +c walk up to step n_steps, and its sampler.
 
     tau_1 is the walk's first step above u, from S_0 = 0.  The cells are
-    ``_crossing_law``'s, clipped at 0 and summed in place into ``cum``: cell 0
+    ``_crossing_law``'s, each >= 0, summed in place into ``cum``: cell 0
     is (1, 0), cell 1 + i K + j is (i + 2, x_j) for the K kept nodes x.  x is
     drawn from these nodes as a discrete law, so the sampler's bias is the
     quadrature error of a smooth integrand under Gregory's weights (summing
@@ -448,7 +471,6 @@ class _FirstCrossing:
         self.u, self.mean_step, self.sigma = params.u, params.c * grid.delta, math.sqrt(grid.delta)
         # Phi-bar((u - x - c delta) / sqrt(delta)) from cell 0's x = 0, then each kept node
         self.tail = norm_sf((self.u - (np.append(0.0, self.x) + self.mean_step)) / self.sigma)
-        np.maximum(self.cum, 0.0, out=self.cum)  # the FFT's round-off can leave a cell below 0
         np.cumsum(self.cum, out=self.cum)
 
     def sample(self, v_cell, v_over):

@@ -58,7 +58,7 @@ which it can qualify: at u = 10, c = 1, delta = 0.1 it draws about 9
 A classical path is ruined at tau_1 itself and draws none.  The estimate is
 then unbiased up to the table's quadrature error, that of a smooth
 integrand under Gregory's weights (3e-9 of exp(2cu) times the classical
-value there).  The table is built where twice its FFT points are fewer
+value there).  The table is built where twice its step points are fewer
 than the walk's normals.  Elsewhere paths walk from S_0 = 0, as do
 reflected paths (which can ruin before tau_1) and every crude run.
 Classical estimates walk, as the Monte Carlo check on that DP; classical

@@ -2,6 +2,7 @@ import ast
 import inspect
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -223,24 +224,28 @@ class TestDpOracle:
         assert val == pytest.approx(float(norm_sf(2.0)), rel=1e-9)
 
     def test_bits_pinned(self):
-        # the quadrature's arithmetic, operation for operation
+        # the quadrature's arithmetic, operation for operation.  The band
+        # product's last bits follow OpenBLAS's dgemm kernel: this value holds
+        # for the Haswell and SkylakeX kernels (CI sets OPENBLAS_CORETYPE);
+        # Sandybridge and Nehalem read ...409, Prescott ...415
         val = dp_classical_ruin(ModelParams(c=1.0, u=3.0), Grid(0.1), 150)
-        assert val == 0.0017156681952196489
+        assert val == 0.0017156681952196406
 
     def test_one_function_steps_the_quadrature(self):
         # the DP step loop and its mass balance live in _crossing_law alone,
-        # whose law both the oracle and the first-crossing table read
+        # whose law both the oracle and the first-crossing table read: the
+        # band product is built and applied there, and no FFT is left
         tree = ast.parse(Path(analytic.__file__).read_text())
-        stepping = [
-            getattr(fn, "name", "lambda")
+        stepping = sorted({
+            (getattr(fn, "name", "lambda"), name)
             for fn in ast.walk(tree)
             if isinstance(fn, (ast.FunctionDef, ast.Lambda))
             for node in ast.walk(fn)
             if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "irfft"
-        ]
-        assert stepping == ["_crossing_law"]
+            and (name := getattr(node.func, "attr", getattr(node.func, "id", None)))
+            in ("sliding_window_view", "matmul", "rfft", "irfft")
+        })
+        assert stepping == [("_crossing_law", "matmul"), ("_crossing_law", "sliding_window_view")]
 
     def test_every_quadrature_takes_its_nodes_from_the_crossing_grid(self):
         # the oracle and the table read one law, built from (params, grid,
@@ -290,8 +295,8 @@ class TestDpOracle:
     def test_recorded_values(self, u, c, delta, n_steps, recorded):
         # _dense_dp_ruin at the default spacing; within 3e-7 of
         # perfbench/reference.py's DP_RECORDED, taken under Simpson's weights
-        # on the drift -c walk.  A wrong lag sign or slice offset in the FFT
-        # step moves them by far more than 1e-9
+        # on the drift -c walk.  A wrong lag sign or window offset in the
+        # banded step moves them by far more than 1e-9
         val = dp_classical_ruin(ModelParams(c=c, u=u), Grid(delta), n_steps)
         assert abs(val - recorded) < 1e-9
 
@@ -305,8 +310,8 @@ class TestDpOracle:
         ],
     )
     def test_matches_dense_kernel(self, u, c, delta, state_points, monkeypatch):
-        # FFT round-off is a few ulp of the largest term, and the cut row's
-        # dropped entries move the result by under 1e-18: far below 1e-12.
+        # the band product's round-off is a few ulp of each term, and the cut
+        # row's dropped entries move the result by under 1e-18: far below 1e-12.
         # The spacing is set to give about state_points intervals
         p, g = ModelParams(c=c, u=u), Grid(delta)
         spacing = (u + 12.0 / c) / (state_points * math.sqrt(delta))
@@ -395,17 +400,51 @@ class TestDpOracle:
 
     def test_underflow_refused(self):
         # exp(-2cu) = exp(-700) is still normal, and so is the value; at
-        # exp(-720) it would be subnormal, and at exp(-800) zero
+        # exp(-720) it would be subnormal, and at exp(-800) zero.  The value's
+        # last bits follow OpenBLAS's dgemm kernel: this one holds for the
+        # Haswell and SkylakeX kernels (see test_bits_pinned)
         g = Grid(0.1)
 
         def dp(u):
             p = ModelParams(c=10.0, u=u)
             return dp_classical_ruin(p, g, g.n_steps_for(default_horizon(p)))
 
-        assert dp(35.0) == 4.9221079999551906e-306
+        assert dp(35.0) == 4.922107999955186e-306
         for u in (36.0, 40.0):
             with pytest.raises(RuntimeError, match="double-precision underflow"):
                 dp(u)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 10])
+    def test_underflow_refused_at_a_short_horizon(self, n_steps):
+        # psi_n(40) > 0 for n >= 1, but within 10 steps of sd 0.32 it is far
+        # below the smallest normal double: refused, never returned as 0.0
+        with pytest.warns(UserWarning):
+            with pytest.raises(RuntimeError, match="double-precision underflow"):
+                dp_classical_ruin(ModelParams(c=1.0, u=40.0), Grid(0.1), n_steps)
+
+    @pytest.mark.parametrize("u", [0.5, 1.0, 4.0, 10.0])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 1.0])
+    def test_nonnegative_and_below_the_continuous_bound(self, u, c, delta):
+        # the grid's maximum is at most the continuous-time one, P(sup_{t<=T}
+        # S_t > u) = Phi-bar((u + cT)/sqrt(T)) + exp(-2cu) Phi-bar((u - cT)/sqrt(T)):
+        # round-off absolute in e^{-2cu}, as an FFT step's is, puts short
+        # horizons' values below 0 or above it
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        for n in (1, 3, 10, 100):
+            t = n * delta
+            bound = (float(norm_sf((u + c * t) / math.sqrt(t)))
+                     + math.exp(-2.0 * c * u) * float(norm_sf((u - c * t) / math.sqrt(t))))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # the short-horizon warning
+                try:
+                    val = dp_classical_ruin(p, g, n)
+                except RuntimeError as err:
+                    assert "double-precision underflow" in str(err)
+                    continue
+                _, law = _crossing_law(p, g, n)
+            assert 0.0 <= val <= bound, (n, val, bound)
+            assert np.all(law >= 0.0), n
 
     def test_single_step_below_floor_is_closed_form(self):
         # one step runs no recursion, so its exact tail value is returned
@@ -547,7 +586,7 @@ class TestFirstCrossing:
 
     def test_count_rule_at_its_edge(self):
         # the Parisian T = 0.3 request at u = 10: twice the table's 175 steps
-        # of 711.6 FFT points against 101 normals a path switches at n = 2466
+        # of 711.6 step points against 101 normals a path switches at n = 2466
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
         n_steps = g.n_steps_for(default_horizon(p)) + 3  # the window's 3 steps past the horizon
         assert n_steps == 176

@@ -707,7 +707,7 @@ class TestFirstCrossingStart:
 
     def test_walk_where_the_table_costs_more(self):
         # at n = 100 the walk draws 10,100 normals, fewer than twice the table's
-        # 124,500 FFT points: the rows start at point 0, and the output is that
+        # 124,500 step points: the rows start at point 0, and the output is that
         # of the full walk, bit for bit
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
         assert tilted_start("parisian", p, g, PARISIAN, default_horizon(p), 100) is None
