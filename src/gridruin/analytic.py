@@ -1,26 +1,29 @@
 """Closed-form probabilities, and the first-crossing law with the DP oracle that reads it.
 
-One function, ``_crossing_law``, propagates the sub-density of the walk
-tilted to drift +c, restricted below the barrier u, and tabulates the law of
-the first crossing tau_1 of u and the level S_{tau_1 - 1} before it: one
-cell per step and kept node.  On a uniform state grid of [-12/c, u]
-(``_crossing_grid``) with Gregory's end-corrected trapezoid weights, the
-one-step kernel is a Toeplitz matrix times the weights.  Its row keeps only
-the R lags whose weight exceeds ``_ROW_CUT`` of its peak, within about 9.6
-standard deviations of the increment's mean, so the matrix is a band and
-each step is one matmul of blocks of B = ``_BAND_BLOCK`` outputs: 2 N (B +
-R - 1) flops per step for N state points, every term nonnegative.  The K
-nodes within that reach of u are the only ones that can cross it, so the
-law takes 8 (steps - 1) K bytes.  The law has two readers:
+One function, ``_crossing_law``, propagates the sub-density of the walk of
+drift +c (the tilted sampler's) or -c (the model's), restricted below the
+barrier u, and tabulates the law of the first crossing tau_1 of u and the
+level S_{tau_1 - 1} before it: one cell per step and kept node.  On a
+uniform state grid of [-12/c, u] (``_crossing_grid``) with Gregory's
+end-corrected trapezoid weights, the one-step kernel is a Toeplitz matrix
+times the weights.  Its row keeps only the R lags whose weight exceeds
+``_ROW_CUT`` of its peak, within about 9.6 standard deviations of the
+increment's mean, so the matrix is a band and each step is one matmul of
+blocks of B = ``_BAND_BLOCK`` outputs: 2 N (B + R - 1) flops per step for N
+state points, every term nonnegative.  The K nodes within that reach of u
+are the only ones that can cross it, so the law takes 8 (steps - 1) K bytes.
+The law has two readers:
 
 - ``dp_classical_ruin``, the deterministic cross-check for the Monte Carlo
-  estimators, weighs each cell by the classical conditioned weight, so its
-  round-off is relative to each term and its quadrature error relative to
-  the result at any u (the row cut's error is absolute: see there);
-- ``_FirstCrossing``, from which the tilted Parisian and cumulative
-  estimators, and classical ruin-time samples, start their paths where
-  ``_first_crossing`` counts less work for the table than for the walk it
-  replaces.
+  estimators, weighs each cell of the +c law by the classical conditioned
+  weight, so its round-off is relative to each term and its quadrature
+  error relative to the result at any u (the row cut's error is absolute:
+  see there); the -c law's total mass is the same probability by a second
+  route;
+- ``_FirstCrossing``, from which the Parisian and cumulative estimators
+  (tilted, from the +c law, and crude, from the -c law) and classical
+  ruin-time samples start their paths where ``_first_crossing`` counts
+  less work for the table than for the walk it replaces.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
 truncation bound and the tilted weight share, rest on one lower tail,
@@ -274,22 +277,26 @@ class QuadratureMassError(RuntimeError):
     """Raised when the first-crossing law's probability mass balance fails ``_MASS_TOLERANCE``."""
 
 
-def _crossing_law(params: ModelParams, grid: Grid, n_steps: int):
-    """(x, law): the K kept nodes and the law of (tau_1, S_{tau_1 - 1}) of the drift +c walk to n_steps.
+def _crossing_law(params: ModelParams, grid: Grid, n_steps: int, drift: float | None = None):
+    """(x, law): the K kept nodes and the law of (tau_1, S_{tau_1 - 1}) of the walk to n_steps.
 
-    tau_1 is the walk's first step above u, from S_0 = 0.  law[0] = P(S_1 >
-    u), from the point mass at 0, and law[1 + i K + j] is the cell (tau_1 =
-    i + 2, S_{tau_1 - 1} = x_j): w_j P(a step from x_j ends above u) f(x_j),
-    f the sub-density of S_{i+1} below u at the nodes.  The nodes and
-    Gregory's weights w are ``_crossing_grid``'s rule on [lo, u]; a step
-    pushes f forward by one banded matmul with the cut kernel row.  Only
-    the kept nodes' crossings are counted: every other node sends less than
-    Phi-bar(9.6) = 4e-22 of its mass across u per step.  Every term of
-    every product is nonnegative, so every cell is >= 0.  Raises
-    ``QuadratureMassError`` if the crossings, the mass leaving below lo and
-    the mass left below u miss 1 by more than ``_MASS_TOLERANCE``.
+    The walk's steps are N(drift delta, delta), drift +c where None: the
+    tilted sampler's and the oracle's law, or -c, the model's own, whose
+    cells are the crude sampler's.  tau_1 is the walk's first step above u,
+    from S_0 = 0.  law[0] = P(S_1 > u), from the point mass at 0, and
+    law[1 + i K + j] is the cell (tau_1 = i + 2, S_{tau_1 - 1} = x_j): w_j
+    P(a step from x_j ends above u) f(x_j), f the sub-density of S_{i+1}
+    below u at the nodes.  The nodes and Gregory's weights w are
+    ``_crossing_grid``'s rule on [lo, u]; a step pushes f forward by one
+    banded matmul with the cut kernel row.  Only the kept nodes' crossings
+    are counted: every other node sends less than Phi-bar(9.6) = 4e-22 of
+    its mass across u per step.  Every term of every product is nonnegative,
+    so every cell is >= 0.  Raises ``QuadratureMassError`` if the crossings,
+    the mass leaving below lo and the mass left below u miss 1 by more than
+    ``_MASS_TOLERANCE``.
     """
-    u, mean, sigma = params.u, params.c * grid.delta, math.sqrt(grid.delta)
+    drift = params.c if drift is None else drift
+    u, mean, sigma = params.u, drift * grid.delta, math.sqrt(grid.delta)
     lo, n_nodes, n_kept = _crossing_grid(params, grid)
     x = np.linspace(lo, u, n_nodes)
     h = x[1] - x[0]
@@ -344,6 +351,11 @@ def _crossing_law(params: ModelParams, grid: Grid, n_steps: int):
 def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
     """P(max_{0<=n<=N} S_n > u) from the first-crossing law of the drift +c walk, deterministic.
 
+    A second method gives the same probability: the total mass of the drift
+    -c walk's law, ``_crossing_law(params, grid, n_steps, -params.c)``,
+    whose cells carry no weight.  On the 80 cases of ``_CROSSING_SPACING``
+    the two agree within 2.4e-10 relative.
+
     The walk S has drift -c; ``_crossing_law`` tabulates the first crossing
     of u under its tilt of drift +c.  A -c step of size z has likelihood
     exp(-2cz) against a +c step, so a +c path first crossing u at step n
@@ -373,7 +385,7 @@ def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
         return 0.0
 
     sigma = math.sqrt(delta)
-    x, law = _crossing_law(params, grid, n_steps)
+    x, law = _crossing_law(params, grid, n_steps, params.c)
     # the numerator in log space, where exp(2c(u - x)) overflows and Phi-bar underflows; the
     # denominator is at least Phi-bar(9.6) on the kept nodes
     r = (np.exp(2.0 * c * (u - x) + _log_ndtr((x - u - c * delta) / sigma))
@@ -405,13 +417,18 @@ _CROSSING_REACH = math.sqrt(2.0 * math.log(1.0 / _ROW_CUT))
 def _crossing_grid(params: ModelParams, grid: Grid) -> tuple[float, int, int]:
     """(floor, nodes, kept nodes) of the DP's state grid, known before it is built.
 
-    The floor is -12/c (S_0 = 0 <= u): under drift +c, exp(-2c S_n) is a
-    martingale, so the walk dips below it with probability at most
-    exp(-24) = 3.8e-11; that mass is counted as leaving, not lost, in the
-    balance.  The node count is the least one whose spacing is at most
-    ``_CROSSING_SPACING`` sqrt(delta), and at least 17, so that Gregory's
-    corrections at the two ends do not overlap; the kept nodes are those
-    within ``_CROSSING_REACH`` sqrt(delta) of u - c delta (and at most u).
+    The floor is -12/c (S_0 = 0 <= u).  Under drift +c, exp(-2c S_n) is a
+    martingale, so the walk dips below it with probability at most exp(-24)
+    = 3.8e-11.  Under drift -c most of the mass leaves below it, but a path
+    there must climb u + 12/c to cross u, with probability at most
+    exp(-2c(u + 12/c)) = exp(-24) exp(-2cu), against a crossing probability
+    of order exp(-2cu).  Either way the mass below the floor is counted
+    as leaving, not lost, in the balance.  The node count is the least one
+    whose spacing is at most ``_CROSSING_SPACING`` sqrt(delta), and at least
+    17, so that Gregory's corrections at the two ends do not overlap; the
+    kept nodes are those within ``_CROSSING_REACH`` sqrt(delta) of u - c
+    delta (and at most u), which take in those within that reach of u + c
+    delta, the drift -c walk's.
     """
     lo = -12.0 / params.c
     sigma = math.sqrt(grid.delta)
@@ -425,13 +442,16 @@ def _crossing_grid(params: ModelParams, grid: Grid) -> tuple[float, int, int]:
 _TABLE_MAX_BYTES = 2**25
 
 
-def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int):
-    """The ``_FirstCrossing`` table for n paths up to step n_steps, or None where it is not worth it.
+def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int, drift: float):
+    """The ``_FirstCrossing`` table of ``drift`` for n paths up to step n_steps, or None.
 
     Each of its n_steps - 1 steps is counted as N + R - 1 points, R the
     kept lags of a kernel row cut at ``_CROSSING_REACH`` standard deviations
-    (in all, a count growing as u^2 / delta^1.5); the walk it replaces draws
-    n min(n_steps, u / (c delta) + 1) normals to the first crossing.  The
+    (in all, a count growing as u^2 / delta^1.5).  The walk it replaces
+    draws n min(n_steps, u / (c delta) + 1) normals to the first crossing
+    under drift +c, and n n_steps under drift -c, whose paths mostly never
+    cross and, unless ruined, run to the horizon (at u = 1, c = 1, delta =
+    0.1 and 100 or 103 steps the table is built from n = 958 on).  The
     banded step costs 13-23 ns a point against 17-40 ns a normal on one
     core of a 2-vCPU VM, and the walk's blocks share the cores while the
     table is built on one, so the table is built where twice its points are
@@ -442,19 +462,23 @@ def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int):
     """
     _, n_nodes, n_kept = _crossing_grid(params, grid)
     points = n_nodes + 2.0 * _CROSSING_REACH / _CROSSING_SPACING
-    normals = n * min(n_steps, params.u / (params.c * grid.delta) + 1.0)
+    walked = min(n_steps, params.u / (params.c * grid.delta) + 1.0) if drift > 0.0 else n_steps
+    normals = n * walked
     nbytes = 8.0 * ((n_steps - 1) * n_kept + 12 * points)
     if 2.0 * (n_steps - 1) * points >= normals or nbytes > _TABLE_MAX_BYTES:
         return None
     try:
-        return _FirstCrossing(params, grid, n_steps)
+        return _FirstCrossing(params, grid, n_steps, drift)
     except QuadratureMassError:
         return None
 
 
 class _FirstCrossing:
-    """The law of (tau_1, S_{tau_1 - 1}) of the drift +c walk up to step n_steps, and its sampler.
+    """The law of (tau_1, S_{tau_1 - 1}) of the walk up to step n_steps, and its sampler.
 
+    The walk has drift +c where ``drift`` is None (tilted sampling), or
+    ``drift``: -c for crude sampling, where about 91% of the paths at u = 1,
+    c = 1, delta = 0.1 never cross by the horizon and take the last cell.
     tau_1 is the walk's first step above u, from S_0 = 0.  The cells are
     ``_crossing_law``'s, each >= 0, summed in place into ``cum``: cell 0
     is (1, 0), cell 1 + i K + j is (i + 2, x_j) for the K kept nodes x.  x is
@@ -462,14 +486,17 @@ class _FirstCrossing:
     quadrature error of a smooth integrand under Gregory's weights (summing
     the cells times the classical conditioned weight gave exp(2cu) times
     ``dp_classical_ruin`` at a quarter of the spacing to within 3e-9 at u =
-    2-10, c = 0.5-1, delta = 0.05-0.1).  Raises ``QuadratureMassError`` if
-    the walk's mass balance fails ``_MASS_TOLERANCE``.
+    2-10, c = 0.5-1, delta = 0.05-0.1; the -c law's total mass gives
+    ``dp_classical_ruin`` within 2.4e-10 relative).  Raises
+    ``QuadratureMassError`` if the walk's mass balance fails
+    ``_MASS_TOLERANCE``.
     """
 
-    def __init__(self, params: ModelParams, grid: Grid, n_steps: int):
-        self.x, self.cum = _crossing_law(params, grid, n_steps)
-        self.u, self.mean_step, self.sigma = params.u, params.c * grid.delta, math.sqrt(grid.delta)
-        # Phi-bar((u - x - c delta) / sqrt(delta)) from cell 0's x = 0, then each kept node
+    def __init__(self, params: ModelParams, grid: Grid, n_steps: int, drift: float | None = None):
+        drift = params.c if drift is None else drift
+        self.x, self.cum = _crossing_law(params, grid, n_steps, drift)
+        self.u, self.mean_step, self.sigma = params.u, drift * grid.delta, math.sqrt(grid.delta)
+        # Phi-bar((u - x - drift delta) / sqrt(delta)) from cell 0's x = 0, then each kept node
         self.tail = norm_sf((self.u - (np.append(0.0, self.x) + self.mean_step)) / self.sigma)
         np.cumsum(self.cum, out=self.cum)
 
@@ -481,7 +508,7 @@ class _FirstCrossing:
         first, so path r takes the r-th smallest: a sorted search is three
         times faster, and the paths are exchangeable, so a sum over them has
         the same law.  ``v_over[r]`` draws path r's S_{tau_1} from
-        N(x + c delta, delta) conditioned to exceed u, by inverse CDF.
+        N(x + drift delta, delta) conditioned to exceed u, by inverse CDF.
         """
         i = np.searchsorted(self.cum, np.sort(v_cell), side="right")
         k = self.x.size

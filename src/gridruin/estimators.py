@@ -44,25 +44,29 @@ for all its blocks whatever the horizon or grid step, and a request whose
 worst case, n paths all run to the horizon, exceeds ``_MAX_NORMALS``
 normals is refused before the first draw.
 
-Tilted Parisian and cumulative paths, and those of a classical ruin-time
-sample, start at their first crossing tau_1 of u.  Until then their
-detectors keep the state of point 0 and their barrier is u, so the path
-before tau_1 counts only through tau_1 and S_{tau_1 - 1}.  The law of that
-pair under drift +c, up to the path's last step, is tabulated once per call
-on the DP oracle's quadrature (``analytic._first_crossing``).  A path draws
-its cell and its level S_{tau_1} from it with two uniforms, is examined at
-tau_1 from the detector's state at point 0, and walks on from there, its
-first chunk spanning only the variant's lead, the fewest further points at
-which it can qualify: at u = 10, c = 1, delta = 0.1 it draws about 9
-(Parisian, T = 0.3) or 7 (cumulative, k = 2) normals instead of about 113.
-A classical path is ruined at tau_1 itself and draws none.  The estimate is
-then unbiased up to the table's quadrature error, that of a smooth
-integrand under Gregory's weights (3e-9 of exp(2cu) times the classical
-value there).  The table is built where twice its step points are fewer
-than the walk's normals.  Elsewhere paths walk from S_0 = 0, as do
-reflected paths (which can ruin before tau_1) and every crude run.
-Classical estimates walk, as the Monte Carlo check on that DP; classical
-ruin-time samples start from the table.
+Parisian and cumulative paths, tilted or crude, and those of a classical
+ruin-time sample, start at their first crossing tau_1 of u.  Until then
+their detectors keep the state of point 0 and their barrier is u, so the
+path before tau_1 counts only through tau_1 and S_{tau_1 - 1}.  The law of
+that pair under the sampler's drift, +c or -c, up to the path's last step,
+is tabulated once per call on the DP oracle's quadrature
+(``analytic._first_crossing``).  A block draws every path's cell and its
+level S_{tau_1} from it with two uniforms; a path that does not cross by
+its last step is never live and draws nothing more, and the others are
+examined at tau_1 from the detector's state at point 0 and walk on from
+there, their first chunk spanning only the variant's lead, the fewest
+further points at which they can qualify.  At u = 10, c = 1, delta = 0.1 a
+tilted path draws about 9 (Parisian, T = 0.3) or 7 (cumulative, k = 2)
+normals instead of about 113; at u = 1 about 91% of crude paths never
+cross u and draw none, where each walked all 100 steps.  A classical path
+is ruined at tau_1 itself and draws none.  The estimate is then unbiased
+up to the table's quadrature error, that of a smooth integrand under
+Gregory's weights (3e-9 of exp(2cu) times the classical value there).  The
+table is built where twice its step points are fewer than the walk's
+normals.  Elsewhere paths walk from S_0 = 0, as do reflected paths (which
+can ruin before tau_1).  Classical estimates, tilted or crude, walk, as
+the Monte Carlo check on that DP; classical ruin-time samples start from
+the table.
 """
 
 from __future__ import annotations
@@ -167,13 +171,13 @@ def _cumulative_step(levels, u, k, count, scratch):
 # can end.  ``lead`` is None where tilted paths walk from point 0, else the
 # map from the parameter to the fewest points after the first crossing tau_1
 # of u at which a path can qualify: such a variant has barrier u and keeps its
-# state at point 0 until S first exceeds u, so its tilted paths may start at
-# tau_1, drawn from the first-crossing table.  Classical qualifies at tau_1
-# itself, so a path started there draws no normal; classical estimates walk,
-# the Monte Carlo check on the DP whose law the table is, and classical
-# ruin-time samples start from the table.  The keys map (c, delta, p), p the
-# variant's parameter, to [(kind, eta, extra key fields)], eta = 2 c^2 delta
-# the limit field's step.
+# state at point 0 until S first exceeds u, so its paths, tilted or crude, may
+# start at tau_1, drawn from the first-crossing table of the sampler's drift.
+# Classical qualifies at tau_1 itself, so a path started there draws no normal;
+# classical estimates walk, the Monte Carlo check on the DP whose law the table
+# is, and classical ruin-time samples start from the table.  The keys map (c,
+# delta, p), p the variant's parameter, to [(kind, eta, extra key fields)], eta
+# = 2 c^2 delta the limit field's step.
 _VARIANTS = {
     "classical": (None, _classical_step, 0, False, lambda _: 0,
                   lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})]),
@@ -228,8 +232,9 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
     most 1, is refused where exp(log_scale) is below the smallest normal
     double.  The block's start is None where the paths walk from point 0,
     else (table, lead): the table ``analytic._first_crossing`` builds for n
-    tilted paths, and the variant's lead clamped to [1, _CHUNK].  Classical
-    paths walk unless ``classical_from_table``.
+    paths under ``drift`` (+c tilted, -c crude), and the variant's lead
+    clamped to [1, _CHUNK].  Reflected paths always walk; classical paths
+    walk unless ``classical_from_table``.
     """
     p = _variant_value(variant, variant_params)
     _, step, initial, windowed, lead, _ = _VARIANTS[variant]
@@ -251,7 +256,7 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
             "variance, so the standard error does not measure the error"
         )
     served = lead and (classical_from_table or variant != "classical")
-    table = _first_crossing(params, grid, n_steps, n) if drift > 0.0 and served else None
+    table = _first_crossing(params, grid, n_steps, n, drift) if served else None
     start = None if table is None else (table, min(max(lead(p), 1), _CHUNK))
 
     def detect(levels, state, scratch):
@@ -388,15 +393,22 @@ def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng, scrat
     for their crossing levels, and each path starts at its first crossing
     tau_1 in the detector's state at point 0: point tau_1 is examined from
     S_{tau_1 - 1} and S_{tau_1}, and the walk continues from there, its
-    first chunk spanning lead points.  Each chunk draws (live paths, chunk
-    steps) normals from ``rng`` in row order into the worker's ``scratch``,
-    so the block's stream is consumed chunk by chunk.
+    first chunk spanning lead points.  Only the k paths that cross by
+    n_steps, paths 0 .. k - 1, are sampled from the table; the others are
+    never live.  Each chunk draws (live paths, chunk steps) normals from
+    ``rng`` in row order into the worker's ``scratch``, so the block's
+    stream is consumed chunk by chunk.
     """
     level, points, crossing = np.zeros(m), 1, None
     if start is not None:
         table, lead = start
-        v_cell = rng.random(m)
-        points, before, level = table.sample(v_cell, rng.random(m))
+        v_cell, v_over = rng.random(m), rng.random(m)
+        # the sampler pairs the r-th smallest cell uniform with v_over[r], and a cell
+        # uniform at or above the table's total mass is a path that does not cross by
+        # n_steps: the k that cross are paths 0 .. k - 1, with the stream's own uniforms
+        crossers = v_cell[v_cell < table.cum[-1]]
+        points = np.full(m, n_steps + 1)
+        points[: crossers.size], before, level = table.sample(crossers, v_over[: crossers.size])
         crossing = (before, level, lead)
 
     def fill(rows, _at, out):
@@ -427,9 +439,9 @@ def estimate(
 ) -> Estimate:
     """Monte Carlo estimate of the ruin-by-horizon probability, unbiased.
 
-    Tilted Parisian and cumulative estimates that start their paths at the
-    first crossing of u are unbiased up to the first-crossing table's
-    quadrature error (see the module docstring).
+    Parisian and cumulative estimates, tilted or crude, that start their
+    paths at the first crossing of u are unbiased up to the first-crossing
+    table's quadrature error (see the module docstring).
 
     ``method='crude'`` averages plain indicators under the true drift -c;
     ``method='tilted'`` simulates with drift +c and weights each ruined path

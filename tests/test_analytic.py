@@ -248,8 +248,9 @@ class TestDpOracle:
         assert stepping == [("_crossing_law", "matmul"), ("_crossing_law", "sliding_window_view")]
 
     def test_every_quadrature_takes_its_nodes_from_the_crossing_grid(self):
-        # the oracle and the table read one law, built from (params, grid,
-        # n_steps) alone: no caller picks its own floor, drift or node count
+        # the oracle and the table read one law, whose floor and node count come
+        # from (params, grid) alone: no caller picks its own.  The drift is the
+        # sampler's: the oracle's is +c, the table's the one it is built for
         tree = ast.parse(Path(analytic.__file__).read_text())
 
         def callers(name):
@@ -265,10 +266,11 @@ class TestDpOracle:
             ("_first_crossing", "_crossing_grid(params, grid)"),
         ]
         assert callers("_crossing_law") == [
-            ("__init__", "_crossing_law(params, grid, n_steps)"),
-            ("dp_classical_ruin", "_crossing_law(params, grid, n_steps)"),
+            ("__init__", "_crossing_law(params, grid, n_steps, drift)"),
+            ("dp_classical_ruin", "_crossing_law(params, grid, n_steps, params.c)"),
         ]
-        assert list(inspect.signature(_crossing_law).parameters) == ["params", "grid", "n_steps"]
+        assert list(inspect.signature(_crossing_law).parameters) == [
+            "params", "grid", "n_steps", "drift"]
 
     def test_gregory_weights_integrate_polynomials_exactly(self):
         # the trapezoid's 1/2 + 7 at each end, moved between the eight nodes
@@ -551,6 +553,19 @@ class TestFirstCrossing:
         with pytest.raises(QuadratureMassError, match="mass balance"):
             _FirstCrossing(p, g, n)
 
+    @pytest.mark.parametrize("u", [0.0, 1.0, 2.0, 4.0, 8.0])
+    @pytest.mark.parametrize("c", [0.25, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("delta", [0.05, 0.1, 0.5, 1.0])
+    def test_the_two_sweeps_agree(self, u, c, delta):
+        # the drift -c law balances, and its total mass, P(tau_1 <= n) with no
+        # weight, is the oracle's value from the +c law weighed by r: the
+        # worst gap read 2.4e-10 (u = 8, c = 2, delta = 1)
+        p, g = ModelParams(c=c, u=u), Grid(delta)
+        n = g.n_steps_for(default_horizon(p))
+        _, law = _crossing_law(p, g, n, -c)
+        assert np.all(law >= 0.0)
+        assert math.fsum(law) == pytest.approx(dp_classical_ruin(p, g, n), rel=1e-9)
+
     def test_one_function_decides_on_the_table(self):
         # the table's count rule, byte cap and mass-balance fallback live in
         # analytic._first_crossing alone, and the estimators hand it the path
@@ -578,9 +593,9 @@ class TestFirstCrossing:
             visit(ast.parse(path.read_text()), path.stem)
         assert catching == reading == {"analytic._first_crossing"}
         assert not timing
-        assert calls == [("estimators._setup", ["params", "grid", "n_steps", "n"])]
+        assert calls == [("estimators._setup", ["params", "grid", "n_steps", "n", "drift"])]
         assert list(inspect.signature(analytic._first_crossing).parameters) == [
-            "params", "grid", "n_steps", "n"]
+            "params", "grid", "n_steps", "n", "drift"]
         text = (package / "estimators.py").read_text()
         assert "_FirstCrossing" not in text and "QuadratureMassError" not in text
 
@@ -590,8 +605,16 @@ class TestFirstCrossing:
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
         n_steps = g.n_steps_for(default_horizon(p)) + 3  # the window's 3 steps past the horizon
         assert n_steps == 176
-        assert analytic._first_crossing(p, g, n_steps, 2400) is None
-        assert isinstance(analytic._first_crossing(p, g, n_steps, 2500), _FirstCrossing)
+        assert analytic._first_crossing(p, g, n_steps, 2400, p.c) is None
+        assert isinstance(analytic._first_crossing(p, g, n_steps, 2500, p.c), _FirstCrossing)
+        # a drift -c walk runs every path to the horizon: at u = 1, twice the
+        # table's 99 or 102 steps of 483.6 step points against 100 or 103
+        # normals a path switches at n = 958, with or without a window
+        p = ModelParams(c=1.0, u=1.0)
+        for n_steps in (100, 103):
+            assert analytic._first_crossing(p, g, n_steps, 957, -p.c) is None
+            table = analytic._first_crossing(p, g, n_steps, 958, -p.c)
+            assert isinstance(table, _FirstCrossing) and table.mean_step == -p.c * g.delta
 
     def test_grid_follows_the_spacing_rule(self):
         # the benchmark's op: 22 units of state at h <= sqrt(0.1)/8 = 0.0395

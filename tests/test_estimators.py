@@ -293,13 +293,16 @@ class TestEstimate:
         [
             ("classical", None, 0.08945, 0.0020180274713194565),
             ("reflected", VariantParams(gamma=0.5), 0.14675, 0.002502143456119173),
-            ("parisian", VariantParams(parisian_T=0.3), 0.0387, 0.0013638605133957063),
-            ("cumulative", VariantParams(cumulative_k=2), 0.05615, 0.0016278387128336761),
+            ("parisian", VariantParams(parisian_T=0.3), 0.0407, 0.0013972027411939902),
+            ("cumulative", VariantParams(cumulative_k=2), 0.0578, 0.0016501387820422864),
         ],
     )
     def test_crude_estimate_pinned(self, variant, vp, value, std_error):
         # crude weights are exactly 1, so these bits hold as long as the
-        # stream layout and the detectors do
+        # stream layout and the detectors do.  Classical and reflected paths
+        # walk from 0; Parisian and cumulative ones start from the drift -c
+        # first-crossing table, so their blocks' streams begin with its 2m
+        # uniforms
         p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
         est = estimate(variant, p, g, vp, method="crude", n=20_000, seed=5)
         assert (est.value, est.std_error) == (value, std_error)
@@ -607,8 +610,8 @@ class TestFirstCrossingStart:
     def test_served_variants_wait_for_u_at_barrier_u(self, monkeypatch):
         # the table serves exactly the variants whose state stays at point 0's
         # while S <= u and whose barrier is u: ruin_time_distribution serves
-        # all three, estimate serves them less classical, whose estimates keep
-        # their walk as the Monte Carlo check on the DP the table comes from
+        # all three, estimate serves them less classical, tilted or crude,
+        # whose estimates keep their walk as the Monte Carlo check on the DP
         levels = whole_paths(0.1, 1.0, 30, 2000, make_rng(36, 0))[:, 1:].T
         below = np.minimum(levels, 1.0)
         waits = set()
@@ -637,9 +640,13 @@ class TestFirstCrossingStart:
                     variants.add(variant)
             return variants
 
+        def crude(*args, **kwargs):
+            return estimate(*args, method="crude", **kwargs)
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # ruin_time_distribution warns at u = 2
             assert served(estimate) == waits - {"classical"}
+            assert served(crude) == waits - {"classical"}
             assert served(ruin_time_distribution) == waits
 
     def test_stream_layout(self):
@@ -749,6 +756,23 @@ class TestFirstCrossingStart:
         monkeypatch.setattr(analytic, "_FirstCrossing", lambda *args: table)
         for p, g in cases:
             assert start(p, g)[0] is table, (p, g)
+
+    @pytest.mark.parametrize("variant, vp", [("parisian", PARISIAN), ("cumulative", CUMULATIVE)])
+    def test_crude_estimates_agree_with_the_full_walk(self, variant, vp, monkeypatch):
+        # crude paths started at their first crossing, drawn from the drift -c
+        # table (about 9% of them cross by the horizon), and crude paths walked
+        # from 0 estimate the same probability
+        p, g, n = ModelParams(c=1.0, u=1.0), Grid(0.1), 20_000
+        block, _ = estimators._setup(variant, p, g, vp, default_horizon(p), n, -p.c, 0)
+        table, _ = block.keywords["start"]
+        assert 0.08 < table.cum[-1] < 0.11
+        for seed in (48, 49, 50):
+            est = estimate(variant, p, g, vp, method="crude", n=n, seed=seed)
+            with monkeypatch.context() as walk:
+                walk.setattr(estimators, "_first_crossing", lambda *args: None)
+                walked = estimate(variant, p, g, vp, method="crude", n=n, seed=seed + 100)
+            z = (est.value - walked.value) / math.hypot(est.std_error, walked.std_error)
+            assert abs(z) <= 4.0, (seed, z)
 
     def test_classical_estimate_keeps_its_walk(self, monkeypatch):
         # at this n a Parisian estimate starts from the table; a classical one
