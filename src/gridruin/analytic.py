@@ -504,13 +504,14 @@ class _FirstCrossing:
         """(tau_1, S_{tau_1 - 1}, S_{tau_1}) of paths from two arrays of uniforms on [0, 1).
 
         ``v_cell`` picks the cells by inverse CDF; tau_1 = n_steps + 1 where
-        the walk does not cross by n_steps.  The cell uniforms are sorted
-        first, so path r takes the r-th smallest: a sorted search is three
-        times faster, and the paths are exchangeable, so a sum over them has
-        the same law.  ``v_over[r]`` draws path r's S_{tau_1} from
+        the walk does not cross by n_steps.  The caller sorts each block's
+        cell uniforms, so path r takes its block's r-th smallest: a sorted
+        search is three times faster, and the paths are exchangeable, so a
+        sum over them has the same law; several blocks' sorted runs are then
+        sampled in one call.  ``v_over[r]`` draws path r's S_{tau_1} from
         N(x + drift delta, delta) conditioned to exceed u, by inverse CDF.
         """
-        i = np.searchsorted(self.cum, np.sort(v_cell), side="right")
+        i = np.searchsorted(self.cum, v_cell, side="right")
         k = self.x.size
         tau = np.where(i == 0, 1, (i - 1) // k + 2)
         node = np.where(i == 0, 0, (i - 1) % k + 1)

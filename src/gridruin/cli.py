@@ -98,10 +98,14 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gridruin")
+    # allow_abbrev=False everywhere: a prefix such as --conf or --horizon would
+    # otherwise be read as --config or --horizon-mult, without an error
+    parser = argparse.ArgumentParser(prog="gridruin", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("estimate", help="Monte Carlo ruin probability estimate")
+    pe = sub.add_parser(
+        "estimate", help="Monte Carlo ruin probability estimate", allow_abbrev=False
+    )
     _add_variant(pe)
     pe.add_argument("--c", type=float, required=True)
     pe.add_argument("--u", type=float, required=True)
@@ -112,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--threads", type=int, default=None, help="default: every available core")
     _add_common(pe)
 
-    pc = sub.add_parser("constant", help="estimate a limiting constant")
+    pc = sub.add_parser("constant", help="estimate a limiting constant", allow_abbrev=False)
     pc.add_argument("--kind", choices=constants._KINDS, required=True)
     pc.add_argument("--eta", type=float, required=True)
     pc.add_argument("--a", type=float, default=None)
@@ -123,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--cache", default=None, help="constant cache file path")
     _add_common(pc)
 
-    pv = sub.add_parser("validate", help="MC vs approximation ratio table over u")
+    pv = sub.add_parser(
+        "validate", help="MC vs approximation ratio table over u", allow_abbrev=False
+    )
     _add_variant(pv)
     pv.add_argument("--c", type=float, required=True)
     pv.add_argument("--u", required=True, help="comma-separated increasing list, e.g. 4,6,8,10")
@@ -133,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--cache", default=None, help="constant cache file path")
     _add_common(pv)
 
-    pr = sub.add_parser("ruin-time", help="conditional ruin-time CLT check")
+    pr = sub.add_parser("ruin-time", help="conditional ruin-time CLT check", allow_abbrev=False)
     _add_variant(pr)
     pr.add_argument("--c", type=float, required=True)
     pr.add_argument("--u", type=float, required=True)

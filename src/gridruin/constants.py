@@ -364,7 +364,8 @@ def _estimate(key: ConstantKey):
     outer = np.abs(levels) > 0.9 * trunc
     origin = n_side if two_sided else 0
 
-    def worker(m, rng, scratch):
+    def worker(ms, rngs, scratch):
+        (m,), (rng,) = ms, rngs  # a constant's blocks run one per call
         vals, near_edge = [], np.empty(m, bool)
         tile = scratch("tile", (min(m, _TILE), levels.size))
         tile[:, origin] = 0.0
@@ -382,7 +383,7 @@ def _estimate(key: ConstantKey):
                 near_edge[rows] = (field[:, outer] > 0.0).any(axis=1)
             else:
                 near_edge[rows] = outer[field.argmax(axis=1)]
-        return spec.reduce.part(np.concatenate(vals), p, n_side), int(near_edge.sum())
+        return [(spec.reduce.part(np.concatenate(vals), p, n_side), int(near_edge.sum()))]
 
     parts = _run_blocks(n, key.seed, worker)
     estimate, se = spec.reduce.value([part for part, _ in parts], n, eta, p)

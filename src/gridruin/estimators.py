@@ -35,14 +35,19 @@ paths advances ``_CHUNK`` grid steps per chunk, carrying each live path's
 level and detector state (running minimum, run length, exceedance count)
 from one chunk to the next.  A path is dropped as soon as it is detected,
 with its ruin index, S_{tau-1} and barrier recorded (its weight is
-evaluated once per block), so the tilted sampler, which ruins nearly every
+evaluated once per block or group), so the tilted sampler, which ruins nearly every
 path around the middle of the horizon, draws no normals past ruin.  Each
 chunk draws (live paths, chunk steps) normals from the block's stream in
 row order, so every estimate is a pure function of ``(seed, n, params)``
-for any thread count.  A worker thread keeps O(BLOCK_SIZE x _CHUNK) values
-for all its blocks whatever the horizon or grid step, and a request whose
-worst case, n paths all run to the horizon, exceeds ``_MAX_NORMALS``
-normals is refused before the first draw.
+for any thread count.  Where few paths are ever live (the table-started
+paths below, when the table's mass is at most 1/2), one worker call walks
+a group of consecutive blocks: each block draws from its own stream and
+sums over its own paths, while the sampler, detector and weights run once
+on the group's live paths.  A worker thread keeps O(BLOCK_SIZE x _CHUNK)
+values for all its blocks and groups whatever the horizon or grid step (a
+group holds about BLOCK_SIZE live paths), and a request whose worst case,
+n paths all run to the horizon, exceeds ``_MAX_NORMALS`` normals is
+refused before the first draw.
 
 Parisian and cumulative paths, tilted or crude, and those of a classical
 ruin-time sample, start at their first crossing tau_1 of u.  Until then
@@ -58,7 +63,8 @@ there, their first chunk spanning only the variant's lead, the fewest
 further points at which they can qualify.  At u = 10, c = 1, delta = 0.1 a
 tilted path draws about 9 (Parisian, T = 0.3) or 7 (cumulative, k = 2)
 normals instead of about 113; at u = 1 about 91% of crude paths never
-cross u and draw none, where each walked all 100 steps.  A classical path
+cross u and draw none, where each walked all 100 steps, and the crossers
+of about 8 blocks are walked in one worker call.  A classical path
 is ruined at tau_1 itself and draws none.  The estimate is then unbiased
 up to the table's quadrature error, that of a smooth integrand under
 Gregory's weights (3e-9 of exp(2cu) times the classical value there).  The
@@ -219,14 +225,14 @@ _CHUNK = 16
 
 def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threads=None,
            classical_from_table=False):
-    """(block, log_scale): the request's block sampler under ``drift``, and its results' scale.
+    """(block, log_scale, live): the request's block sampler under ``drift`` and its scales.
 
     The one gate for every simulated request, passed before any table or
     stream is built: n, ``threads`` and ``seed`` as ``_run_blocks`` takes
     them, a finite horizon covering a grid step (one below
     ``default_horizon`` warns), and at most ``_MAX_NORMALS`` normals for n
     paths to it.  Tilted sampling of the reflected variant at gamma >= 1/2
-    warns.  ``block(m, rng, scratch)`` is ``_weighted_block`` bound to the
+    warns.  ``block(ms, rngs, scratch)`` is ``_weighted_block`` bound to the
     request, its weights carried relative to exp(log_scale), log_scale =
     -(drift + c) u; a variant whose barrier is u, whose weights are then at
     most 1, is refused where exp(log_scale) is below the smallest normal
@@ -234,7 +240,9 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
     else (table, lead): the table ``analytic._first_crossing`` builds for n
     paths under ``drift`` (+c tilted, -c crude), and the variant's lead
     clamped to [1, _CHUNK].  Reflected paths always walk; classical paths
-    walk unless ``classical_from_table``.
+    walk unless ``classical_from_table``.  ``live``, the expected share of
+    the paths that are ever live, is 1 for a walk and the table's total
+    mass otherwise; ``_run_blocks`` groups blocks by it.
     """
     p = _variant_value(variant, variant_params)
     _, step, initial, windowed, lead, _ = _VARIANTS[variant]
@@ -264,7 +272,7 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
 
     return functools.partial(
         _weighted_block, detect, initial, grid, params, drift, n_steps, start=start
-    ), log_scale
+    ), log_scale, 1.0 if table is None else float(table.cum[-1])
 
 
 # Ruined paths whose weights are evaluated at once.  Every temporary of a
@@ -382,39 +390,62 @@ def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=No
     return occurred, idx, w
 
 
-def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng, scratch, start=None):
-    """(occurred, idx, w) of a block under ``drift``; see ``_run_chunks`` for w.
+def _weighted_block(detect, initial, grid, params, drift, n_steps, ms, rngs, scratch, start=None):
+    """(occurred, idx, w) of a group of consecutive blocks under ``drift``, paths in block order.
 
-    drift -c is crude sampling (every weight is exactly 1); drift +c is the
-    tilted sampler, whose likelihood ratio at ruin is exp(-2c S_tau), and
-    whose w is carried relative to exp(-2cu).  Without a ``start`` every
-    path walks from S_0 = 0.  With one, (table, lead) from ``_setup``, the
-    block first draws m uniforms for the paths' first-crossing cells, then m
-    for their crossing levels, and each path starts at its first crossing
-    tau_1 in the detector's state at point 0: point tau_1 is examined from
-    S_{tau_1 - 1} and S_{tau_1}, and the walk continues from there, its
-    first chunk spanning lead points.  Only the k paths that cross by
-    n_steps, paths 0 .. k - 1, are sampled from the table; the others are
-    never live.  Each chunk draws (live paths, chunk steps) normals from
-    ``rng`` in row order into the worker's ``scratch``, so the block's
-    stream is consumed chunk by chunk.
+    ``ms`` and ``rngs`` are the blocks' sizes and streams; see
+    ``_run_chunks`` for w.  drift -c is crude sampling (every weight is
+    exactly 1); drift +c is the tilted sampler, whose likelihood ratio at
+    ruin is exp(-2c S_tau), and whose w is carried relative to exp(-2cu).
+    Without a ``start`` every path walks from S_0 = 0.  With one, (table,
+    lead) from ``_setup``, each block first draws m uniforms for its paths'
+    first-crossing cells, then m for their crossing levels.  The k paths
+    of a block that cross by n_steps, its paths 0 .. k - 1, take its k cell
+    uniforms below the table's mass in sorted order and its first k level
+    uniforms; the others are never live.  A crosser starts at its first
+    crossing tau_1 in the detector's state at point 0: point tau_1 is
+    examined from S_{tau_1 - 1} and S_{tau_1}, and its first chunk spans
+    lead points.  The table's sampler, the detector and the weights run
+    once on the group's pooled live paths, but each chunk draws each
+    block's (live paths, own chunk steps) normals from that block's stream
+    in row order into the worker's ``scratch``, as if the block ran alone.
+    A chunk spans the longest of its blocks' own spans; a block's points
+    past its own span lie beyond n_steps, where no ruin counts, so they are
+    padded, never drawn.
     """
-    level, points, crossing = np.zeros(m), 1, None
-    if start is not None:
+    if start is None:
+        counts, points, crossing = ms, 1, None
+        level = np.zeros(sum(ms))
+    else:
         table, lead = start
-        v_cell, v_over = rng.random(m), rng.random(m)
-        # the sampler pairs the r-th smallest cell uniform with v_over[r], and a cell
-        # uniform at or above the table's total mass is a path that does not cross by
-        # n_steps: the k that cross are paths 0 .. k - 1, with the stream's own uniforms
-        crossers = v_cell[v_cell < table.cum[-1]]
-        points = np.full(m, n_steps + 1)
-        points[: crossers.size], before, level = table.sample(crossers, v_over[: crossers.size])
+        cells, overs = [], []
+        for m, rng in zip(ms, rngs):
+            v_cell, v_over = rng.random(m), rng.random(m)
+            # a cell uniform at or above the table's total mass is a path that does not
+            # cross by n_steps; the r-th smallest of the others goes with v_over[r]
+            cells.append(np.sort(v_cell[v_cell < table.cum[-1]]))
+            overs.append(v_over[: cells[-1].size])
+        counts = [crossers.size for crossers in cells]
+        points, before, level = table.sample(np.concatenate(cells), np.concatenate(overs))
         crossing = (before, level, lead)
+    # the group's live paths of block i are rows bounds[i] .. bounds[i + 1] - 1
+    bounds = np.cumsum([0, *counts])
 
-    def fill(rows, _at, out):
+    def fill(rows, at, out):
         prev = np.take(level, rows, out=out[0])
-        z = scratch("normals", (rows.size, len(out) - 1))
-        rng.standard_normal(out=z)
+        span = len(out) - 1
+        z = scratch("normals", (rows.size, span))
+        cuts = np.searchsorted(rows, bounds)
+        for rng, lo, hi in zip(rngs, cuts[:-1], cuts[1:]):
+            if lo == hi:
+                continue
+            # the block's span as if it ran alone: the chunk's where it holds every live path
+            own = span if hi - lo == rows.size else min(span, n_steps + 1 - int(np.min(at[lo:hi])))
+            if own == span:
+                rng.standard_normal(out=z[lo:hi])
+            else:
+                z[lo:hi, :own] = rng.standard_normal((hi - lo, own))
+                z[lo:hi, own:] = 0.0
         z *= math.sqrt(grid.delta)
         z += drift * grid.delta
         for j, row in enumerate(out[1:]):
@@ -422,7 +453,17 @@ def _weighted_block(detect, initial, grid, params, drift, n_steps, m, rng, scrat
         level[rows] = prev
 
     weigh = _ruin_weigher(drift, drift + params.c, grid.delta, params.u)
-    return _run_chunks(detect, np.full(m, initial), n_steps, fill, weigh, scratch, points, crossing)
+    found = _run_chunks(detect, np.full(bounds[-1], initial), n_steps, fill, weigh, scratch, points,
+                        crossing)
+    if start is None:
+        return found
+    # block i's crossers are its paths 0 .. counts[i] - 1
+    size = sum(ms)
+    out = np.zeros(size, bool), np.zeros(size, np.int64), np.zeros(size)
+    for lo, first, last in zip(np.cumsum([0, *ms]), bounds, bounds[1:]):
+        for full, part in zip(out, found):
+            full[lo : lo + last - first] = part[first:last]
+    return out
 
 
 def estimate(
@@ -461,15 +502,16 @@ def estimate(
     if method not in drifts:
         raise ValueError(f"method must be 'crude' or 'tilted', got {method!r}")
     horizon = default_horizon(params) if horizon is None else horizon
-    block, log_scale = _setup(
+    block, log_scale, live = _setup(
         variant, params, grid, variant_params, horizon, n, drifts[method], seed, threads
     )
 
-    def worker(m, rng, scratch):
-        _, _, w = block(m, rng, scratch)
-        return float(w.sum()), float((w * w).sum())
+    def worker(ms, rngs, scratch):
+        _, _, w = block(ms, rngs, scratch)
+        # each block's sums over its own m paths, whatever group it ran in
+        return [(float(b.sum()), float((b * b).sum())) for b in np.split(w, np.cumsum(ms[:-1]))]
 
-    mean_se = np.array(_mean_se(_run_blocks(n, seed, worker, threads), n))
+    mean_se = np.array(_mean_se(_run_blocks(n, seed, worker, threads, live), n))
     value, std_error = _unscaled(mean_se, log_scale)
     return Estimate(
         value=float(value),
@@ -510,15 +552,16 @@ def ruin_time_distribution(
         _warn(
             f"u={params.u} is small; the normal approximation window is only meaningful for large u"
         )
-    block, log_scale = _setup(
+    # past u / c the +c table's mass is above 1/2, so the blocks run one per call
+    block, log_scale, _ = _setup(
         variant, params, grid, variant_params, default_horizon(params, 1.5), n, params.c, seed,
         classical_from_table=True,
     )
 
-    def worker(m, rng, scratch):
-        occurred, idx, w = block(m, rng, scratch)
+    def worker(ms, rngs, scratch):
+        occurred, idx, w = block(ms, rngs, scratch)
         rows = np.flatnonzero(occurred)
-        return to_s(idx[rows] * grid.delta), w[rows]
+        return [(to_s(idx[rows] * grid.delta), w[rows])]
 
     s, w = (np.concatenate(half) for half in zip(*_run_blocks(n, seed, worker)))
     if s.size == 0:

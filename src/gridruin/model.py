@@ -11,6 +11,7 @@ of :mod:`.estimators` and :mod:`.constants`.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -35,9 +36,10 @@ _KEY_LIMIT = 1 << 64  # seeds and stream ids are 64-bit words (see make_rng)
 # Replicates per block of the stream layout: block b holds replicates
 # [b * BLOCK_SIZE, ...) on make_rng(seed, b).  The ruin estimators consume a
 # block's stream chunk by chunk, drawing (live paths, chunk steps) normals in
-# row order for the paths not yet ruined; a block whose paths start at their
-# first crossing of u first draws one uniform per path for its cell, then
-# one per path for its crossing level.  Every Monte Carlo output is a
+# row order for the paths not yet ruined, whichever group of blocks a worker
+# call walks it in; a block whose paths start at their first crossing of u
+# first draws one uniform per path for its cell, then one per path for its
+# crossing level.  Every Monte Carlo output is a
 # function of this layout, so changing it changes every printed number.
 BLOCK_SIZE = 8192
 
@@ -189,36 +191,74 @@ def _check_blocks(n: int, seed: int, threads: int | None = None) -> None:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
 
 
-def _run_blocks(n: int, seed: int, worker, threads: int | None = None) -> list:
-    """Run ``worker(m, rng, scratch)`` over the replicate blocks; results in block order.
+# Most blocks one worker call takes.  A group's per-path outputs then hold at
+# most 16 x BLOCK_SIZE values each, as a chunk of a walked block holds
+# BLOCK_SIZE x 16 (the estimators' _CHUNK).
+_GROUP_BLOCKS = 16
+
+
+def _groups(blocks: int, threads: int, live: float):
+    """Sizes of the groups of consecutive blocks that the worker calls take, in block order.
+
+    ``live`` is the expected share of a block's paths that are ever live:
+    1 for a walk, the first-crossing table's total mass M for paths that
+    start at their first crossing.  Above 1/2 each call takes one block.
+    Otherwise a call may take floor(1 / M) blocks, about BLOCK_SIZE
+    expected live paths, and at most ``_GROUP_BLOCKS`` (so a small M needs
+    no division), and the blocks are dealt evenly over a multiple of
+    ``threads`` calls: 31 blocks at M = 0.0937 and 2 threads are groups of
+    8, 8, 8 and 7.
+    """
+    if live > 0.5:
+        return itertools.repeat(1, blocks)
+    most = _GROUP_BLOCKS if live * _GROUP_BLOCKS <= 1.0 else int(1.0 / live)
+    calls = -(-blocks // most)
+    calls = min(blocks, -(-calls // threads) * threads)
+    size, extra = divmod(blocks, calls)
+    return itertools.chain(itertools.repeat(size + 1, extra), itertools.repeat(size, calls - extra))
+
+
+def _run_blocks(n: int, seed: int, worker, threads: int | None = None, live: float = 1.0) -> list:
+    """Run ``worker(ms, rngs, scratch)`` on groups of replicate blocks; results in block order.
 
     Block b covers replicates [b * BLOCK_SIZE, ...) and owns the stream
-    ``make_rng(seed, b)``, so the results are the same for any ``threads``;
-    None runs one worker per core the process may use.  A block's stream is
-    built when the block is submitted, and at most ``threads + 1`` blocks
-    are in flight, so the streams held do not grow with n.  Every block gets
-    one ``_Scratch`` for the whole call, whose arrays each worker thread
-    keeps for all its blocks, so a result must not be a view of them.  What
-    a block in flight holds depends on its worker, never on n:
+    ``make_rng(seed, b)``.  One call takes a group of consecutive blocks,
+    sized by ``_groups`` from ``live``: the blocks' sizes ``ms`` and their
+    streams ``rngs``, and returns a list of one result per block.  A worker
+    keeps each block's draws on its own stream, so the results are the same
+    for any ``threads`` and any grouping; None runs one worker per core the
+    process may use.  A group's streams are built when it is submitted, and
+    at most ``threads + 1`` groups are in flight, so the streams held do
+    not grow with n.
+    Every group gets one ``_Scratch`` for the whole call, whose arrays each
+    worker thread keeps for all its groups, so a result must not be a view
+    of them.  What a group in flight holds depends on its worker, never on
+    n:
 
-    * the ruin estimators' worker, the only path sampler, advances its
-      block a chunk of grid steps at a time and drops each path once it is
-      ruined, O(BLOCK_SIZE x chunk) values whatever the horizon and step;
-    * the constant drivers' worker, the only field sampler, fills and
-      reduces its block a tile of rows at a time, O(tile x window) values.
+    * the ruin estimators' worker, the only path sampler, advances the
+      group's live paths a chunk of grid steps at a time and drops each
+      path once it is ruined, O(BLOCK_SIZE x chunk) values whatever the
+      horizon and step: a group holds one block of walked paths, or about
+      BLOCK_SIZE expected paths that start at their first crossing;
+    * the constant drivers' worker, the only field sampler, takes one block
+      per call and fills and reduces it a tile of rows at a time, O(tile x
+      window) values.
 
     Memory grows with ``threads``, never with n.
     """
     _check_blocks(n, seed, threads)
     threads = _cores() if threads is None else threads
-    results, pending, scratch = [], deque(), _Scratch()
+    results, pending, scratch, first = [], deque(), _Scratch(), 0
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        for b, start in enumerate(range(0, n, BLOCK_SIZE)):
+        for size in _groups(-(-n // BLOCK_SIZE), threads, live):
             if len(pending) > threads:
-                results.append(pending.popleft().result())
-            m = min(BLOCK_SIZE, n - start)
-            pending.append(pool.submit(worker, m, make_rng(seed, b), scratch))
-        results.extend(future.result() for future in pending)
+                results.extend(pending.popleft().result())
+            group = range(first, first + size)
+            ms = [min(BLOCK_SIZE, n - b * BLOCK_SIZE) for b in group]
+            pending.append(pool.submit(worker, ms, [make_rng(seed, b) for b in group], scratch))
+            first += size
+        for future in pending:
+            results.extend(future.result())
     return results
 
 

@@ -631,8 +631,8 @@ class TestFirstCrossing:
         n = 60
         table = _FirstCrossing(p, g, n)
         v = np.linspace(0.0, 1.0, 10_001, endpoint=False)
-        tau, before, level = table.sample(v[::-1], v)
-        assert np.all(np.diff(tau) >= 0)  # the cell uniforms are taken in sorted order
+        tau, before, level = table.sample(v, v)
+        assert np.all(np.diff(tau) >= 0)  # sorted cell uniforms take the cells in order
         assert tau.min() >= 1 and tau.max() == n + 1  # the walk has not crossed by n
         crossed = tau <= n
         assert np.all(before[crossed] <= p.u) and np.all(level[crossed] > p.u)

@@ -542,6 +542,29 @@ def test_removed_options_are_config_errors(argv, config, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        (["--conf", "run.cfg"], "method = crude\nn = 2000\n"),
+        (["--horizon", "0.05"], None),
+        (["--config", "run.cfg"], "horizon = 3\n"),
+    ],
+    ids=["conf-flag", "horizon-flag", "horizon-config-key"],
+)
+def test_option_prefixes_are_unrecognized(flags, config, tmp_path, capsys):
+    # a prefix of an option is not that option: --conf was read as --config
+    # (after the config pre-parser had skipped it) and --horizon, as a flag or
+    # a config key, as --horizon-mult, each without an error
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    flags = [str(tmp_path / f) if f == "run.cfg" else f for f in flags]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["estimate", "--c", "1", "--u", "1", "--delta", "0.1", "--n", "100", *flags])
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
 def test_cli_import_loads_no_scipy(tmp_path):
     """scipy stays out of the CLI's import path: it was over half of every call's start-up."""
     proc = _python(

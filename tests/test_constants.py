@@ -177,9 +177,10 @@ class TestPickands:
         # the window [-eta, eta] is below the drivers' minimum trunc, so the
         # pickands_dy estimator body runs directly on the block runner
 
-        def worker(m, rng, _scratch):
+        def worker(ms, rngs, _scratch):
+            (m,), (rng,) = ms, rngs
             vals = pickands_ratio_values(whole_field_two_sided(eta, eta, m, rng), eta)
-            return float(vals.sum()), float((vals * vals).sum())
+            return [(float(vals.sum()), float((vals * vals).sum()))]
 
         mean, se = model._mean_se(model._run_blocks(100_000, 8, worker), 100_000)
         assert abs(mean - oracle) < 3 * se

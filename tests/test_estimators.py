@@ -1,5 +1,7 @@
+import itertools
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -25,7 +27,7 @@ def one_row(*values):
 
 def tilted_start(variant, params, grid, vp, horizon, n, **kw):
     """The start ``_setup`` binds into a tilted request's block: None, or (table, lead)."""
-    block, _ = estimators._setup(variant, params, grid, vp, horizon, n, params.c, 0, **kw)
+    block, *_ = estimators._setup(variant, params, grid, vp, horizon, n, params.c, 0, **kw)
     return block.keywords["start"]
 
 
@@ -662,10 +664,10 @@ class TestFirstCrossingStart:
             return np.zeros(levels.shape, bool), state, p.u
 
         estimators._weighted_block(
-            record, 0, g, p, p.c, n_steps, m, make_rng(37, 2), model._Scratch(), (table, 3)
+            record, 0, g, p, p.c, n_steps, [m], [make_rng(37, 2)], model._Scratch(), (table, 3)
         )
         rng = make_rng(37, 2)
-        v_cell = rng.random(m)
+        v_cell = np.sort(rng.random(m))
         tau, _, level = table.sample(v_cell, rng.random(m))
         live = tau <= n_steps
         np.testing.assert_array_equal(seen[0], level[live][None, :])
@@ -683,13 +685,13 @@ class TestFirstCrossingStart:
         p, g, m, horizon = ModelParams(c=1.0, u=10.0), Grid(0.1), 2000, 10.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # horizon 10 is below the recommended 17.3
-            block, _ = estimators._setup("classical", p, g, None, horizon, 25_000, p.c, 0,
+            block, *_ = estimators._setup("classical", p, g, None, horizon, 25_000, p.c, 0,
                                          classical_from_table=True)
         table, _ = block.keywords["start"]
         rng = make_rng(37, 3)
-        occurred, idx, w = block(m, rng, model._Scratch())
+        occurred, idx, w = block([m], [rng], model._Scratch())
         want = make_rng(37, 3)
-        tau, before, _ = table.sample(want.random(m), want.random(m))
+        tau, before, _ = table.sample(np.sort(want.random(m)), want.random(m))
         np.testing.assert_array_equal(rng.random(8), want.random(8))  # the streams are level
         n_steps = g.n_steps_for(horizon)
         live = tau <= n_steps
@@ -751,8 +753,9 @@ class TestFirstCrossingStart:
             with pytest.raises(analytic.QuadratureMassError):
                 _FirstCrossing(p, g, g.n_steps_for(default_horizon(p)))
             assert start(p, g) is None, (p, g)
-        # a table that balanced would be built: its cost and bytes pass
-        table = object()
+        # a table that balanced would be built: its cost and bytes pass (the
+        # stand-in carries the total mass that the block runner groups by)
+        table = types.SimpleNamespace(cum=np.ones(1))
         monkeypatch.setattr(analytic, "_FirstCrossing", lambda *args: table)
         for p, g in cases:
             assert start(p, g)[0] is table, (p, g)
@@ -763,7 +766,7 @@ class TestFirstCrossingStart:
         # table (about 9% of them cross by the horizon), and crude paths walked
         # from 0 estimate the same probability
         p, g, n = ModelParams(c=1.0, u=1.0), Grid(0.1), 20_000
-        block, _ = estimators._setup(variant, p, g, vp, default_horizon(p), n, -p.c, 0)
+        block, *_ = estimators._setup(variant, p, g, vp, default_horizon(p), n, -p.c, 0)
         table, _ = block.keywords["start"]
         assert 0.08 < table.cum[-1] < 0.11
         for seed in (48, 49, 50):
@@ -825,3 +828,110 @@ class TestFirstCrossingStart:
         mean, mean0 = np.average(s, weights=w), np.average(s0, weights=w0)
         se = math.hypot(s.std() / math.sqrt(s.size), s0.std() / math.sqrt(s0.size))
         assert abs(mean - mean0) < 4 * se
+
+
+class TestBlockGroups:
+    """Blocks whose paths start at their first crossing are walked several to a worker call."""
+
+    @staticmethod
+    def recorded_groups(monkeypatch):
+        """The group sizes of every ``_run_blocks`` call from here on, one list per call."""
+        calls, groups = [], model._groups
+
+        def recording(blocks, threads, live):
+            calls.append(list(groups(blocks, threads, live)))
+            return iter(calls[-1])
+
+        monkeypatch.setattr(model, "_groups", recording)
+        return calls
+
+    @pytest.mark.parametrize("variant, vp, method, u, horizon", [
+        ("parisian", PARISIAN, "crude", 1.0, None),
+        ("cumulative", CUMULATIVE, "crude", 1.0, None),
+        ("parisian", PARISIAN, "crude", 1.0, 3.0),
+        ("cumulative", CUMULATIVE, "crude", 1.0, 3.0),
+        ("parisian", PARISIAN, "tilted", 10.0, 8.0),
+    ], ids=["crude-parisian", "crude-cumulative", "crude-parisian-short", "crude-cumulative-short",
+            "tilted-parisian-short"])
+    def test_grouping_does_not_change_bits(self, variant, vp, method, u, horizon, monkeypatch):
+        # each block draws from its own stream and sums over its own paths, so
+        # a run in groups equals the run of one block per call, bit for bit.
+        # At horizon 3 the blocks' last chunks span different lengths; at u =
+        # 10 and horizon 8 the +c table's mass is 0.31, so the tilted weights,
+        # neither 0 nor 1, are evaluated on several blocks' paths at once
+        p, g, n = ModelParams(c=1.0, u=u), Grid(0.1), 13 * model.BLOCK_SIZE - 100
+        short, make = [], model.make_rng
+
+        class Stream:
+            """A block's stream that notes each chunk it draws short of its group's span."""
+
+            def __init__(self, seed, block):
+                self.rng = make(seed, block)
+
+            def random(self, size):
+                return self.rng.random(size)
+
+            def standard_normal(self, size=None, out=None):
+                if out is None:
+                    short.append(size)
+                return self.rng.standard_normal(size, out=out)
+
+        monkeypatch.setattr(model, "make_rng", Stream)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # horizons 3 and 8 are below the recommended
+            for threads in (1, 2, 8):
+                short.clear()
+                with monkeypatch.context() as single:
+                    single.setattr(model, "_groups", lambda blocks, *_: itertools.repeat(1, blocks))
+                    alone = estimate(variant, p, g, vp, method=method, horizon=horizon, n=n,
+                                     seed=51, threads=threads)
+                assert not short
+                calls = self.recorded_groups(monkeypatch)
+                grouped = estimate(variant, p, g, vp, method=method, horizon=horizon, n=n,
+                                   seed=51, threads=threads)
+                assert max(calls[0]) > 1, threads
+                assert (grouped.value, grouped.std_error) == (alone.value, alone.std_error), threads
+        assert 0.0 < alone.value and (short or horizon is None)
+
+    def test_a_group_holds_about_a_block_of_live_paths(self, monkeypatch):
+        # 64 blocks at the -c table's mass 0.094 run in groups of up to 10,
+        # about 7,700 expected crossers each: no chunk array is wider than a
+        # walked block's, BLOCK_SIZE paths by _CHUNK + 1 points
+        shapes = []
+
+        class Recording(model._Scratch):
+            def __call__(self, name, shape, dtype=np.float64):
+                shapes.append(shape)
+                return super().__call__(name, shape, dtype)
+
+        monkeypatch.setattr(model, "_Scratch", Recording)
+        calls = self.recorded_groups(monkeypatch)
+        estimate("parisian", ModelParams(c=1.0, u=1.0), Grid(0.1), PARISIAN, method="crude",
+                 n=64 * model.BLOCK_SIZE, seed=52, threads=2)
+        assert calls == [[8] * 8]
+        assert max(max(shape) for shape in shapes) > model.BLOCK_SIZE // 2
+        for shape in shapes:
+            assert min(shape) <= estimators._CHUNK + 1 and max(shape) <= model.BLOCK_SIZE, shape
+
+    def test_no_crosser_and_no_division(self, monkeypatch):
+        # at u = 8 the -c table's mass is 7.5e-8, and a mass of 0 takes the
+        # most blocks a call may take, as any mass up to 1/16 does
+        assert list(model._groups(31, 2, 0.0)) == [16, 15]
+        calls = self.recorded_groups(monkeypatch)
+        est = estimate("parisian", ModelParams(c=1.0, u=8.0), Grid(0.1), PARISIAN, method="crude",
+                       n=3 * model.BLOCK_SIZE, seed=53, threads=2)
+        assert (est.value, est.std_error) == (0.0, 0.0)
+        assert calls == [[2, 1]]
+
+    @pytest.mark.parametrize("variant, vp, method", [
+        ("classical", None, "crude"),
+        ("reflected", VariantParams(gamma=0.5), "crude"),
+        ("classical", None, "tilted"),
+        ("parisian", PARISIAN, "tilted"),  # from the +c table, whose mass is 0.97 at u = 10
+    ])
+    def test_walks_and_full_tables_take_one_block_per_call(self, variant, vp, method, monkeypatch):
+        calls = self.recorded_groups(monkeypatch)
+        p = ModelParams(c=1.0, u=1.0 if method == "crude" else 10.0)
+        estimate(variant, p, Grid(0.1), vp, method=method, n=3 * model.BLOCK_SIZE, seed=54,
+                 threads=2)
+        assert calls == [[1, 1, 1]]

@@ -167,7 +167,7 @@ def walk(drift, n_steps, m, rng, delta=0.1, scratch=None):
         return np.zeros(levels.shape, bool), state, 0.0
 
     occurred, _, _ = estimators._weighted_block(
-        record, 0, Grid(delta), ModelParams(1.0, 0.0), drift, n_steps, m, rng,
+        record, 0, Grid(delta), ModelParams(1.0, 0.0), drift, n_steps, [m], [rng],
         scratch or model._Scratch(),
     )
     assert not occurred.any()
@@ -192,7 +192,7 @@ class TestSimulatePath:
         # S_100 ~ N(100*drift*delta, 100*delta); 4-sigma band on both moments
         c, delta, n = 1.0, 0.1, 200_000
         blocks = model._run_blocks(
-            n, 3, lambda m, rng, scratch: walk(-c, 100, m, rng, delta, scratch)[:, -1]
+            n, 3, lambda ms, rngs, scratch: [walk(-c, 100, *ms, *rngs, delta, scratch)[:, -1]]
         )
         terminal = np.concatenate(blocks)
         mean_se = math.sqrt(100 * delta / n)
@@ -223,7 +223,9 @@ class TestPathBlock:
         g, n, edge = Grid(0.1), 25_000, estimators._CHUNK
         n_steps = 2 * edge + 8
         paths = np.concatenate(
-            model._run_blocks(n, 5, lambda m, rng, scratch: walk(-1.0, n_steps, m, rng, 0.1, scratch))
+            model._run_blocks(
+                n, 5, lambda ms, rngs, scratch: [walk(-1.0, n_steps, *ms, *rngs, 0.1, scratch)]
+            )
         )
         z = (np.diff(paths, axis=1) + 1.0 * g.delta) / math.sqrt(g.delta)
         for left, right in ((edge - 1, edge), (2 * edge - 1, 2 * edge)):
@@ -268,7 +270,7 @@ class TestRunBlocks:
             built.append(block)
             return make_rng(seed, block)
 
-        def failing_worker(m, rng, scratch):
+        def failing_worker(ms, rngs, scratch):
             raise RuntimeError("worker failed")
 
         monkeypatch.setattr(model, "make_rng", counting_make_rng)
@@ -276,6 +278,40 @@ class TestRunBlocks:
             model._run_blocks(10**9, 0, failing_worker, threads)
         # 10^9 replicates are 122,071 blocks; only those in flight get a stream
         assert len(built) <= threads + 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_at_most_threads_plus_one_groups_in_flight(self, monkeypatch, threads):
+        built, calls = [], []
+
+        def counting_make_rng(seed, block):
+            built.append(block)
+            return make_rng(seed, block)
+
+        def failing_worker(ms, rngs, scratch):
+            calls.append(len(ms))
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(model, "make_rng", counting_make_rng)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            model._run_blocks(10**9, 0, failing_worker, threads, live=0.01)
+        # at a live share of 1% a call takes _GROUP_BLOCKS blocks; only the
+        # groups in flight get their streams
+        assert set(calls) == {model._GROUP_BLOCKS}
+        assert len(built) <= (threads + 1) * model._GROUP_BLOCKS
+        assert built == list(range(len(built)))
+
+    @pytest.mark.parametrize("blocks, threads, live, sizes", [
+        (31, 2, 0.0937, [8, 8, 8, 7]),  # about BLOCK_SIZE expected live paths a call
+        (31, 8, 0.0937, [4] * 7 + [3]),  # as many calls as threads
+        (3, 2, 0.0937, [2, 1]),
+        (5, 2, 0.5, [2, 1, 1, 1]),
+        (5, 2, 0.51, [1] * 5),  # above 1/2 every call takes one block
+        (5, 2, 1.0, [1] * 5),
+        (40, 1, 0.0, [14, 13, 13]),  # at most _GROUP_BLOCKS; a mass of 0 divides nothing
+        (1, 4, 0.0, [1]),
+    ])
+    def test_group_sizes(self, blocks, threads, live, sizes):
+        assert list(model._groups(blocks, threads, live)) == sizes
 
     def test_default_pool_has_a_worker_per_core(self, monkeypatch):
         sizes = []
@@ -286,5 +322,5 @@ class TestRunBlocks:
             return pool(max_workers)
 
         monkeypatch.setattr(model, "ThreadPoolExecutor", recording_pool)
-        model._run_blocks(10, 0, lambda m, rng, scratch: m)
+        model._run_blocks(10, 0, lambda ms, rngs, scratch: ms)
         assert sizes == [len(os.sched_getaffinity(0))]
