@@ -248,8 +248,12 @@ _MASS_TOLERANCE = 1e-7
 # surviving mass, and n steps change the result by at most n * 8.5e-22 (4e-19
 # at 400 steps).  The band product's own round-off is relative to each
 # term, every term being nonnegative; the cut's error is absolute, so it
-# dominates values far below e^{-2cu} n * 8.5e-22 (``dp_classical_ruin``).
+# dominates values far below e^{-2cu} n * 8.5e-22, which
+# ``dp_classical_ruin`` refuses (``_CUT_ERROR``).
 _ROW_CUT = 1e-20
+
+# The most one cut step moves, 2 Phi-bar(9.6) of the surviving mass.
+_CUT_ERROR = 8.5e-22
 
 # Outputs per block of the banded step in ``_crossing_law``: each step
 # multiplies (N / B) x (B + R - 1) windows by a (B + R - 1) x B band.  A
@@ -368,14 +372,18 @@ def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
     and psi = Phi-bar((u + c delta) / sqrt(delta)) + exp(-2cu) sum law r.
     r is at most 1 and every cell is a sum of nonnegative products, so the
     round-off is relative to each term and the quadrature error relative to
-    psi.  The kernel row's cut is not: its error is absolute, up to n_steps
-    * 8.5e-22 of exp(-2cu) (``_ROW_CUT``), and it dominates tiny
-    short-horizon values: (u, c, delta, n_steps) = (10, 0.5, 0.05, 3) reads
-    5.9e-188, where P(S_3 > u) alone is about 2e-149.  The law holds 8
+    psi.  The kernel row's cut is not: each of the n_steps - 1 steps after
+    the closed-form first drops at most ``_CUT_ERROR`` of the +c walk's mass
+    still below u, at most P+(S_1 <= u), so the error is absolute, up to
+    (n_steps - 1) ``_CUT_ERROR`` P+(S_1 <= u) exp(-2cu) (``_ROW_CUT``).  It
+    would dominate tiny short-horizon values: (u, c, delta, n_steps) = (10,
+    0.5, 0.05, 3) would read 5.9e-188, where P(S_3 > u) alone is about
+    1.7e-149.  So psi below that bound is refused.  The law holds 8
     (n_steps - 1) K bytes, K about 80 kept nodes, besides O(N) for the N
     state nodes: no N x N matrix.  Raises ``QuadratureMassError`` if the +c
     walk's balance fails ``_MASS_TOLERANCE``, and RuntimeError where psi,
-    positive for n_steps >= 1, computes below the smallest normal double.
+    positive for n_steps >= 1, computes below the smallest normal double,
+    or below the cut's error bound.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -396,6 +404,13 @@ def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
         raise RuntimeError(
             f"double-precision underflow: psi over {n_steps} steps at u={u} computes to {psi:.3g}, "
             f"below {sys.float_info.min:.3g}"
+        )
+    below = float(norm_sf((c * delta - u) / sigma))  # P+(S_1 <= u)
+    cut_error = (n_steps - 1) * _CUT_ERROR * below * math.exp(-2.0 * c * u)
+    if psi < cut_error:
+        raise RuntimeError(
+            f"psi over {n_steps} steps at u={u} computes to {psi:.3g}, below the kernel row "
+            f"cut's absolute error bound {cut_error:.3g}"
         )
     return psi
 
@@ -456,7 +471,10 @@ def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int, drift
     core of a 2-vCPU VM, and the walk's blocks share the cores while the
     table is built on one, so the table is built where twice its points are
     fewer than the walk's normals (a rule priced when a point cost about one
-    normal, kept so that no estimate switches between table and walk).  None
+    normal, kept so that no estimate switches between table and walk).  The
+    rule counts a walk's normals as one per path-step, although a walk in
+    antithetic pairs draws one per pair-step, half as many: kept as it is,
+    so that no estimate switches between table and walk either.  None
     elsewhere, where its cells and a dozen arrays of N + K points exceed
     ``_TABLE_MAX_BYTES``, or where its mass balance fails.
     """

@@ -36,14 +36,27 @@ level and detector state (running minimum, run length, exceedance count)
 from one chunk to the next.  A path is dropped as soon as it is detected,
 with its ruin index, S_{tau-1} and barrier recorded (its weight is
 evaluated once per block or group), so the tilted sampler, which ruins nearly every
-path around the middle of the horizon, draws no normals past ruin.  Each
-chunk draws (live paths, chunk steps) normals from the block's stream in
-row order, so every estimate is a pure function of ``(seed, n, params)``
-for any thread count.  Where few paths are ever live (the table-started
-paths below, when the table's mass is at most 1/2), one worker call walks
-a group of consecutive blocks: each block draws from its own stream and
-sums over its own paths, while the sampler, detector and weights run once
-on the group's live paths.  A worker thread keeps O(BLOCK_SIZE x _CHUNK)
+path around the middle of the horizon, draws no normals past ruin.
+
+Paths that walk from S_0 = 0 come in antithetic pairs (Hammersley &
+Morton 1956; Asmussen & Glynn 2007, V.6): paths q and q + ceil(m / 2) of
+an m-path block step by drift delta + sqrt(delta) z and drift delta -
+sqrt(delta) z from one normal row z, and an odd block's middle path is
+unpaired.  A pair stays live until both members are ruined or past the
+horizon (a ruined member's later points are never recorded), and each
+chunk draws (live pairs, chunk steps) normals from the block's stream in
+pair order, the unpaired path's row after them, so a walk draws half the
+normals.  The two outcomes are negatively correlated (about -0.1 for the
+crude classical estimate at u = 1), and ``estimate`` takes its standard
+error from the pairs' totals.  Every other path, started from the table
+below, is a unit of one, and each chunk draws (live paths, chunk steps)
+normals from its block's stream in row order.  So every estimate is a
+pure function of ``(seed, n, params)`` for any thread count.  Where few
+paths are ever live (the table-started paths below, when the table's
+mass is at most 1/2), one worker call walks a group of consecutive
+blocks: each block draws from its own stream and sums over its own
+paths, while the sampler, detector and weights run once on the group's
+live paths.  A worker thread keeps O(BLOCK_SIZE x _CHUNK)
 values for all its blocks and groups whatever the horizon or grid step (a
 group holds about BLOCK_SIZE live paths), and a request whose worst case,
 n paths all run to the horizon, exceeds ``_MAX_NORMALS`` normals is
@@ -69,8 +82,8 @@ is ruined at tau_1 itself and draws none.  The estimate is then unbiased
 up to the table's quadrature error, that of a smooth integrand under
 Gregory's weights (3e-9 of exp(2cu) times the classical value there).  The
 table is built where twice its step points are fewer than the walk's
-normals.  Elsewhere paths walk from S_0 = 0, as do reflected paths (which
-can ruin before tau_1).  Classical estimates, tilted or crude, walk, as
+normals.  Elsewhere paths walk from S_0 = 0 in pairs, as do reflected paths
+(which can ruin before tau_1).  Classical estimates, tilted or crude, walk, as
 the Monte Carlo check on that DP; classical ruin-time samples start from
 the table.
 """
@@ -91,7 +104,6 @@ from .model import (
     _check_blocks,
     _check_horizon,
     _check_normals,
-    _mean_se,
     _run_blocks,
     _unscaled,
     _warn,
@@ -312,7 +324,7 @@ def _ruin_weigher(drift, tilt, delta, level):
     return weigh
 
 
-def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=None):
+def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=None, pairs=0):
     """(occurred, idx, w) of paths over grid points start..n_steps, advanced a chunk at a time.
 
     ``start`` is the first point each path examines, 1 or one per path (a
@@ -329,7 +341,13 @@ def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=No
     arrays.  A path is dropped once its chunk reaches n_steps; a path
     that first qualifies at point tau records tau, S_{tau-1} and the barrier
     b its ruin step cleared, and is dropped too, so later chunks fill only
-    the paths still live.  After the last chunk, a ruin recorded past
+    the paths still live.  Paths q and q + m - ``pairs``, q < ``pairs``, are
+    an antithetic pair, which shares its start and is dropped only as a
+    unit: a ruined member stays live, its later points never recorded,
+    until its partner is ruined too or the pair reaches n_steps.  So the
+    live paths, in path order, are always the first members of the live
+    pairs, then the unpaired paths, then the second members in the same
+    order.  After the last chunk, a ruin recorded past
     n_steps is cleared, and a ruined path weighs w = weigh(S_{tau-1}, b),
     the conditional mean of its likelihood ratio given the path before
     tau (see the module docstring), evaluated ``_WEIGHT_ROWS`` paths at a
@@ -346,14 +364,16 @@ def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=No
     at = np.broadcast_to(start, m)
     rows = np.flatnonzero(at <= n_steps)
     at, state = at[rows], state[rows]
+    # the live paths already ruined: only a paired path is live once ruined
+    done = np.zeros(rows.size, bool)
 
     def examine(path):
         # path[j] holds the live paths' levels at points at - 1 + j
-        nonlocal rows, at, state
+        nonlocal rows, at, state, done
         k = len(path) - 1
         qualifies, state, bar = step(path[1:], state, scratch)
         hit = qualifies.any(axis=0)
-        live = at <= n_steps - k
+        hit &= ~done
         if hit.any():
             j = qualifies[:, hit].argmax(axis=0)
             cols = np.flatnonzero(hit)
@@ -362,9 +382,16 @@ def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=No
             idx[ruined] = at[hit] + j
             before[ruined] = path[j, cols]
             barrier[ruined] = bar[j, cols] if isinstance(bar, np.ndarray) else bar
-            live &= ~hit
+            done |= hit
+        # a pair ends once both members are ruined, an unpaired path once it is
+        first, ended = int(np.searchsorted(rows, pairs)), done.copy()
+        second = ended[ended.size - first :]
+        ended[:first] &= second
+        second[...] = ended[:first]
+        live = at <= n_steps - k
+        live &= ~ended
         if not live.all():
-            rows, at, state = rows[live], at[live], state[live]
+            rows, at, state, done = rows[live], at[live], state[live], done[live]
         at += k
 
     span = _CHUNK
@@ -391,14 +418,30 @@ def _run_chunks(step, state, n_steps, fill, weigh, scratch, start=1, crossing=No
 
 
 def _weighted_block(detect, initial, grid, params, drift, n_steps, ms, rngs, scratch, start=None):
-    """(occurred, idx, w) of a group of consecutive blocks under ``drift``, paths in block order.
+    """(occurred, idx, w, pairs) of a group of consecutive blocks under ``drift``, in block order.
 
     ``ms`` and ``rngs`` are the blocks' sizes and streams; see
-    ``_run_chunks`` for w.  drift -c is crude sampling (every weight is
-    exactly 1); drift +c is the tilted sampler, whose likelihood ratio at
-    ruin is exp(-2c S_tau), and whose w is carried relative to exp(-2cu).
-    Without a ``start`` every path walks from S_0 = 0.  With one, (table,
-    lead) from ``_setup``, each block first draws m uniforms for its paths'
+    ``_run_chunks`` for w and for the pairs.  ``pairs`` is each block's
+    number of antithetic pairs, m // 2 for a walk and 0 with a ``start``.
+    drift -c is crude sampling (every weight is exactly 1); drift +c is
+    the tilted sampler, whose likelihood ratio at ruin is exp(-2c S_tau),
+    and whose w is carried relative to exp(-2cu).
+
+    Without a ``start`` the group is one block (``_run_blocks`` groups no
+    walk), and its m paths walk from S_0 = 0 in antithetic pairs: path q
+    < m // 2 steps by drift delta + sqrt(delta) z and path q + ceil(m / 2)
+    by drift delta - sqrt(delta) z, one normal row z driving both, and an
+    odd block's path m // 2 is unpaired.  Each chunk draws (live pairs,
+    chunk steps) normals in pair order from the block's stream, the
+    unpaired path's row, while it is live, after them.  The first members
+    and the unpaired path fill the leading columns of the chunk's levels
+    by one row add per point, and the second members, the trailing
+    columns, mirror the first about the drift line by one more,
+    S'_t = 2 t drift delta - S_t, so a pair costs one normal per step and
+    no gather or sign pass.
+
+    With a ``start``, (table, lead) from ``_setup``, every path is a unit
+    of one.  Each block first draws m uniforms for its paths'
     first-crossing cells, then m for their crossing levels.  The k paths
     of a block that cross by n_steps, its paths 0 .. k - 1, take its k cell
     uniforms below the table's mass in sorted order and its first k level
@@ -413,21 +456,40 @@ def _weighted_block(detect, initial, grid, params, drift, n_steps, ms, rngs, scr
     past its own span lie beyond n_steps, where no ruin counts, so they are
     padded, never drawn.
     """
+    weigh = _ruin_weigher(drift, drift + params.c, grid.delta, params.u)
+    sd, mean = math.sqrt(grid.delta), drift * grid.delta
     if start is None:
-        counts, points, crossing = ms, 1, None
-        level = np.zeros(sum(ms))
-    else:
-        table, lead = start
-        cells, overs = [], []
-        for m, rng in zip(ms, rngs):
-            v_cell, v_over = rng.random(m), rng.random(m)
-            # a cell uniform at or above the table's total mass is a path that does not
-            # cross by n_steps; the r-th smallest of the others goes with v_over[r]
-            cells.append(np.sort(v_cell[v_cell < table.cum[-1]]))
-            overs.append(v_over[: cells[-1].size])
-        counts = [crossers.size for crossers in cells]
-        points, before, level = table.sample(np.concatenate(cells), np.concatenate(overs))
-        crossing = (before, level, lead)
+        (m,), (rng,) = ms, rngs
+        pairs, level = m // 2, np.zeros(m)
+
+        def walk(rows, at, out):
+            # the live pairs' first members lead rows and their second members end it
+            live = int(np.searchsorted(rows, pairs))
+            ahead, behind = out[:, : rows.size - live], out[:, rows.size - live :]
+            np.take(level, rows, out=out[0])
+            z = scratch("normals", (ahead.shape[1], len(out) - 1))
+            rng.standard_normal(out=z)
+            z *= sd
+            z += mean
+            point = int(at[0])  # the walked paths share their points
+            for j, row in enumerate(z.T):
+                np.add(ahead[j], row, out=ahead[j + 1])
+                np.subtract(2.0 * mean * (point + j), ahead[j + 1, :live], out=behind[j + 1])
+            level[rows] = out[-1]
+
+        found = _run_chunks(detect, np.full(m, initial), n_steps, walk, weigh, scratch, pairs=pairs)
+        return (*found, pairs)
+
+    table, lead = start
+    cells, overs = [], []
+    for m, rng in zip(ms, rngs):
+        v_cell, v_over = rng.random(m), rng.random(m)
+        # a cell uniform at or above the table's total mass is a path that does not
+        # cross by n_steps; the r-th smallest of the others goes with v_over[r]
+        cells.append(np.sort(v_cell[v_cell < table.cum[-1]]))
+        overs.append(v_over[: cells[-1].size])
+    counts = [crossers.size for crossers in cells]
+    points, before, level = table.sample(np.concatenate(cells), np.concatenate(overs))
     # the group's live paths of block i are rows bounds[i] .. bounds[i + 1] - 1
     bounds = np.cumsum([0, *counts])
 
@@ -446,24 +508,50 @@ def _weighted_block(detect, initial, grid, params, drift, n_steps, ms, rngs, scr
             else:
                 z[lo:hi, :own] = rng.standard_normal((hi - lo, own))
                 z[lo:hi, own:] = 0.0
-        z *= math.sqrt(grid.delta)
-        z += drift * grid.delta
+        z *= sd
+        z += mean
         for j, row in enumerate(out[1:]):
             prev = np.add(prev, z[:, j], out=row)
         level[rows] = prev
 
-    weigh = _ruin_weigher(drift, drift + params.c, grid.delta, params.u)
     found = _run_chunks(detect, np.full(bounds[-1], initial), n_steps, fill, weigh, scratch, points,
-                        crossing)
-    if start is None:
-        return found
+                        (before, level, lead))
     # block i's crossers are its paths 0 .. counts[i] - 1
     size = sum(ms)
     out = np.zeros(size, bool), np.zeros(size, np.int64), np.zeros(size)
     for lo, first, last in zip(np.cumsum([0, *ms]), bounds, bounds[1:]):
         for full, part in zip(out, found):
             full[lo : lo + last - first] = part[first:last]
-    return out
+    return (*out, 0)
+
+
+def _block_sums(w, pairs):
+    """One block's part of ``_unit_mean_se``, from its weights w and its ``pairs``.
+
+    (sum w, sum w^2, sum w_q w_q', sum (w_q + w_q'), pairs), the last three
+    over its antithetic pairs, paths q and q' = q + m - pairs for q < pairs:
+    (0.0, 0.0, 0) without pairs.
+    """
+    first, second = w[:pairs], w[w.size - pairs :]
+    return (float(w.sum()), float((w * w).sum()), float((first * second).sum()),
+            float(first.sum() + second.sum()), pairs)
+
+
+def _unit_mean_se(parts, n):
+    """Mean and standard error of n replicates from ``_block_sums``' parts, in block order.
+
+    Each antithetic pair (a, b) is one unit, whose total T has mean 2 mu;
+    every other replicate is a unit of one.  The standard error is that of
+    the units, SE^2 = sum_units (T - size mu)^2 / n^2: the replicates'
+    variance plus twice the pairs' sum of (x_a - mu)(x_b - mu), over n.
+    Without pairs that sum adds exactly 0.0, so this is ``model._mean_se``,
+    bit for bit.
+    """
+    mean = math.fsum(p[0] for p in parts) / n
+    products, totals, pairs = (math.fsum(p[i] for p in parts) for i in (2, 3, 4))
+    var = math.fsum(p[1] for p in parts) / n - mean * mean
+    var += 2.0 * (products - mean * totals + mean * mean * pairs) / n
+    return mean, math.sqrt(max(var, 0.0) / n)
 
 
 def estimate(
@@ -507,11 +595,11 @@ def estimate(
     )
 
     def worker(ms, rngs, scratch):
-        _, _, w = block(ms, rngs, scratch)
+        _, _, w, pairs = block(ms, rngs, scratch)
         # each block's sums over its own m paths, whatever group it ran in
-        return [(float(b.sum()), float((b * b).sum())) for b in np.split(w, np.cumsum(ms[:-1]))]
+        return [_block_sums(b, pairs) for b in np.split(w, np.cumsum(ms[:-1]))]
 
-    mean_se = np.array(_mean_se(_run_blocks(n, seed, worker, threads, live), n))
+    mean_se = np.array(_unit_mean_se(_run_blocks(n, seed, worker, threads, live), n))
     value, std_error = _unscaled(mean_se, log_scale)
     return Estimate(
         value=float(value),
@@ -540,8 +628,12 @@ def ruin_time_distribution(
     paths start at their first crossing of u as in ``estimate``; classical
     estimates walk, but classical ruin-time samples start from the table
     too, each path ruined at its first crossing, drawn with two uniforms and
-    no normal.  The blocks run on every available core; the sample is the
-    same for any count.
+    no normal.  Table-started samples are independent draws; walked ones
+    (reflected, or Parisian and cumulative where no table is built) come in
+    antithetic pairs, correlated, so a sampling error read as that of n
+    independent draws (such as the KS distance's) is only approximate for
+    them.  The blocks run on every available core; the sample is the same
+    for any count.
     Warns below u = 10, and for the reflected variant at gamma >= 1/2 as
     ``estimate`` does.  Raises RuntimeError when a weight would underflow to
     a subnormal or zero double, or the weights leave double range as in
@@ -559,7 +651,7 @@ def ruin_time_distribution(
     )
 
     def worker(ms, rngs, scratch):
-        occurred, idx, w = block(ms, rngs, scratch)
+        occurred, idx, w, _ = block(ms, rngs, scratch)
         rows = np.flatnonzero(occurred)
         return [(to_s(idx[rows] * grid.delta), w[rows])]
 

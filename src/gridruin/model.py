@@ -35,12 +35,14 @@ _KEY_LIMIT = 1 << 64  # seeds and stream ids are 64-bit words (see make_rng)
 
 # Replicates per block of the stream layout: block b holds replicates
 # [b * BLOCK_SIZE, ...) on make_rng(seed, b).  The ruin estimators consume a
-# block's stream chunk by chunk, drawing (live paths, chunk steps) normals in
-# row order for the paths not yet ruined, whichever group of blocks a worker
-# call walks it in; a block whose paths start at their first crossing of u
-# first draws one uniform per path for its cell, then one per path for its
-# crossing level.  Every Monte Carlo output is a
-# function of this layout, so changing it changes every printed number.
+# block's stream chunk by chunk.  A walked block's paths come in antithetic
+# pairs, and each chunk draws (live pairs, chunk steps) normals in pair order,
+# an odd block's unpaired path's row after them; a block whose paths start
+# at their first crossing of u first draws one uniform per path for its
+# cell, then one per path for its crossing level, and each chunk draws (live
+# paths, chunk steps) normals in row order, whichever group of blocks a
+# worker call walks it in.  Every Monte Carlo output is a function of this
+# layout, so changing it changes every printed number.
 BLOCK_SIZE = 8192
 
 # Names what a cached constant is a function of besides its key: the
@@ -50,7 +52,8 @@ BLOCK_SIZE = 8192
 # field).  The cache stores it with each record and skips records written
 # under another, so change it whenever one of these changes, and only then:
 # a change of the path samplers' draws alone leaves every cached constant
-# valid, and is recorded in CHANGES.md instead.
+# valid, and is recorded in CHANGES.md instead (the walks' antithetic pairs
+# changed no field draw, so "sfc64-2" stands).
 _STREAM_LAYOUT = "sfc64-2"
 
 # Most normals one request may draw: n paths to the horizon (the ruin
@@ -237,9 +240,11 @@ def _run_blocks(n: int, seed: int, worker, threads: int | None = None, live: flo
 
     * the ruin estimators' worker, the only path sampler, advances the
       group's live paths a chunk of grid steps at a time and drops each
-      path once it is ruined, O(BLOCK_SIZE x chunk) values whatever the
-      horizon and step: a group holds one block of walked paths, or about
-      BLOCK_SIZE expected paths that start at their first crossing;
+      path once it is ruined (a walked path, once its antithetic partner
+      is ruined too), O(BLOCK_SIZE x chunk) values whatever the horizon
+      and step: a group holds one block of walked paths, whose chunk draws
+      one normal per pair-step, or about BLOCK_SIZE expected paths that
+      start at their first crossing;
     * the constant drivers' worker, the only field sampler, takes one block
       per call and fills and reduces it a tile of rows at a time, O(tile x
       window) values.

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -442,11 +443,52 @@ class TestDpOracle:
                 try:
                     val = dp_classical_ruin(p, g, n)
                 except RuntimeError as err:
+                    if "double-precision underflow" in str(err):
+                        continue
+                    # a value below the row cut's error (see the next test) is
+                    # refused, but its law is still checked
+                    assert "cut's absolute error" in str(err)
+                    val = None
+                _, law = _crossing_law(p, g, n)
+            assert val is None or 0.0 <= val <= bound, (n, val, bound)
+            assert np.all(law >= 0.0), n
+
+    def test_refused_below_the_cut_error(self, monkeypatch):
+        # the row cut's error is absolute, up to (n - 1) 8.5e-22 e^{-2cu}
+        # times P+(S_1 <= u), the +c walk's mass left below u, which reads
+        # exactly 1.0 at every refused case of the grid above: a value
+        # below it is refused, after the underflow check, on exactly the cases
+        # of the grid where it falls below; one step is closed form.  At (u,
+        # c, delta) = (1, 20, 1) that mass is 1e-80 and the value is resolved
+        # (test_small_probability_resolved)
+        def raw(p, g, n):
+            with monkeypatch.context() as uncut:
+                uncut.setattr(analytic, "_CUT_ERROR", 0.0)
+                return dp_classical_ruin(p, g, n)
+
+        refused, below = set(), set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the short-horizon warning
+            for case in itertools.product((0.5, 1.0, 4.0, 10.0), (0.5, 1.0, 2.0),
+                                          (0.05, 0.1, 1.0), (1, 3, 10, 100)):
+                u, c, delta, n = case
+                p, g = ModelParams(c=c, u=u), Grid(delta)
+                try:
+                    value = raw(p, g, n)
+                except RuntimeError as err:
                     assert "double-precision underflow" in str(err)
                     continue
-                _, law = _crossing_law(p, g, n)
-            assert 0.0 <= val <= bound, (n, val, bound)
-            assert np.all(law >= 0.0), n
+                if value < (n - 1) * 8.5e-22 * math.exp(-2.0 * c * u):
+                    below.add(case)
+                try:
+                    assert dp_classical_ruin(p, g, n) == value
+                except RuntimeError as err:
+                    assert "cut's absolute error" in str(err)
+                    refused.add(case)
+            assert refused == below and len(below) == 13
+            for u, c, delta, n in [(10.0, 0.5, 0.05, 3), (20.0, 1.0, 0.1, 6)]:
+                with pytest.raises(RuntimeError, match="cut's absolute error"):
+                    dp_classical_ruin(ModelParams(c=c, u=u), Grid(delta), n)
 
     def test_single_step_below_floor_is_closed_form(self):
         # one step runs no recursion, so its exact tail value is returned

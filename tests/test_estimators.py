@@ -293,8 +293,8 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "variant, vp, value, std_error",
         [
-            ("classical", None, 0.08945, 0.0020180274713194565),
-            ("reflected", VariantParams(gamma=0.5), 0.14675, 0.002502143456119173),
+            ("classical", None, 0.09415, 0.0019547577215603983),
+            ("reflected", VariantParams(gamma=0.5), 0.1493, 0.0023153727561669203),
             ("parisian", VariantParams(parisian_T=0.3), 0.0407, 0.0013972027411939902),
             ("cumulative", VariantParams(cumulative_k=2), 0.0578, 0.0016501387820422864),
         ],
@@ -302,7 +302,7 @@ class TestEstimate:
     def test_crude_estimate_pinned(self, variant, vp, value, std_error):
         # crude weights are exactly 1, so these bits hold as long as the
         # stream layout and the detectors do.  Classical and reflected paths
-        # walk from 0; Parisian and cumulative ones start from the drift -c
+        # walk from 0 in antithetic pairs; Parisian and cumulative ones start from the drift -c
         # first-crossing table, so their blocks' streams begin with its 2m
         # uniforms
         p, g = ModelParams(c=1.0, u=1.0), Grid(0.1)
@@ -312,9 +312,9 @@ class TestEstimate:
     @pytest.mark.parametrize(
         "variant, vp, horizon, value, std_error",
         [
-            ("classical", None, None, 1.3842021542207328e-09, 1.898063041398825e-12),
+            ("classical", None, None, 1.3843510328895705e-09, 1.851972784133235e-12),
             ("reflected", VariantParams(gamma=0.2), None,
-             1.6132052117152655e-09, 3.446152933288002e-12),
+             1.6099927509197684e-09, 3.279305894004909e-12),
             ("parisian", VariantParams(parisian_T=0.3), None,
              5.899041273229286e-10, 2.2819030156363416e-12),
             ("cumulative", VariantParams(cumulative_k=2), None,
@@ -325,8 +325,9 @@ class TestEstimate:
     )
     def test_tilted_estimate_pinned(self, variant, vp, horizon, value, std_error):
         # these bits hold as long as the stream layout, the detectors, the
-        # weights and the first-crossing table do; the Parisian and cumulative
-        # paths start from the table, and at horizon 8 (u / c = 10) many of
+        # weights and the first-crossing table do; the classical and reflected
+        # paths walk in antithetic pairs, the Parisian and cumulative ones
+        # start from the table, and at horizon 8 (u / c = 10) many of
         # them start near or past the horizon
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
         with warnings.catch_warnings():
@@ -689,7 +690,8 @@ class TestFirstCrossingStart:
                                          classical_from_table=True)
         table, _ = block.keywords["start"]
         rng = make_rng(37, 3)
-        occurred, idx, w = block([m], [rng], model._Scratch())
+        occurred, idx, w, pairs = block([m], [rng], model._Scratch())
+        assert pairs == 0  # table-started paths are units of one
         want = make_rng(37, 3)
         tau, before, _ = table.sample(np.sort(want.random(m)), want.random(m))
         np.testing.assert_array_equal(rng.random(8), want.random(8))  # the streams are level
@@ -828,6 +830,113 @@ class TestFirstCrossingStart:
         mean, mean0 = np.average(s, weights=w), np.average(s0, weights=w0)
         se = math.hypot(s.std() / math.sqrt(s.size), s0.std() / math.sqrt(s0.size))
         assert abs(mean - mean0) < 4 * se
+
+
+class TestAntitheticPairs:
+    """Walked paths come in antithetic pairs, one normal row driving a path and its mirror."""
+
+    def test_stream_layout(self):
+        # m = 9: pairs (q, q + 5) for q < 4 and the unpaired path 4.  Each
+        # chunk draws (live pairs, then the unpaired path while it is live,
+        # chunk steps) normals in row order; the levels hold the pairs' first
+        # members, the unpaired path, then the second members.  A pair stays
+        # until both members are ruined, and a member's later points are never
+        # recorded.  At this seed pairs end in the first chunk, pair (0, 5)
+        # runs to the horizon with path 0 ruined at point 3, and path 4 is
+        # drawn after that pair until it is ruined in the second chunk
+        p, g, m, n_steps = ModelParams(c=1.0, u=0.5), Grid(0.1), 9, 40
+        drawn, seen = [], []
+
+        class Stream:
+            """A block's stream that notes the shape of each chunk it draws."""
+
+            def __init__(self):
+                self.rng = make_rng(61, 1)
+
+            def standard_normal(self, out):
+                drawn.append(out.shape)
+                return self.rng.standard_normal(out=out)
+
+        def record(levels, state, scratch):
+            seen.append(levels.copy())
+            return estimators._classical_step(levels, p.u, None, state, scratch)
+
+        occurred, idx, _, pairs = estimators._weighted_block(
+            record, 0, g, p, p.c, n_steps, [m], [Stream()], model._Scratch()
+        )
+        assert pairs == 4
+        rng, sd, mean = make_rng(61, 1), math.sqrt(g.delta), p.c * g.delta
+        level, want = np.zeros(m), np.zeros(m, np.int64)
+        first, second = np.arange(4), np.arange(5, 9)
+        for t, levels in zip(range(0, n_steps, estimators._CHUNK), seen):
+            span = len(levels)
+            pairs = first[(want[first] == 0) | (want[second] == 0)]
+            units = np.concatenate([pairs, [4] if want[4] == 0 else []]).astype(int)
+            assert drawn.pop(0) == (units.size, span)
+            z = rng.standard_normal((units.size, span)) * sd + mean
+            ahead = np.cumsum(np.concatenate([level[units][:, None], z], axis=1), axis=1)[:, 1:]
+            behind = 2.0 * mean * np.arange(t + 1, t + 1 + span) - ahead[: pairs.size]
+            np.testing.assert_array_equal(levels, np.concatenate([ahead, behind]).T)
+            cols = np.concatenate([units, pairs + 5])
+            for col, path in zip(levels.T, cols):
+                if want[path] == 0 and (col > p.u).any():
+                    want[path] = t + 1 + (col > p.u).argmax()
+            level[cols] = levels[-1]
+        assert not drawn
+        np.testing.assert_array_equal(idx, want)
+        np.testing.assert_array_equal(occurred, want > 0)
+        assert [shape[1] for shape in map(np.shape, seen)] == [9, 3, 2]
+        assert idx[0] == 3 and not occurred[5] and 16 < idx[4] <= 32
+
+    def test_standard_error_of_the_unit_totals(self):
+        # SE^2 = sum_j (T_j - k_j mean)^2 / n^2 over the units: the pairs'
+        # totals (k = 2) and the unpaired paths (k = 1); with no pair it is
+        # the mean's plain standard error, bit for bit
+        rng = make_rng(62, 0)
+        blocks = [rng.exponential(size=m) * (rng.random(m) < 0.3) for m in (8, 5, 7)]
+        units = []
+        for w in blocks:
+            pairs = w.size // 2
+            units += [(a + b, 2) for a, b in zip(w[:pairs], w[w.size - pairs :])]
+            units += [(x, 1) for x in w[pairs : w.size - pairs]]
+        n = sum(w.size for w in blocks)
+        mean = sum(w.sum() for w in blocks) / n
+        se = math.sqrt(sum((t - k * mean) ** 2 for t, k in units)) / n
+        got = estimators._unit_mean_se([estimators._block_sums(w, w.size // 2) for w in blocks], n)
+        assert got == pytest.approx((mean, se), rel=1e-12)
+        plain = model._mean_se([(float(w.sum()), float((w * w).sum())) for w in blocks], n)
+        assert estimators._unit_mean_se([estimators._block_sums(w, 0) for w in blocks], n) == plain
+        assert got[1] != plain[1]
+
+    def test_estimate_reads_its_blocks_pairs(self):
+        # a crude walk's SE is that of its blocks' unit totals: 2 blocks, the
+        # second odd, each paired within itself
+        p, g, n = ModelParams(c=1.0, u=1.0), Grid(0.1), model.BLOCK_SIZE + 2001
+        block, _, live = estimators._setup("classical", p, g, None, default_horizon(p), n, -p.c, 0)
+        assert live == 1.0
+        parts = []
+        for b, m in enumerate((model.BLOCK_SIZE, 2001)):
+            _, _, w, pairs = block([m], [make_rng(63, b)], model._Scratch())
+            assert pairs == m // 2
+            parts.append(estimators._block_sums(w, pairs))
+        est = estimate("classical", p, g, method="crude", n=n, seed=63)
+        assert (est.value, est.std_error) == estimators._unit_mean_se(parts, n)
+
+    @pytest.mark.parametrize("method, u, n", [("crude", 1.0, 20_000), ("tilted", 10.0, 10_000)])
+    def test_z_scores_against_the_dp_oracle(self, method, u, n):
+        # over 48 seeds the paired estimate's z-score against the exact value
+        # has mean near 0 and sample sd near 1: the pairs' SE is neither too
+        # small nor too large
+        p, g = ModelParams(c=1.0, u=u), Grid(0.1)
+        n_steps = g.n_steps_for(default_horizon(p))
+        dp = dp_classical_ruin(p, g, n_steps)
+        z = []
+        for seed in range(48):
+            est = estimate("classical", p, g, method=method, horizon=n_steps * g.delta, n=n,
+                           seed=seed)
+            z.append((est.value - dp) / est.std_error)
+        assert abs(np.mean(z)) < 4.0 / math.sqrt(len(z))
+        assert 0.8 <= np.std(z, ddof=1) <= 1.25
 
 
 class TestBlockGroups:

@@ -166,7 +166,7 @@ def walk(drift, n_steps, m, rng, delta=0.1, scratch=None):
         seen.append(levels.copy())
         return np.zeros(levels.shape, bool), state, 0.0
 
-    occurred, _, _ = estimators._weighted_block(
+    occurred, *_ = estimators._weighted_block(
         record, 0, Grid(delta), ModelParams(1.0, 0.0), drift, n_steps, [m], [rng],
         scratch or model._Scratch(),
     )
@@ -189,12 +189,14 @@ class TestSimulatePath:
             ModelParams(c=drift, u=1.0)
 
     def test_terminal_mean_and_variance(self):
-        # S_100 ~ N(100*drift*delta, 100*delta); 4-sigma band on both moments
+        # S_100 ~ N(100*drift*delta, 100*delta); 4-sigma band on both moments,
+        # taken on the pairs' first members, whose mirrors would add nothing
         c, delta, n = 1.0, 0.1, 200_000
-        blocks = model._run_blocks(
-            n, 3, lambda ms, rngs, scratch: [walk(-c, 100, *ms, *rngs, delta, scratch)[:, -1]]
-        )
+        blocks = model._run_blocks(2 * n, 3, lambda ms, rngs, scratch: [
+            walk(-c, 100, *ms, *rngs, delta, scratch)[: ms[0] // 2, -1]
+        ])
         terminal = np.concatenate(blocks)
+        assert terminal.size == n
         mean_se = math.sqrt(100 * delta / n)
         assert abs(terminal.mean() + 100 * c * delta) < 4 * mean_se
         var = terminal.var()
@@ -206,27 +208,49 @@ class TestPathBlock:
     """The stream layout and the increments of that walk."""
 
     def test_stream_is_drawn_chunk_by_chunk(self):
-        # each chunk draws (paths, chunk steps) normals in row order
+        # each chunk draws (pairs + the unpaired path, chunk steps) normals in
+        # row order: paths 0 and 1 take rows 0 and 1, unpaired path 2 row 2,
+        # and paths 3 and 4 mirror 0 and 1 about the drift line
         m, n_steps, delta, drift = 5, 40, 0.1, -1.0
         rng, chunk = make_rng(11, 4), estimators._CHUNK
         z = np.concatenate(
-            [rng.standard_normal((m, min(chunk, n_steps - s))) for s in range(0, n_steps, chunk)],
+            [rng.standard_normal((3, min(chunk, n_steps - s))) for s in range(0, n_steps, chunk)],
             axis=1,
         )
         z *= math.sqrt(delta)
         z += drift * delta
-        expected = np.concatenate([np.zeros((m, 1)), np.cumsum(z, axis=1)], axis=1)
+        ahead = np.concatenate([np.zeros((3, 1)), np.cumsum(z, axis=1)], axis=1)
+        behind = 2.0 * drift * delta * np.arange(n_steps + 1) - ahead[:2]
+        expected = np.concatenate([ahead, behind])
         np.testing.assert_array_equal(walk(drift, n_steps, m, make_rng(11, 4), delta), expected)
 
+    def test_pairs_mirror_each_other(self):
+        # path q and path q + ceil(m / 2) take one normal row with opposite
+        # signs: at drift 0 their levels, and so their increments, are
+        # bitwise negatives; at drift -1 they sum to 2 t drift delta
+        m, n_steps, half = 7, 40, 4
+        paths = walk(0.0, n_steps, m, make_rng(11, 5))
+        np.testing.assert_array_equal(paths[half:], -paths[:3])
+        np.testing.assert_array_equal(np.diff(paths[half:]), -np.diff(paths[:3]))
+        assert np.all(np.diff(paths[:3]) != 0.0)
+        paths = walk(-1.0, n_steps, m, make_rng(11, 5))
+        line = -2.0 * 0.1 * np.arange(n_steps + 1)
+        np.testing.assert_allclose(paths[half:] + paths[:3], np.broadcast_to(line, (3, n_steps + 1)),
+                                   rtol=0.0, atol=1e-13)
+
     def test_increment_normality_moments(self):
-        # the walk crosses two chunk edges, after steps `edge` and 2 * `edge`
-        g, n, edge = Grid(0.1), 25_000, estimators._CHUNK
+        # the walk crosses two chunk edges, after steps `edge` and 2 * `edge`.
+        # A pair's second member mirrors its first, so the moments are taken
+        # on the first members only: 25,000 independent paths
+        g, n, edge = Grid(0.1), 50_000, estimators._CHUNK
         n_steps = 2 * edge + 8
         paths = np.concatenate(
-            model._run_blocks(
-                n, 5, lambda ms, rngs, scratch: [walk(-1.0, n_steps, *ms, *rngs, 0.1, scratch)]
-            )
+            model._run_blocks(n, 5, lambda ms, rngs, scratch: [
+                walk(-1.0, n_steps, *ms, *rngs, 0.1, scratch)[: ms[0] // 2]
+            ])
         )
+        n = len(paths)
+        assert n == 25_000
         z = (np.diff(paths, axis=1) + 1.0 * g.delta) / math.sqrt(g.delta)
         for left, right in ((edge - 1, edge), (2 * edge - 1, 2 * edge)):
             # a dropped carry or a reused normal shows in the steps either side of an edge
