@@ -14,16 +14,16 @@ state points, every term nonnegative.  The K nodes within that reach of u
 are the only ones that can cross it, so the law takes 8 (steps - 1) K bytes.
 The law has two readers:
 
-- ``dp_classical_ruin``, the deterministic cross-check for the Monte Carlo
-  estimators, weighs each cell of the +c law by the classical conditioned
-  weight, so its round-off is relative to each term and its quadrature
-  error relative to the result at any u (the row cut's error is absolute:
-  see there); the -c law's total mass is the same probability by a second
-  route;
+- ``_ruin_by_step``, the law of the classical ruin time: each step's +c
+  cells weighed by the classical conditioned weight.  Its sum is
+  ``dp_classical_ruin``, the deterministic cross-check for the Monte Carlo
+  estimators, its quadrature error relative to the result at any u (the
+  row cut's error is absolute: see there), and its atoms are the classical
+  ``ruin_time_distribution``; the -c law's mass is that sum by a second route;
 - ``_FirstCrossing``, from which the Parisian and cumulative estimators
-  (tilted, from the +c law, and crude, from the -c law) and classical
-  ruin-time samples start their paths where ``_first_crossing`` counts
-  less work for the table than for the walk it replaces.
+  (tilted, from the +c law, and crude, from the -c law) start their paths
+  where ``_first_crossing`` counts less work for the table than for the
+  walk it replaces.
 
 The normal helpers Phi, Phi-bar and log Phi, which the oracle, the
 truncation bound and the tilted weight share, rest on one lower tail,
@@ -352,38 +352,50 @@ def _crossing_law(params: ModelParams, grid: Grid, n_steps: int, drift: float | 
     return x[kept], law
 
 
+def _ruin_by_step(params: ModelParams, grid: Grid, n_steps: int):
+    """(P(tau = 1), exp(2cu) P(tau = i) for i = 2 .. n_steps): the classical ruin time's law.
+
+    A -c step of size z has likelihood exp(-2cz) against a +c step, so a
+    cell of the +c law, a first crossing of u at step i >= 2 from S_{i-1} =
+    x, counts r(x) times, r the classical conditioned weight
+
+        r(x) = exp(2c(u - x)) Phi-bar((u - x + c delta) / sqrt(delta))
+                              / Phi-bar((u - x - c delta) / sqrt(delta)) <= 1;
+
+    P(tau = 1) = Phi-bar((u + c delta) / sqrt(delta)).  Every term is
+    nonnegative, so the round-off is relative to each.  The cost is the
+    sweep's: n_steps - 1 banded steps over about 8 (u + 12/c) / sqrt(delta)
+    nodes, and 8 (n_steps - 1) K bytes (K about 80).  Raises
+    ``QuadratureMassError`` if the +c walk's balance fails ``_MASS_TOLERANCE``.
+    """
+    u, c, delta = params.u, params.c, grid.delta
+    sigma = math.sqrt(delta)
+    x, law = _crossing_law(params, grid, n_steps, params.c)
+    # the numerator in log space, where exp(2c(u - x)) overflows and Phi-bar underflows; the
+    # denominator is at least Phi-bar(9.6) on the kept nodes
+    r = (np.exp(2.0 * c * (u - x) + _log_ndtr((x - u - c * delta) / sigma))
+         / norm_sf((u - x - c * delta) / sigma))
+    return float(norm_sf((u + c * delta) / sigma)), law[1:].reshape(-1, x.size) @ r
+
+
 def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
     """P(max_{0<=n<=N} S_n > u) from the first-crossing law of the drift +c walk, deterministic.
 
-    A second method gives the same probability: the total mass of the drift
-    -c walk's law, ``_crossing_law(params, grid, n_steps, -params.c)``,
-    whose cells carry no weight.  On the 80 cases of ``_CROSSING_SPACING``
-    the two agree within 2.4e-10 relative.
+    psi sums ``_ruin_by_step``'s law, its quadrature error relative to psi.
+    The drift -c walk's law, ``_crossing_law(params, grid, n_steps,
+    -params.c)``, gives psi a second way, as its total mass: on the 80 cases
+    of ``_CROSSING_SPACING`` the two agree within 2.4e-10 relative.
 
-    The walk S has drift -c; ``_crossing_law`` tabulates the first crossing
-    of u under its tilt of drift +c.  A -c step of size z has likelihood
-    exp(-2cz) against a +c step, so a +c path first crossing u at step n
-    >= 2 from S_{n-1} = x counts r(x) times its cell, with r the classical
-    conditioned weight
-
-        r(x) = exp(2c(u - x)) Phi-bar((u - x + c delta) / sqrt(delta))
-                              / Phi-bar((u - x - c delta) / sqrt(delta)) <= 1,
-
-    and psi = Phi-bar((u + c delta) / sqrt(delta)) + exp(-2cu) sum law r.
-    r is at most 1 and every cell is a sum of nonnegative products, so the
-    round-off is relative to each term and the quadrature error relative to
-    psi.  The kernel row's cut is not: each of the n_steps - 1 steps after
-    the closed-form first drops at most ``_CUT_ERROR`` of the +c walk's mass
-    still below u, at most P+(S_1 <= u), so the error is absolute, up to
-    (n_steps - 1) ``_CUT_ERROR`` P+(S_1 <= u) exp(-2cu) (``_ROW_CUT``).  It
-    would dominate tiny short-horizon values: (u, c, delta, n_steps) = (10,
-    0.5, 0.05, 3) would read 5.9e-188, where P(S_3 > u) alone is about
-    1.7e-149.  So psi below that bound is refused.  The law holds 8
-    (n_steps - 1) K bytes, K about 80 kept nodes, besides O(N) for the N
-    state nodes: no N x N matrix.  Raises ``QuadratureMassError`` if the +c
+    The kernel row's cut is not relative: each of the n_steps - 1 steps
+    after the closed-form first drops at most ``_CUT_ERROR`` of the +c
+    walk's mass still below u, at most P+(S_1 <= u), so the error is
+    absolute, up to (n_steps - 1) ``_CUT_ERROR`` P+(S_1 <= u) exp(-2cu)
+    (``_ROW_CUT``).  It would dominate tiny short-horizon values: (u, c,
+    delta, n_steps) = (10, 0.5, 0.05, 3) would read 5.9e-188, where P(S_3 >
+    u) alone is about 1.7e-149.  Raises ``QuadratureMassError`` if the +c
     walk's balance fails ``_MASS_TOLERANCE``, and RuntimeError where psi,
     positive for n_steps >= 1, computes below the smallest normal double,
-    or below the cut's error bound.
+    or below that bound.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
@@ -392,20 +404,14 @@ def dp_classical_ruin(params: ModelParams, grid: Grid, n_steps: int) -> float:
     if n_steps == 0:
         return 0.0
 
-    sigma = math.sqrt(delta)
-    x, law = _crossing_law(params, grid, n_steps, params.c)
-    # the numerator in log space, where exp(2c(u - x)) overflows and Phi-bar underflows; the
-    # denominator is at least Phi-bar(9.6) on the kept nodes
-    r = (np.exp(2.0 * c * (u - x) + _log_ndtr((x - u - c * delta) / sigma))
-         / norm_sf((u - x - c * delta) / sigma))
-    tilted = math.fsum(law[1:].reshape(-1, x.size) @ r)
-    psi = float(norm_sf((u + c * delta) / sigma)) + _unscaled(tilted, -2.0 * c * u)
+    first, tilted = _ruin_by_step(params, grid, n_steps)
+    psi = first + _unscaled(math.fsum(tilted), -2.0 * c * u)
     if psi < sys.float_info.min:
         raise RuntimeError(
             f"double-precision underflow: psi over {n_steps} steps at u={u} computes to {psi:.3g}, "
             f"below {sys.float_info.min:.3g}"
         )
-    below = float(norm_sf((c * delta - u) / sigma))  # P+(S_1 <= u)
+    below = float(norm_sf((c * delta - u) / math.sqrt(delta)))  # P+(S_1 <= u)
     cut_error = (n_steps - 1) * _CUT_ERROR * below * math.exp(-2.0 * c * u)
     if psi < cut_error:
         raise RuntimeError(
@@ -460,9 +466,10 @@ _TABLE_MAX_BYTES = 2**25
 def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int, drift: float):
     """The ``_FirstCrossing`` table of ``drift`` for n paths up to step n_steps, or None.
 
-    Each of its n_steps - 1 steps is counted as N + R - 1 points, R the
-    kept lags of a kernel row cut at ``_CROSSING_REACH`` standard deviations
-    (in all, a count growing as u^2 / delta^1.5).  The walk it replaces
+    Only Parisian and cumulative requests ask for one.  Each of its n_steps
+    - 1 steps is counted as N + R - 1 points, R the kept lags of a kernel
+    row cut at ``_CROSSING_REACH`` standard deviations (in all, a count
+    growing as u^2 / delta^1.5).  The walk it replaces
     draws n min(n_steps, u / (c delta) + 1) normals to the first crossing
     under drift +c, and n n_steps under drift -c, whose paths mostly never
     cross and, unless ruined, run to the horizon (at u = 1, c = 1, delta =
@@ -494,9 +501,10 @@ def _first_crossing(params: ModelParams, grid: Grid, n_steps: int, n: int, drift
 class _FirstCrossing:
     """The law of (tau_1, S_{tau_1 - 1}) of the walk up to step n_steps, and its sampler.
 
-    The walk has drift +c where ``drift`` is None (tilted sampling), or
-    ``drift``: -c for crude sampling, where about 91% of the paths at u = 1,
-    c = 1, delta = 0.1 never cross by the horizon and take the last cell.
+    Parisian and cumulative paths start from it.  The walk has drift +c
+    where ``drift`` is None (tilted sampling), or ``drift``: -c for crude
+    sampling, where about 91% of the paths at u = 1, c = 1, delta = 0.1
+    never cross by the horizon and take the last cell.
     tau_1 is the walk's first step above u, from S_0 = 0.  The cells are
     ``_crossing_law``'s, each >= 0, summed in place into ``cum``: cell 0
     is (1, 0), cell 1 + i K + j is (i + 2, x_j) for the K kept nodes x.  x is

@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--c", type=float, required=True)
     pr.add_argument("--u", type=float, required=True)
     pr.add_argument("--delta", type=float, required=True)
-    pr.add_argument("--n", type=int, default=100_000)
+    pr.add_argument("--n", type=int, default=100_000, help="unused for classical; still validated")
     _add_common(pr)
 
     return parser

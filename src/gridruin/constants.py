@@ -45,10 +45,11 @@ from .model import (
     Grid,
     ModelParams,
     VariantParams,
+    _block_sums,
     _check_normals,
-    _mean_se,
     _run_blocks,
     _steps_in,
+    _unit_mean_se,
     _warn,
 )
 
@@ -279,8 +280,8 @@ class _Reduction:
 
 # The sample mean and its standard error.
 _MEAN = _Reduction(
-    lambda v, p, n_side: (float(v.sum()), float((v * v).sum())),
-    lambda parts, n, eta, p: _mean_se(parts, n),
+    lambda v, p, n_side: _block_sums(v, 0),
+    lambda parts, n, eta, p: _unit_mean_se(parts, n),
 )
 # Berman's U-statistic over every pair of half-fields (see berman).
 _HALF_PAIRS = _Reduction(_half_histogram, _half_pairs)

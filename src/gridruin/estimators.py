@@ -62,49 +62,50 @@ group holds about BLOCK_SIZE live paths), and a request whose worst case,
 n paths all run to the horizon, exceeds ``_MAX_NORMALS`` normals is
 refused before the first draw.
 
-Parisian and cumulative paths, tilted or crude, and those of a classical
-ruin-time sample, start at their first crossing tau_1 of u.  Until then
-their detectors keep the state of point 0 and their barrier is u, so the
-path before tau_1 counts only through tau_1 and S_{tau_1 - 1}.  The law of
-that pair under the sampler's drift, +c or -c, up to the path's last step,
-is tabulated once per call on the DP oracle's quadrature
-(``analytic._first_crossing``).  A block draws every path's cell and its
-level S_{tau_1} from it with two uniforms; a path that does not cross by
-its last step is never live and draws nothing more, and the others are
-examined at tau_1 from the detector's state at point 0 and walk on from
-there, their first chunk spanning only the variant's lead, the fewest
-further points at which they can qualify.  At u = 10, c = 1, delta = 0.1 a
-tilted path draws about 9 (Parisian, T = 0.3) or 7 (cumulative, k = 2)
-normals instead of about 113; at u = 1 about 91% of crude paths never
-cross u and draw none, where each walked all 100 steps, and the crossers
-of about 8 blocks are walked in one worker call.  A classical path
-is ruined at tau_1 itself and draws none.  The estimate is then unbiased
-up to the table's quadrature error, that of a smooth integrand under
-Gregory's weights (3e-9 of exp(2cu) times the classical value there).  The
-table is built where twice its step points are fewer than the walk's
-normals.  Elsewhere paths walk from S_0 = 0 in pairs, as do reflected paths
-(which can ruin before tau_1).  Classical estimates, tilted or crude, walk, as
-the Monte Carlo check on that DP; classical ruin-time samples start from
-the table.
+Parisian and cumulative paths, tilted or crude, start at their first
+crossing tau_1 of u.  Until then their detectors keep the state of point 0
+and their barrier is u, so the path before tau_1 counts only through tau_1
+and S_{tau_1 - 1}.  The law of that pair under the sampler's drift, +c or
+-c, up to the path's last step, is tabulated once per call on the DP
+oracle's quadrature (``analytic._first_crossing``).  A block draws every
+path's cell and its level S_{tau_1} from it with two uniforms; a path that
+does not cross by its last step is never live and draws nothing more, and
+the others are examined at tau_1 from the detector's state at point 0 and
+walk on from there, their first chunk spanning only the variant's lead,
+the fewest further points at which they can qualify.  At u = 10, c = 1,
+delta = 0.1 a tilted path draws about 9 (Parisian, T = 0.3) or 7
+(cumulative, k = 2) normals instead of about 113; at u = 1 about 91% of
+crude paths never cross u and draw none, where each walked all 100 steps,
+and the crossers of about 8 blocks are walked in one worker call.  The
+estimate is then unbiased up to the table's quadrature error, that of a
+smooth integrand under Gregory's weights (3e-9 of exp(2cu) times the
+classical value there).  The table is built where twice its step points
+are fewer than the walk's normals.  Elsewhere paths walk from S_0 = 0 in
+pairs, as do reflected paths (which can ruin before tau_1) and classical
+estimates, tilted or crude, the Monte Carlo check on that DP.  Classical
+ruin times are not sampled: ``ruin_time_distribution`` reads their law.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .analytic import _first_crossing, _ruin_time_scale, crossing_after, norm_sf
+from .analytic import _first_crossing, _ruin_by_step, _ruin_time_scale, crossing_after, norm_sf
 from .model import (
     Grid,
     ModelParams,
     VariantParams,
+    _block_sums,
     _check_blocks,
     _check_horizon,
     _check_normals,
     _run_blocks,
+    _unit_mean_se,
     _unscaled,
     _warn,
     default_horizon,
@@ -186,18 +187,17 @@ def _cumulative_step(levels, u, k, count, scratch):
 # state after S_0 = 0 <= u, windowed, lead, its prefactor's constant keys).  A
 # windowed variant's parameter is its window in grid points, T/delta + 1, and
 # its paths run window - 1 steps past the horizon so that a run starting there
-# can end.  ``lead`` is None where tilted paths walk from point 0, else the
+# can end.  ``lead`` is None where paths always walk from point 0, else the
 # map from the parameter to the fewest points after the first crossing tau_1
 # of u at which a path can qualify: such a variant has barrier u and keeps its
 # state at point 0 until S first exceeds u, so its paths, tilted or crude, may
 # start at tau_1, drawn from the first-crossing table of the sampler's drift.
-# Classical qualifies at tau_1 itself, so a path started there draws no normal;
-# classical estimates walk, the Monte Carlo check on the DP whose law the table
-# is, and classical ruin-time samples start from the table.  The keys map (c,
-# delta, p), p the variant's parameter, to [(kind, eta, extra key fields)], eta
-# = 2 c^2 delta the limit field's step.
+# Classical has barrier u too, but its estimates walk, the Monte Carlo check
+# on the DP whose law the table is.  The keys map (c, delta, p), p the
+# variant's parameter, to [(kind, eta, extra key fields)], eta = 2 c^2 delta
+# the limit field's step.
 _VARIANTS = {
-    "classical": (None, _classical_step, 0, False, lambda _: 0,
+    "classical": (None, _classical_step, 0, False, None,
                   lambda c, delta, _: [("pickands_dy", 2.0 * c * c * delta, {})]),
     "reflected": ("gamma", _reflected_step, 0.0, False, None, lambda c, delta, g: [
         ("piterbarg", 2.0 * c * c * (1.0 - g) ** 2 * delta, {"a": g / (1.0 - g)}),
@@ -235,26 +235,25 @@ def _variant_value(variant: str, variant_params: VariantParams | None):
 _CHUNK = 16
 
 
-def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threads=None,
-           classical_from_table=False):
+def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threads=None):
     """(block, log_scale, live): the request's block sampler under ``drift`` and its scales.
 
-    The one gate for every simulated request, passed before any table or
-    stream is built: n, ``threads`` and ``seed`` as ``_run_blocks`` takes
-    them, a finite horizon covering a grid step (one below
-    ``default_horizon`` warns), and at most ``_MAX_NORMALS`` normals for n
-    paths to it.  Tilted sampling of the reflected variant at gamma >= 1/2
-    warns.  ``block(ms, rngs, scratch)`` is ``_weighted_block`` bound to the
+    The one gate for every ruin request, simulated or not, passed before any
+    table, sweep or stream is built: n, ``threads`` and ``seed`` as
+    ``_run_blocks`` takes them, a finite horizon covering a grid step (one
+    below ``default_horizon`` warns), and at most ``_MAX_NORMALS`` normals
+    for n paths to it.  Tilted sampling of the reflected variant at gamma >=
+    1/2 warns.  ``block(ms, rngs, scratch)`` is ``_weighted_block`` bound to the
     request, its weights carried relative to exp(log_scale), log_scale =
     -(drift + c) u; a variant whose barrier is u, whose weights are then at
     most 1, is refused where exp(log_scale) is below the smallest normal
     double.  The block's start is None where the paths walk from point 0,
     else (table, lead): the table ``analytic._first_crossing`` builds for n
     paths under ``drift`` (+c tilted, -c crude), and the variant's lead
-    clamped to [1, _CHUNK].  Reflected paths always walk; classical paths
-    walk unless ``classical_from_table``.  ``live``, the expected share of
-    the paths that are ever live, is 1 for a walk and the table's total
-    mass otherwise; ``_run_blocks`` groups blocks by it.
+    clamped to [1, _CHUNK]; a variant without a lead asks for no table.
+    ``live``, the expected share of the paths that are ever live, is 1 for
+    a walk and the table's total mass otherwise; ``_run_blocks`` groups
+    blocks by it.
     """
     p = _variant_value(variant, variant_params)
     _, step, initial, windowed, lead, _ = _VARIANTS[variant]
@@ -275,8 +274,7 @@ def _setup(variant, params, grid, variant_params, horizon, n, drift, seed, threa
             f"gamma={variant_params.gamma} >= 1/2: the tilted reflected weight has infinite "
             "variance, so the standard error does not measure the error"
         )
-    served = lead and (classical_from_table or variant != "classical")
-    table = _first_crossing(params, grid, n_steps, n, drift) if served else None
+    table = None if lead is None else _first_crossing(params, grid, n_steps, n, drift)
     start = None if table is None else (table, min(max(lead(p), 1), _CHUNK))
 
     def detect(levels, state, scratch):
@@ -525,35 +523,6 @@ def _weighted_block(detect, initial, grid, params, drift, n_steps, ms, rngs, scr
     return (*out, 0)
 
 
-def _block_sums(w, pairs):
-    """One block's part of ``_unit_mean_se``, from its weights w and its ``pairs``.
-
-    (sum w, sum w^2, sum w_q w_q', sum (w_q + w_q'), pairs), the last three
-    over its antithetic pairs, paths q and q' = q + m - pairs for q < pairs:
-    (0.0, 0.0, 0) without pairs.
-    """
-    first, second = w[:pairs], w[w.size - pairs :]
-    return (float(w.sum()), float((w * w).sum()), float((first * second).sum()),
-            float(first.sum() + second.sum()), pairs)
-
-
-def _unit_mean_se(parts, n):
-    """Mean and standard error of n replicates from ``_block_sums``' parts, in block order.
-
-    Each antithetic pair (a, b) is one unit, whose total T has mean 2 mu;
-    every other replicate is a unit of one.  The standard error is that of
-    the units, SE^2 = sum_units (T - size mu)^2 / n^2: the replicates'
-    variance plus twice the pairs' sum of (x_a - mu)(x_b - mu), over n.
-    Without pairs that sum adds exactly 0.0, so this is ``model._mean_se``,
-    bit for bit.
-    """
-    mean = math.fsum(p[0] for p in parts) / n
-    products, totals, pairs = (math.fsum(p[i] for p in parts) for i in (2, 3, 4))
-    var = math.fsum(p[1] for p in parts) / n - mean * mean
-    var += 2.0 * (products - mean * totals + mean * mean * pairs) / n
-    return mean, math.sqrt(max(var, 0.0) / n)
-
-
 def estimate(
     variant: str,
     params: ModelParams,
@@ -619,46 +588,49 @@ def ruin_time_distribution(
     n: int = 100_000,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted sample of normalized conditional ruin times, tilted sampling.
+    """Normalized conditional ruin times: the classical law's atoms, or a weighted tilted sample.
 
-    Returns ``(s, w)`` with s = c^(3/2) (tau - u/c) / sqrt(u) for each
-    detected replicate and w its weight, as in the tilted estimate; the
-    weighted empirical CDF estimates P(normalized ruin time <= s | ruin).
-    Paths run to ``default_horizon(params, 1.5)``.  Parisian and cumulative
-    paths start at their first crossing of u as in ``estimate``; classical
-    estimates walk, but classical ruin-time samples start from the table
-    too, each path ruined at its first crossing, drawn with two uniforms and
-    no normal.  Table-started samples are independent draws; walked ones
-    (reflected, or Parisian and cumulative where no table is built) come in
-    antithetic pairs, correlated, so a sampling error read as that of n
-    independent draws (such as the KS distance's) is only approximate for
-    them.  The blocks run on every available core; the sample is the same
-    for any count.
-    Warns below u = 10, and for the reflected variant at gamma >= 1/2 as
-    ``estimate`` does.  Raises RuntimeError when a weight would underflow to
-    a subnormal or zero double, or the weights leave double range as in
-    ``estimate``.
+    ``(s, w)``: s = c^(3/2) (tau - u/c) / sqrt(u), whose weighted CDF is
+    P(normalized ruin time <= s | ruin by ``default_horizon(params, 1.5)``).
+    Classical: s at each grid time i delta, increasing, and w = P(tau = i,
+    ruin), the terms of ``dp_classical_ruin`` (``analytic._ruin_by_step``)
+    less those below the smallest normal double (under n_steps * 2.2e-308
+    in all); n and seed are checked but change nothing, and the sweep costs
+    the same at any n: about 9 and 22 ms at u = 30, delta = 0.1 and 0.05,
+    2.3 s at u = 200, delta = 0.02 (2-vCPU VM).  Other variants: n tilted
+    paths, each ruined one weighted as in ``estimate``, which starts them as
+    here.  Table-started samples are independent draws; walked ones come in
+    antithetic pairs, so a sampling error read as that of n independent
+    draws (such as the KS distance's) is only approximate for them.  The
+    sample is the same for any number of cores.  Warns below u = 10, and
+    for the reflected variant at gamma >= 1/2 as ``estimate`` does.  Raises
+    RuntimeError when the weights underflow to subnormal or zero doubles
+    (every atom, or any sampled weight), or leave double range.
     """
     to_s = _ruin_time_scale(params)
     if params.u < 10:
         _warn(
             f"u={params.u} is small; the normal approximation window is only meaningful for large u"
         )
+    horizon = default_horizon(params, 1.5)
     # past u / c the +c table's mass is above 1/2, so the blocks run one per call
-    block, log_scale, _ = _setup(
-        variant, params, grid, variant_params, default_horizon(params, 1.5), n, params.c, seed,
-        classical_from_table=True,
-    )
-
+    block, log_scale, _ = _setup(variant, params, grid, variant_params, horizon, n, params.c, seed)
     def worker(ms, rngs, scratch):
         occurred, idx, w, _ = block(ms, rngs, scratch)
         rows = np.flatnonzero(occurred)
         return [(to_s(idx[rows] * grid.delta), w[rows])]
 
-    s, w = (np.concatenate(half) for half in zip(*_run_blocks(n, seed, worker)))
+    if variant == "classical":
+        first, tilted = _ruin_by_step(params, grid, grid.n_steps_for(horizon))
+        w = np.append(first, tilted * math.exp(log_scale))
+        steps = np.flatnonzero(w >= sys.float_info.min)  # 0 is step 1
+        s, w = to_s((steps + 1) * grid.delta), w[steps]
+    else:
+        s, w = (np.concatenate(half) for half in zip(*_run_blocks(n, seed, worker)))
+        w = _unscaled(w, log_scale)
     if s.size == 0:
-        raise RuntimeError("no ruin detected in any tilted replicate")
-    return s, _unscaled(w, log_scale)
+        raise RuntimeError("no ruin detected whose weight is a normal double")
+    return s, w
 
 
 def weighted_ks(s: np.ndarray, w: np.ndarray, cdf) -> float:

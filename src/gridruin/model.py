@@ -267,6 +267,32 @@ def _run_blocks(n: int, seed: int, worker, threads: int | None = None, live: flo
     return results
 
 
+def _block_sums(w, pairs):
+    """(sum w, sum w^2, sum w_q w_q', sum (w_q + w_q'), pairs): a block's part of ``_unit_mean_se``.
+
+    The last three are over its antithetic pairs, paths q and q' = q + m -
+    pairs for q < pairs: (0.0, 0.0, 0) without pairs.
+    """
+    first, second = w[:pairs], w[w.size - pairs :]
+    return (float(w.sum()), float((w * w).sum()), float((first * second).sum()),
+            float(first.sum() + second.sum()), pairs)
+
+
+def _unit_mean_se(parts, n):
+    """Mean and standard error of n replicates from ``_block_sums``' parts, in block order.
+
+    Each antithetic pair (a, b) is one unit, whose total T has mean 2 mu,
+    any other replicate a unit of one.  SE^2 = sum_units (T - size mu)^2 /
+    n^2: the replicates' variance plus twice the pairs' sum of (x_a - mu)
+    (x_b - mu), over n, a sum that adds exactly 0.0 without pairs.
+    """
+    mean = math.fsum(p[0] for p in parts) / n
+    products, totals, pairs = (math.fsum(p[i] for p in parts) for i in (2, 3, 4))
+    var = math.fsum(p[1] for p in parts) / n - mean * mean
+    var += 2.0 * (products - mean * totals + mean * mean * pairs) / n
+    return mean, math.sqrt(max(var, 0.0) / n)
+
+
 # glibc's default mmap threshold: a request of this many bytes or more is mapped.
 _SCRATCH_BYTES = 2**17
 
@@ -296,13 +322,6 @@ class _Scratch(threading.local):
             least = _SCRATCH_BYTES // np.dtype(dtype).itemsize
             self._flat[name] = np.empty(max(size, least), dtype)
         return self._flat[name][:size].reshape(shape)
-
-
-def _mean_se(parts, n: int) -> tuple[float, float]:
-    """Mean and standard error from per-block (sum x, sum x^2), summed in block order."""
-    mean = math.fsum(p[0] for p in parts) / n
-    var = max(math.fsum(p[1] for p in parts) / n - mean * mean, 0.0)
-    return mean, math.sqrt(var / n)
 
 
 def _unscaled(x, log_scale):

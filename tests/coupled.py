@@ -8,7 +8,8 @@ each row's right half, then its left half.  ``detect`` runs the rows of a
 path matrix through the production chunk runner, ``estimators._run_chunks``.
 ``walked_estimate`` is the tilted estimate with every path walked from
 S_0 = 0, which the Parisian and cumulative variants replace by a start at
-the first crossing of u.  ``berman_count_values`` and ``berman_pairs`` are
+the first crossing of u, and ``walked_ruin_times`` the tilted classical
+ruin-time sample that the exact law replaced.  ``berman_count_values`` and ``berman_pairs`` are
 the two estimators of the Berman constant on such a field: one indicator
 per field, and the library's U-statistic over every pair of half-fields.
 ``reference`` is the benchmark's ``perfbench/reference.py``, loaded by path.
@@ -22,8 +23,9 @@ from unittest import mock
 import numpy as np
 
 from gridruin import estimators, model
+from gridruin.analytic import _ruin_time_scale
 from gridruin.constants import _walk
-from gridruin.model import Grid
+from gridruin.model import Grid, default_horizon
 
 
 def _load_reference():
@@ -147,3 +149,32 @@ def walked_estimate(variant, params, grid, variant_params, n, seed):
     with mock.patch.object(estimators, "_first_crossing", lambda *args: None):
         est = estimators.estimate(variant, params, grid, variant_params, n=n, seed=seed)
     return est.value, est.std_error
+
+
+def walked_ruin_times(params, grid, n, seed):
+    """(s, w) of the tilted classical ruin-time sample, every path walked from S_0 = 0: one row a unit.
+
+    ``estimators._setup``'s classical +c block run through the block runner,
+    to ``default_horizon(params, 1.5)``: n paths in antithetic pairs, each
+    block's paths q and q + m - m // 2 one row, an odd block's unpaired path
+    a row whose second entry weighs 0.  s = c^(3/2) (tau - u/c) / sqrt(u)
+    and w the path's weight, relative to exp(-2cu), 0 where it is not
+    ruined.  A pair's totals are one draw, so a standard error is taken
+    over the rows.
+    """
+    to_s = _ruin_time_scale(params)
+    block, _, _ = estimators._setup(
+        "classical", params, grid, None, default_horizon(params, 1.5), n, params.c, seed
+    )
+
+    def worker(ms, rngs, scratch):
+        _, idx, w, pairs = block(ms, rngs, scratch)
+        m = w.size
+        units = []
+        for x in (to_s(idx * grid.delta), w):
+            odd = np.zeros((m - 2 * pairs, 2))
+            odd[:, 0] = x[pairs : m - pairs]
+            units.append(np.concatenate([np.stack([x[:pairs], x[m - pairs :]], axis=1), odd]))
+        return [units]
+
+    return tuple(np.concatenate(part) for part in zip(*model._run_blocks(n, seed, worker)))

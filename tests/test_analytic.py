@@ -249,9 +249,10 @@ class TestDpOracle:
         assert stepping == [("_crossing_law", "matmul"), ("_crossing_law", "sliding_window_view")]
 
     def test_every_quadrature_takes_its_nodes_from_the_crossing_grid(self):
-        # the oracle and the table read one law, whose floor and node count come
-        # from (params, grid) alone: no caller picks its own.  The drift is the
-        # sampler's: the oracle's is +c, the table's the one it is built for
+        # the classical ruin-time law (which the oracle sums) and the table read
+        # one law, whose floor and node count come from (params, grid) alone: no
+        # caller picks its own.  The drift is the sampler's: the classical law's
+        # is +c, the table's the one it is built for
         tree = ast.parse(Path(analytic.__file__).read_text())
 
         def callers(name):
@@ -268,7 +269,7 @@ class TestDpOracle:
         ]
         assert callers("_crossing_law") == [
             ("__init__", "_crossing_law(params, grid, n_steps, drift)"),
-            ("dp_classical_ruin", "_crossing_law(params, grid, n_steps, params.c)"),
+            ("_ruin_by_step", "_crossing_law(params, grid, n_steps, params.c)"),
         ]
         assert list(inspect.signature(_crossing_law).parameters) == [
             "params", "grid", "n_steps", "drift"]

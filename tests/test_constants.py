@@ -182,7 +182,10 @@ class TestPickands:
             vals = pickands_ratio_values(whole_field_two_sided(eta, eta, m, rng), eta)
             return [(float(vals.sum()), float((vals * vals).sum()))]
 
-        mean, se = model._mean_se(model._run_blocks(100_000, 8, worker), 100_000)
+        n = 100_000
+        sums = model._run_blocks(n, 8, worker)
+        mean = math.fsum(total for total, _ in sums) / n
+        se = math.sqrt(max(math.fsum(square for _, square in sums) / n - mean * mean, 0.0) / n)
         assert abs(mean - oracle) < 3 * se
 
     def test_variance_halves_when_n_doubles(self):
@@ -366,7 +369,8 @@ def whole_block_reference(key: ConstantKey) -> ConstantValue:
     if key.kind == "berman":
         mean, se = berman_pairs(np.concatenate(counts), eta, key.k)
     else:
-        mean, se = model._mean_se(sums, n)
+        mean = math.fsum(total for total, _ in sums) / n
+        se = math.sqrt(max(math.fsum(square for _, square in sums) / n - mean * mean, 0.0) / n)
     return ConstantValue(mean, se, near_edge / n, n)
 
 

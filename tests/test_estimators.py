@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 import types
 import warnings
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from coupled import detect, walked_estimate, whole_paths
+from coupled import detect, walked_estimate, walked_ruin_times, whole_paths
 from gridruin import analytic, cli, estimators, model
 from gridruin.analytic import _FirstCrossing, dp_classical_ruin
 from gridruin.constants import constant_keys_for_model
@@ -25,9 +26,9 @@ def one_row(*values):
     return np.array([values], dtype=float)
 
 
-def tilted_start(variant, params, grid, vp, horizon, n, **kw):
+def tilted_start(variant, params, grid, vp, horizon, n):
     """The start ``_setup`` binds into a tilted request's block: None, or (table, lead)."""
-    block, *_ = estimators._setup(variant, params, grid, vp, horizon, n, params.c, 0, **kw)
+    block, *_ = estimators._setup(variant, params, grid, vp, horizon, n, params.c, 0)
     return block.keywords["start"]
 
 
@@ -230,12 +231,13 @@ class TestEstimate:
     def test_certain_underflow_refused_before_drawing(self, variant, vp, route, monkeypatch):
         # a weight relative to exp(-2cu) is at most 1 where the barrier is u, so
         # at c u = 10^6 the result underflows for certain: refused before any
-        # stream or table is built (this request once ran past 30 s)
+        # stream, table or sweep is built (this request once ran past 30 s)
         def must_not_run(*args, **kwargs):
             pytest.fail("a stream or table was built for a result certain to underflow")
 
         monkeypatch.setattr(model, "make_rng", must_not_run)
         monkeypatch.setattr(estimators, "_first_crossing", must_not_run)
+        monkeypatch.setattr(analytic, "_crossing_law", must_not_run)
         p, g = ModelParams(c=1.0, u=1e6), Grid(0.1)
         with pytest.raises(RuntimeError, match="double-precision underflow"):
             if route == "estimate":
@@ -276,19 +278,17 @@ class TestEstimate:
             estimate("reflected", ModelParams(c=1.0, u=400.0), Grid(0.1), VariantParams(gamma=0.2),
                      n=100, threads=1)
 
-    def test_tilted_weights_bounded(self, monkeypatch):
+    def test_tilted_weights_bounded(self):
         # a classical ruin step ends above u, so its conditioned weight is below
-        # exp(-2cu), whether the sample starts from the table (n = 20,000 takes
-        # one) or walks from 0
+        # exp(-2cu): each walked path's (carried relative to exp(-2cu)), and
+        # each atom of the exact law, a sum of cells times such weights
         p, g = ModelParams(c=1.0, u=12.0), Grid(0.1)
-        assert tilted_start("classical", p, g, None, default_horizon(p, 1.5), 20_000,
-                            classical_from_table=True)
-        for route in ("table", "walk"):
-            if route == "walk":
-                monkeypatch.setattr(estimators, "_first_crossing", lambda *args: None)
-            s, w = ruin_time_distribution("classical", p, g, n=20_000, seed=3)
-            assert np.all(w > 0), route
-            assert np.all(w <= math.exp(-2 * p.c * p.u) * (1 + 1e-12)), route
+        _, w = walked_ruin_times(p, g, 20_000, 3)
+        assert np.all(w >= 0) and w.any()
+        assert np.all(w <= 1 + 1e-12)
+        _, w = ruin_time_distribution("classical", p, g)
+        assert np.all(w > 0)
+        assert np.all(w <= math.exp(-2 * p.c * p.u) * (1 + 1e-12))
 
     @pytest.mark.parametrize(
         "variant, vp, value, std_error",
@@ -530,19 +530,63 @@ class TestRuinTimeDistribution:
         assert abs(median) < 0.15
 
     def test_same_sample_for_any_worker_count(self, monkeypatch):
+        # a table-started sample (cumulative at this n) and a walked one (reflected)
         p, g = ModelParams(c=1.0, u=10.0), Grid(0.1)
-        samples = []
-        for cores in (1, 2):
-            monkeypatch.setattr(model, "_cores", lambda cores=cores: cores)
-            samples.append(ruin_time_distribution("classical", p, g, n=20_000, seed=4))
-        for one, two in zip(*samples):
-            np.testing.assert_array_equal(one, two)
+        assert tilted_start("cumulative", p, g, CUMULATIVE, default_horizon(p, 1.5), 20_000)
+        for variant, vp in [("cumulative", CUMULATIVE), ("reflected", VariantParams(gamma=0.2))]:
+            samples = []
+            for cores in (1, 2):
+                monkeypatch.setattr(model, "_cores", lambda cores=cores: cores)
+                samples.append(ruin_time_distribution(variant, p, g, vp, n=20_000, seed=4))
+            for one, two in zip(*samples):
+                np.testing.assert_array_equal(one, two)
 
     def test_small_u_warns(self):
         with pytest.warns(UserWarning, match="small"):
             ruin_time_distribution(
                 "classical", ModelParams(c=1.0, u=2.0), Grid(0.1), n=2000, seed=0
             )
+
+
+class TestClassicalRuinTimeLaw:
+    """Classical ruin times are the atoms of the law that ``dp_classical_ruin`` sums."""
+
+    @pytest.mark.parametrize("u", [10.0, 30.0])
+    @pytest.mark.parametrize("delta", [0.1, 0.05])
+    def test_atoms(self, u, delta):
+        p, g = ModelParams(c=1.0, u=u), Grid(delta)
+        n_steps = g.n_steps_for(default_horizon(p, 1.5))
+        s, w = ruin_time_distribution("classical", p, g)
+        assert abs(math.fsum(w) / dp_classical_ruin(p, g, n_steps) - 1.0) <= 1e-15
+        assert np.all(w >= sys.float_info.min) and np.all(w <= math.exp(-2.0 * p.c * p.u))
+        assert np.all(np.diff(s) > 0.0)
+        # n and seed are checked, but change nothing
+        for n, seed in [(100, 0), (100_000, 7)]:
+            for got, want in zip(ruin_time_distribution("classical", p, g, n=n, seed=seed), (s, w)):
+                np.testing.assert_array_equal(got, want)
+
+    def test_no_normal_atom_refused(self):
+        # exp(-2cu) = 2.5e-307 is a normal double, but every atom is below the smallest
+        p, g = ModelParams(c=1.0, u=353.0), Grid(1.0)
+        with pytest.raises(RuntimeError, match="no ruin detected whose weight"):
+            ruin_time_distribution("classical", p, g)
+
+    @pytest.mark.parametrize("c, u, delta, kw, error, match", [
+        (1.0, 30.0, 0.1, {"n": 0}, ValueError, "must"),
+        (1.0, 30.0, 0.1, {"seed": -1}, ValueError, "must"),
+        (1.0, 30.0, 0.1, {"seed": 2**64}, ValueError, "must"),
+        (1.0, 1e9, 1e-3, {"n": 100}, ValueError, "normals"),
+        (1.0, 1e6, 0.1, {"n": 100}, RuntimeError, "double-precision underflow"),
+        (150.0, 10.0, 0.1, {"n": 100}, RuntimeError, "double-precision underflow"),
+    ], ids=["zero-n", "negative-seed", "seed-beyond-64-bits", "work-bound", "certain-underflow",
+            "overflowing-weight"])
+    def test_refused_before_the_sweep(self, c, u, delta, kw, error, match, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            pytest.fail("the first-crossing law was swept for a request that is refused")
+
+        monkeypatch.setattr(analytic, "_crossing_law", must_not_run)
+        with pytest.raises(error, match=match):
+            ruin_time_distribution("classical", ModelParams(c=c, u=u), Grid(delta), **kw)
 
 
 class TestWeightedKs:
@@ -611,10 +655,10 @@ class TestFirstCrossingStart:
         assert runs[0] == runs[1] == runs[2]
 
     def test_served_variants_wait_for_u_at_barrier_u(self, monkeypatch):
-        # the table serves exactly the variants whose state stays at point 0's
-        # while S <= u and whose barrier is u: ruin_time_distribution serves
-        # all three, estimate serves them less classical, tilted or crude,
-        # whose estimates keep their walk as the Monte Carlo check on the DP
+        # the table serves the variants whose state stays at point 0's while
+        # S <= u and whose barrier is u, less classical: its estimates, tilted
+        # or crude, keep their walk as the Monte Carlo check on the DP, and
+        # its ruin times are the DP's law, read whole
         levels = whole_paths(0.1, 1.0, 30, 2000, make_rng(36, 0))[:, 1:].T
         below = np.minimum(levels, 1.0)
         waits = set()
@@ -650,7 +694,7 @@ class TestFirstCrossingStart:
             warnings.simplefilter("ignore")  # ruin_time_distribution warns at u = 2
             assert served(estimate) == waits - {"classical"}
             assert served(crude) == waits - {"classical"}
-            assert served(ruin_time_distribution) == waits
+            assert served(ruin_time_distribution) == waits - {"classical"}
 
     def test_stream_layout(self):
         # a block draws its m cell uniforms, then its m crossing uniforms, then
@@ -677,32 +721,6 @@ class TestFirstCrossingStart:
         want = np.cumsum(np.concatenate([level[live][:, None], z], axis=1), axis=1)[:, 1:]
         np.testing.assert_array_equal(seen[1], want.T)
         assert [len(levels) for levels in seen[:3]] == [1, 3, estimators._CHUNK]
-
-    def test_classical_stream_layout(self):
-        # a table-started classical ruin-time block draws its m cell uniforms
-        # and its m crossing uniforms, and no normal: every path is ruined at
-        # tau_1 <= n_steps from S_{tau_1 - 1}, or never live (horizon u / c
-        # leaves about half the paths uncrossed)
-        p, g, m, horizon = ModelParams(c=1.0, u=10.0), Grid(0.1), 2000, 10.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # horizon 10 is below the recommended 17.3
-            block, *_ = estimators._setup("classical", p, g, None, horizon, 25_000, p.c, 0,
-                                         classical_from_table=True)
-        table, _ = block.keywords["start"]
-        rng = make_rng(37, 3)
-        occurred, idx, w, pairs = block([m], [rng], model._Scratch())
-        assert pairs == 0  # table-started paths are units of one
-        want = make_rng(37, 3)
-        tau, before, _ = table.sample(np.sort(want.random(m)), want.random(m))
-        np.testing.assert_array_equal(rng.random(8), want.random(8))  # the streams are level
-        n_steps = g.n_steps_for(horizon)
-        live = tau <= n_steps
-        assert 0.3 * m < live.sum() < 0.7 * m
-        np.testing.assert_array_equal(occurred, live)
-        np.testing.assert_array_equal(idx, np.where(live, tau, 0))
-        weigh = estimators._ruin_weigher(p.c, 2 * p.c, g.delta, p.u)
-        np.testing.assert_array_equal(w[live], weigh(before[live], np.full(live.sum(), p.u)))
-        assert not w[~live].any()
 
     def test_rows_start_at_their_own_points(self, monkeypatch):
         # a row examines points start.. from the state of point 0, and a
@@ -792,34 +810,21 @@ class TestFirstCrossingStart:
         estimate("classical", p, g, n=n, seed=43)
 
     @pytest.mark.parametrize("delta", [0.1, 0.05])
-    def test_classical_ruin_times_agree_with_the_full_walk(self, delta, monkeypatch):
-        # the table-started sample and the walked one estimate the same law:
-        # its weighted mean and its weighted CDF at each quantile point of the CLI
+    def test_classical_ruin_times_agree_with_the_full_walk(self, delta):
+        # the walked tilted sample estimates the exact law: its weighted mean
+        # and its weighted CDF at each quantile point of the CLI, each within
+        # 4 standard errors taken over the antithetic pairs' totals
         p, g, n = ModelParams(c=1.0, u=30.0), Grid(delta), 50_000
+        s, w = ruin_time_distribution("classical", p, g)
+        stats = [lambda t: t] + [lambda t, q=q: (t <= q).astype(float)
+                                 for q in cli._QUANTILE_POINTS]
+        exact = [np.average(stat(s), weights=w) for stat in stats]
         for seed in (44, 45, 46):
-            s, w = ruin_time_distribution("classical", p, g, n=n, seed=seed)
-            with monkeypatch.context() as walk:
-                walk.setattr(estimators, "_first_crossing", lambda *args: None)
-                s0, w0 = ruin_time_distribution("classical", p, g, n=n, seed=seed + 100)
-            stats = [lambda t: t] + [lambda t, q=q: (t <= q).astype(float)
-                                     for q in cli._QUANTILE_POINTS]
-            for stat in stats:
-                (a, se_a), (b, se_b) = weighted_mean_se(stat(s), w), weighted_mean_se(stat(s0), w0)
-                z = (a - b) / math.hypot(se_a, se_b)
-                assert abs(z) <= 4.0, (seed, z)
-
-    def test_classical_ruin_times_walk_where_the_table_costs_more(self, monkeypatch):
-        # at u = 2, n = 2000 the count rule walks: the sample is the walked one, bit for bit
-        p, g, n = ModelParams(c=1.0, u=2.0), Grid(0.1), 2000
-        assert tilted_start("classical", p, g, None, default_horizon(p, 1.5), n,
-                            classical_from_table=True) is None
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # u = 2 is small for the ruin-time window
-            sample = ruin_time_distribution("classical", p, g, n=n, seed=47)
-            monkeypatch.setattr(estimators, "_first_crossing", lambda *args: None)
-            walked = ruin_time_distribution("classical", p, g, n=n, seed=47)
-        for got, want in zip(sample, walked):
-            np.testing.assert_array_equal(got, want)
+            s0, w0 = walked_ruin_times(p, g, n, seed)
+            for stat, want in zip(stats, exact):
+                mean = np.average(stat(s0), weights=w0)
+                se = math.sqrt(np.sum(np.sum(w0 * (stat(s0) - mean), axis=1) ** 2)) / w0.sum()
+                assert abs(mean - want) <= 4.0 * se, (seed, mean, want, se)
 
     def test_ruin_times_agree_with_the_full_walk(self, monkeypatch):
         # the ruin index of a path started at tau_1 counts from point 0
@@ -902,10 +907,12 @@ class TestAntitheticPairs:
         n = sum(w.size for w in blocks)
         mean = sum(w.sum() for w in blocks) / n
         se = math.sqrt(sum((t - k * mean) ** 2 for t, k in units)) / n
-        got = estimators._unit_mean_se([estimators._block_sums(w, w.size // 2) for w in blocks], n)
+        got = model._unit_mean_se([model._block_sums(w, w.size // 2) for w in blocks], n)
         assert got == pytest.approx((mean, se), rel=1e-12)
-        plain = model._mean_se([(float(w.sum()), float((w * w).sum())) for w in blocks], n)
-        assert estimators._unit_mean_se([estimators._block_sums(w, 0) for w in blocks], n) == plain
+        plain_mean = math.fsum(float(w.sum()) for w in blocks) / n
+        plain_var = math.fsum(float((w * w).sum()) for w in blocks) / n - plain_mean**2
+        plain = plain_mean, math.sqrt(max(plain_var, 0.0) / n)
+        assert model._unit_mean_se([model._block_sums(w, 0) for w in blocks], n) == plain
         assert got[1] != plain[1]
 
     def test_estimate_reads_its_blocks_pairs(self):
@@ -918,9 +925,9 @@ class TestAntitheticPairs:
         for b, m in enumerate((model.BLOCK_SIZE, 2001)):
             _, _, w, pairs = block([m], [make_rng(63, b)], model._Scratch())
             assert pairs == m // 2
-            parts.append(estimators._block_sums(w, pairs))
+            parts.append(model._block_sums(w, pairs))
         est = estimate("classical", p, g, method="crude", n=n, seed=63)
-        assert (est.value, est.std_error) == estimators._unit_mean_se(parts, n)
+        assert (est.value, est.std_error) == model._unit_mean_se(parts, n)
 
     @pytest.mark.parametrize("method, u, n", [("crude", 1.0, 20_000), ("tilted", 10.0, 10_000)])
     def test_z_scores_against_the_dp_oracle(self, method, u, n):
